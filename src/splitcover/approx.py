@@ -29,7 +29,7 @@ from .wpoly import (
 
 DEFAULT_GRID_DENSITY = 41
 DEFAULT_T_MESH = 17
-DEFAULT_DENOMINATOR_BOUND = 10 ** 6
+DEFAULT_MAX_DENOMINATOR = 10 ** 6
 DEFAULT_CONSERVATISM = 0.5
 
 
@@ -121,6 +121,13 @@ class ApproximationCertificate:
     total_error: float
     homotopy_checked: bool
 
+    @classmethod
+    def exact(cls, degree: int, eps_hat: float) -> "ApproximationCertificate":
+        """Certificate for a map that is its own approximation: the error is
+        zero on the whole space, not only on the grid, and the straight-line
+        homotopy is constant."""
+        return cls(degree, eps_hat, (0.0,) * (2 * degree), 0.0, True)
+
     @property
     def component_bound(self) -> float:
         return self.eps_hat / (4.0 * self.degree)
@@ -193,7 +200,7 @@ def _fit_real_component(grid, data: np.ndarray, max_degree: int, bound: float,
 
 def fit_rational_polys(coeff_map: SampledCoeffMap, max_degree: int,
                        eps_hat: float,
-                       denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
+                       max_denominator: int = DEFAULT_MAX_DENOMINATOR,
                        t_mesh: int = DEFAULT_T_MESH):
     """Fit every coefficient component by a rational bivariate polynomial.
 
@@ -211,9 +218,9 @@ def fit_rational_polys(coeff_map: SampledCoeffMap, max_degree: int,
     per_component: list[float] = []
     for j in range(n):
         re_poly, re_err = _fit_real_component(
-            coeff_map.grid, values[:, j].real, max_degree, bound, denominator_bound)
+            coeff_map.grid, values[:, j].real, max_degree, bound, max_denominator)
         im_poly, im_err = _fit_real_component(
-            coeff_map.grid, values[:, j].imag, max_degree, bound, denominator_bound)
+            coeff_map.grid, values[:, j].imag, max_degree, bound, max_denominator)
         combined = {}
         for key, c in re_poly.terms.items():
             combined[key] = GaussianRational(c.re, Fraction(0))

@@ -2,7 +2,7 @@
 
 All inputs and outputs are JSON. Exit codes: 0 success, 2 verification
 failure (including a failed verdict in a report), 3 numerical instability,
-4 input or schema errors.
+4 input or schema errors and groups without an exact synthesis.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import sys
 from typing import Optional
 
-from .approx import DegreeExhaustedError
 from .embedding import NoSolutionError
 from .monodromy import (
     FiberMatchError,
@@ -30,6 +29,7 @@ from .pipeline import (
     run_verify_tower,
     solve_semitop_embedding,
 )
+from .synthesis import SynthesisUnsupported
 from .wpoly import (
     BaseSpace,
     GeometryError,
@@ -44,8 +44,7 @@ EXIT_NUMERICAL = 3
 EXIT_INPUT = 4
 
 _NUMERICAL_ERRORS = (StepUnderflowError, NewtonDivergenceError, InstabilityError,
-                     FiberMatchError, RootFindingError, MultipleRootError,
-                     DegreeExhaustedError)
+                     FiberMatchError, RootFindingError, MultipleRootError)
 
 
 class InputError(RuntimeError):
@@ -94,7 +93,7 @@ def _load_polynomial(path: str) -> tuple[WeierstrassPoly, Optional[BaseSpace]]:
         poly = WeierstrassPoly.from_json(
             {"degree": _schema(path, data, "degree"),
              "coeffs": _schema(path, data, "coeffs")})
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: bad polynomial: {exc}") from exc
     return poly, space
 
@@ -102,7 +101,7 @@ def _load_polynomial(path: str) -> tuple[WeierstrassPoly, Optional[BaseSpace]]:
 def _parse_space(path: str, data) -> BaseSpace:
     try:
         return BaseSpace.from_json(data)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: bad base space: {exc}") from exc
 
 
@@ -153,10 +152,6 @@ def _pipeline_options(args, config: dict) -> dict:
     grid = args.grid if args.grid is not None else config.get("grid_density")
     if grid is not None:
         opts["grid_density"] = int(grid)
-    degree = (args.max_degree if args.max_degree is not None
-              else config.get("max_degree"))
-    if degree is not None:
-        opts["max_degree"] = int(degree)
     if "conservatism" in config:
         opts["conservatism"] = float(config["conservatism"])
     return opts
@@ -167,8 +162,6 @@ def _cmd_realize(args) -> int:
     group = _load_group(args.group)
     space = _load_space(args.base_space)
     opts = _pipeline_options(args, config)
-    if "denominator_bound" in config:
-        opts["denominator_bound"] = int(config["denominator_bound"])
     poly, report = realize_group(group, space, tracking=_tracking_from(config),
                                  **opts)
     if args.seed is not None:
@@ -240,19 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("-o", "--output", help="write the JSON result here "
                                               "instead of stdout")
-        p.add_argument("--config", help="JSON file with tracking and fitting "
-                                        "parameters")
+        p.add_argument("--config", help="JSON file with tracking and "
+                                        "sampling parameters")
         p.add_argument("--seed", type=int, help="recorded in the report; all "
                                                 "pipelines are deterministic")
-        p.add_argument("--grid", type=int, help="approximation grid density")
-        p.add_argument("--max-degree", type=int,
-                       help="degree cap for the rational polynomial fit")
+
+    def grid_option(p):
+        p.add_argument("--grid", type=int, help="density of the grid that "
+                                                "samples eps_hat (default 41)")
 
     p = sub.add_parser("realize", help="realize a finite group as a deck group")
     p.add_argument("group", help="PermGroup JSON file")
     p.add_argument("--base-space", help="BaseSpace JSON file (default layout "
                                         "if omitted)")
     common(p)
+    grid_option(p)
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("embed", help="solve a semi-topological embedding problem")
@@ -267,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append base-space holes when no preimage assignment "
                         "generates H")
     common(p)
+    grid_option(p)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("monodromy", help="track a polynomial's monodromy")
@@ -306,6 +302,9 @@ def main(argv: Optional[list] = None) -> int:
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except SynthesisUnsupported as exc:
+        print(f"unsupported group: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

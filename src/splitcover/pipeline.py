@@ -14,24 +14,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import embedding as embedding_mod
 from .approx import (
     DEFAULT_CONSERVATISM,
-    DEFAULT_DENOMINATOR_BOUND,
     DEFAULT_GRID_DENSITY,
-    SampledCoeffMap,
+    ApproximationCertificate,
     estimate_eps,
-    fit_rational_polys,
+    sample_poly_map,
 )
-from .braid import (
-    BraidWord,
-    braid_position,
-    lift_permutation,
-    roots_to_coeffs,
-    tau,
-)
+from .braid import lift_permutation, tau
 from .embedding import EmbeddingInstance
 from .freecover import extend_table, restriction_hom, subtable
 from .monodromy import (
@@ -64,7 +55,6 @@ from .wpoly import (
     WeierstrassPoly,
     default_base_space,
     extend_base_space,
-    sample_grid,
 )
 
 DEFAULT_ORDER_LIMIT = 24
@@ -172,9 +162,11 @@ def _hole_centers(space: BaseSpace) -> list[GaussianRational]:
 
 
 def _synthesize_validated(elems, gens, centers, space: BaseSpace,
-                          validation_density: int = 15) -> SynthesisResult:
+                          validation_density: int = 15
+                          ) -> tuple[SynthesisResult, WeierstrassPoly]:
     """Exact synthesis with a deterministic fallback schedule of weights or
-    twists; each candidate must pass the separability grid check."""
+    twists; each candidate must pass the separability grid check. Returns
+    the synthesis and the validated polynomial built from it."""
     n = len(elems)
     group = PermGroup(elems[0].degree, tuple(gens), _elements=tuple(elems))
     failures: list[str] = []
@@ -183,9 +175,9 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace,
             try:
                 synth = synthesize_abelian(elems, gens, centers,
                                            weight_base=Fraction(base))
-                WeierstrassPoly(n, synth.coeffs, base=space,
-                                validation_density=validation_density)
-                return synth
+                return synth, WeierstrassPoly(
+                    n, synth.coeffs, base=space,
+                    validation_density=validation_density)
             except (SynthesisUnsupported, ValueError) as exc:
                 failures.append(f"weight base {base}: {exc}")
         raise SynthesisUnsupported("; ".join(failures))
@@ -195,9 +187,9 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace,
             for twist in s3_twist_schedule(kind):
                 try:
                     synth = synthesize_s3(elems, gens, centers, twist=twist)
-                    WeierstrassPoly(n, synth.coeffs, base=space,
-                                    validation_density=validation_density)
-                    return synth
+                    return synth, WeierstrassPoly(
+                        n, synth.coeffs, base=space,
+                        validation_density=validation_density)
                 except (SynthesisUnsupported, ValueError) as exc:
                     failures.append(f"twist {twist}: {exc}")
             raise SynthesisUnsupported("; ".join(failures))
@@ -206,63 +198,19 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace,
         f"{len(gens)} generators)")
 
 
-def _fallback_coeff_fn(space: BaseSpace, braid_words: Sequence[BraidWord], n: int):
-    """Best-effort continuous coefficient map from the braid loops.
-
-    Points inside an annulus around hole i follow the i-th braid motion at a
-    parameter given by the angle, tapered to the closed endpoints toward the
-    annulus rim; everywhere else the map is the resting configuration. The
-    map is pointwise computable but only piecewise smooth, so polynomial
-    fitting at the certificate bound is expected to exhaust its degree
-    budget; it is kept as the route for groups without an exact synthesis.
-    """
-    base = roots_to_coeffs(tuple(complex(k) for k in range(1, n + 1)))
-    rims = []
-    for hole in space.holes:
-        r = float(hole.radius)
-        rims.append((complex(float(hole.center[0]), float(hole.center[1])),
-                     1.5 * r, 1.9 * r))
-
-    def fn(u, v):
-        w = complex(float(u), float(v))
-        for (center, inner, outer), word in zip(rims, braid_words):
-            d = abs(w - center)
-            if d >= outer:
-                continue
-            angle = np.angle((w - center) * 1j)  # 0 at the downward direction
-            xi = (angle / (2 * np.pi)) % 1.0
-            taper = 1.0 if d <= inner else (outer - d) / (outer - inner)
-            if taper <= 0:
-                continue
-            ell = min(1.0, max(0.0, 0.5 + (xi - 0.5) / taper))
-            return roots_to_coeffs(braid_position(word, ell))
-        return base
-
-    return fn
-
-
-def _grid_map_from_exact(coeffs, space: BaseSpace, density: int,
-                         provenance: str) -> SampledCoeffMap:
-    grid = tuple(sample_grid(space, density))
-    values = tuple(
-        tuple(complex(c.eval_exact(u, v)) for c in coeffs) for u, v in grid)
-    return SampledCoeffMap(grid, values, provenance)
-
-
 def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
                   tracking: TrackingConfig = DEFAULT_TRACKING,
                   grid_density: int = DEFAULT_GRID_DENSITY,
-                  max_degree: int = 8,
                   conservatism: float = DEFAULT_CONSERVATISM,
-                  denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
                   order_limit: int = DEFAULT_ORDER_LIMIT,
                   ) -> tuple[WeierstrassPoly, PipelineReport]:
     """Produce a Weierstrass polynomial whose splitting-cover deck group is
     isomorphic to G, with one base-space hole per given generator.
 
     The coefficient map realizing the regular representation is synthesized
-    exactly where possible and passed through the sampled-approximation step
-    so its certificate is part of the report; the tracked monodromy of the
+    exactly, so it is its own approximation: the certificate records zero
+    error and the sampled distance to the discriminant. Groups without an
+    exact synthesis raise SynthesisUnsupported. The tracked monodromy of the
     output polynomial must match the regular generator images exactly.
     """
     watch = _Stopwatch()
@@ -285,46 +233,27 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
 
     report = PipelineReport(command="realize")
     report.inputs = {"group": G.to_json(), "base_space": space.to_json(),
-                     "grid_density": grid_density, "max_degree": max_degree,
+                     "grid_density": grid_density,
                      "conservatism": conservatism}
     report.artifacts["braid_words"] = [w.to_json() for w in braid_words]
     report.artifacts["regular_generators"] = [p.to_json() for p in reg]
 
-    centers = _hole_centers(space)
-    synth = None
-    try:
-        synth = _synthesize_validated(elems, G.generators, centers, space)
-        coeff_fn = None
-    except SynthesisUnsupported as exc:
-        report.artifacts["synthesis"] = f"unavailable: {exc}"
-        coeff_fn = _fallback_coeff_fn(space, braid_words, n)
-    if synth is not None:
-        report.artifacts["synthesis"] = synth.description
+    synth, f = _synthesize_validated(elems, G.generators, _hole_centers(space),
+                                     space)
+    report.artifacts["synthesis"] = synth.description
     watch.lap("synthesis")
 
-    if synth is not None:
-        amap = _grid_map_from_exact(synth.coeffs, space, grid_density,
-                                    synth.description)
-    else:
-        grid = tuple(sample_grid(space, grid_density))
-        amap = SampledCoeffMap(
-            grid, tuple(tuple(coeff_fn(u, v)) for u, v in grid),
-            "braid loops through an annulus retraction")
-    eps_hat = estimate_eps(amap, conservatism)
+    eps_hat = estimate_eps(sample_poly_map(f, space, grid_density), conservatism)
     report.artifacts["eps_hat"] = eps_hat
+    cert = ApproximationCertificate.exact(n, eps_hat)
+    report.artifacts["certificate"] = cert.to_json()
+    # the output coefficients are the synthesized ones, not a fit of them
+    report.artifacts["exact_recovery"] = True
     watch.lap("sampling")
 
-    fitted, cert = fit_rational_polys(amap, max_degree, eps_hat,
-                                      denominator_bound=denominator_bound)
-    report.artifacts["certificate"] = cert.to_json()
-    if synth is not None:
-        report.artifacts["exact_recovery"] = list(fitted) == list(synth.coeffs)
-    watch.lap("fit")
-
-    f = WeierstrassPoly(n, fitted, base=space)
-    labels = synth.root_labels_at(_basepoint_complex(space)) if synth else None
+    labels = synth.root_labels_at(_basepoint_complex(space))
     rep = characteristic_hom(f, space, tracking, root_labels=labels, refine=True)
-    if synth is None or synth.target_perms is None:
+    if synth.target_perms is None:
         pi = align_regular_labelings(rep.perms, reg)
         if pi is not None:
             rep = _relabel_rep(rep, pi)
@@ -368,7 +297,6 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
                             allow_rank_extension: bool = True,
                             tracking: TrackingConfig = DEFAULT_TRACKING,
                             grid_density: int = DEFAULT_GRID_DENSITY,
-                            max_degree: int = 8,
                             conservatism: float = DEFAULT_CONSERVATISM,
                             ) -> tuple[WeierstrassPoly, PipelineReport]:
     """Given an irreducible g and a surjection of H onto its deck group,
@@ -393,7 +321,7 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     realized_group = PermGroup(H.degree, solution.images)
     h, realize_report = realize_group(
         realized_group, space2, tracking=tracking, grid_density=grid_density,
-        max_degree=max_degree, conservatism=conservatism)
+        conservatism=conservatism)
     rep_h = MonodromyRep.from_json(realize_report.artifacts["monodromy"])
     watch.lap("realize")
 

@@ -142,10 +142,6 @@ def _reduce_mod(vec: list[Fraction], phi: list[Fraction]) -> list[Fraction]:
 # exact univariate polynomials over Q(i), in the complex coordinate w
 
 
-def wp_constant(c: GaussianRational) -> list[GaussianRational]:
-    return [c]
-
-
 def wp_add(a: Sequence[GaussianRational], b: Sequence[GaussianRational]):
     out = [QI_ZERO] * max(len(a), len(b))
     for i, c in enumerate(a):

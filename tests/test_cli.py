@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from splitcover.cli import main
+from splitcover.cli import build_parser, main
 from splitcover.permgroup import Permutation, closure
+from splitcover.wpoly import default_base_space
 
 
 def perm(*cycles, n):
@@ -124,3 +125,36 @@ def test_cli_seed_recorded_and_deterministic(z2_artifact, capsys):
     second = json.loads(capsys.readouterr().out)
     assert first["polynomial"] == second["polynomial"]
     assert first["report"]["verdicts"] == second["report"]["verdicts"]
+
+
+def test_realize_unsupported_group_exits_4(tmp_path, capsys):
+    d4 = write_json(tmp_path / "d4.json",
+                    {"degree": 4, "generators": [[2, 3, 4, 1], [3, 2, 1, 4]]})
+    out = tmp_path / "d4.out.json"
+    assert main(["realize", d4, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "unsupported group" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("re_den, outer_r", [(0, [10, 1]), (1, [10, 0])],
+                         ids=["polynomial", "base_space"])
+def test_zero_denominator_is_input_error(re_den, outer_r, tmp_path, capsys):
+    poly = {"degree": 2, "coeffs": [[[1, 0, -1, re_den, 0, 1]], []]}  # z^2 - u
+    space = default_base_space(1).to_json()
+    space["outer"]["r"] = outer_r
+    code = main(["monodromy", write_json(tmp_path / "poly.json", poly),
+                 "--base-space", write_json(tmp_path / "space.json", space)])
+    assert code == 4
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "f.json"],
+    ["verify-tower", "h.json", "g.json", "--group", "h.json", "--phi", "p.json",
+     "--psi", "q.json"],
+])
+def test_grid_flag_only_on_realize_and_embed(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["--grid", "21"])

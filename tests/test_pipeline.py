@@ -17,6 +17,7 @@ from splitcover.pipeline import (
     run_verify_tower,
     solve_semitop_embedding,
 )
+from splitcover.synthesis import SynthesisUnsupported
 from splitcover.wpoly import (
     BivariatePolyQi,
     GaussianRational,
@@ -109,13 +110,11 @@ def test_realize_rejects_oversized_group():
         realize_group(z30, order_limit=24)
 
 
-def test_realize_unsupported_group_exhausts_fallback():
-    # D4 has no exact synthesis here; the braid-annulus fallback cannot meet
-    # the certificate bound at desk-scale degrees
-    from splitcover.approx import DegreeExhaustedError
+def test_realize_unsupported_group_raises():
+    # D4 has no exact synthesis here, and realize has no other route
     d4 = closure((perm((1, 2, 3, 4), n=4), perm((1, 3), n=4)))
-    with pytest.raises(DegreeExhaustedError):
-        realize_group(d4, max_degree=3)
+    with pytest.raises(SynthesisUnsupported):
+        realize_group(d4)
 
 
 def test_embed_identity_case(realized_z2):
