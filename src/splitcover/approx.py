@@ -23,6 +23,7 @@ from .wpoly import (
     GaussianRational,
     WeierstrassPoly,
     discriminant_at,
+    min_gap,
     roots_at,
     sample_grid,
 )
@@ -39,10 +40,14 @@ class DegreeExhaustedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SampledCoeffMap:
-    """Coefficient map sampled on rational grid points of the base space."""
+    """Coefficient map sampled on rational grid points of the base space.
+
+    values is a read-only (N, n) complex array: row k holds the n
+    coefficients over grid[k].
+    """
 
     grid: tuple[tuple[Fraction, Fraction], ...]
-    values: tuple[tuple[complex, ...], ...]
+    values: np.ndarray
     provenance: str = ""
 
     def __post_init__(self):
@@ -50,16 +55,23 @@ class SampledCoeffMap:
             raise ValueError("grid must be nonempty")
         if len(self.grid) != len(self.values):
             raise ValueError("one value tuple per grid point required")
-        n = len(self.values[0])
-        for row in self.values:
-            if len(row) != n:
-                raise ValueError("inconsistent coefficient count")
-            if abs(discriminant_at(row)) == 0.0:
-                raise ValueError("sampled map touches the discriminant locus")
+        try:
+            values = np.array(self.values, dtype=complex)
+        except ValueError as exc:
+            raise ValueError("inconsistent coefficient count") from exc
+        if values.ndim != 2 or values.shape[1] == 0:
+            raise ValueError("inconsistent coefficient count")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        singular = np.flatnonzero(np.abs(discriminant_at(values)) == 0.0)
+        if singular.size:
+            u, v = self.grid[singular[0]]
+            raise ValueError(f"sampled map touches the discriminant locus "
+                             f"at ({float(u):.3f}, {float(v):.3f})")
 
     @property
     def degree(self) -> int:
-        return len(self.values[0])
+        return self.values.shape[1]
 
 
 def sample_coeff_function(space: BaseSpace,
@@ -67,16 +79,15 @@ def sample_coeff_function(space: BaseSpace,
                           density: int = DEFAULT_GRID_DENSITY,
                           provenance: str = "") -> SampledCoeffMap:
     grid = tuple(sample_grid(space, density))
-    values = tuple(tuple(complex(c) for c in fn(u, v)) for u, v in grid)
+    values = [[complex(c) for c in fn(u, v)] for u, v in grid]
     return SampledCoeffMap(grid, values, provenance)
 
 
 def sample_poly_map(f: WeierstrassPoly, space: BaseSpace,
                     density: int = DEFAULT_GRID_DENSITY,
                     provenance: str = "exact polynomial map") -> SampledCoeffMap:
-    return sample_coeff_function(
-        space, lambda u, v: [complex(c.eval_exact(u, v)) for c in f.coeffs],
-        density, provenance)
+    grid = tuple(sample_grid(space, density))
+    return SampledCoeffMap(grid, f.eval_points(grid), provenance)
 
 
 def estimate_eps(coeff_map: SampledCoeffMap,
@@ -86,25 +97,18 @@ def estimate_eps(coeff_map: SampledCoeffMap,
     At each sample with roots r1..rn, minimal gap s and radius bound
     R = 1 + max|r|, the local bound is s*(s/(4R))^(n-1); the estimate is the
     grid minimum scaled by the conservatism factor. For degree 1 the
-    discriminant locus is empty and the local bound is taken as 1.
+    discriminant locus is empty and the local bound is taken as 1. The map
+    itself guarantees a nonzero discriminant at every sample.
     """
     if not 0 < conservatism <= 1:
         raise ValueError("conservatism must lie in (0, 1]")
     n = coeff_map.degree
-    best = float("inf")
-    for row in coeff_map.values:
-        if abs(discriminant_at(row)) == 0.0:
-            raise ValueError("discriminant vanishes at a sample")
-        if n == 1:
-            best = min(best, 1.0)
-            continue
-        roots = roots_at(row)
-        diffs = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        s = float(diffs.min())
-        radius = 1.0 + float(np.abs(roots).max())
-        best = min(best, s * (s / (4.0 * radius)) ** (n - 1))
-    return conservatism * best
+    if n == 1:
+        return conservatism * 1.0
+    roots = roots_at(coeff_map.values)
+    s = min_gap(roots)
+    radius = 1.0 + np.abs(roots).max(axis=1)
+    return conservatism * float((s * (s / (4.0 * radius)) ** (n - 1)).min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,11 +189,7 @@ def _fit_real_component(grid, data: np.ndarray, max_degree: int, bound: float,
             if frac != 0:
                 terms[(p, q)] = GaussianRational(frac)
         poly = BivariatePolyQi(terms)
-        err = 0.0
-        for (u, v), y in zip(grid, data):
-            err = max(err, abs(float(poly.eval_exact(u, v).re) - float(y)))
-            if err >= bound and degree < max_degree:
-                break
+        err = float(np.abs(poly.eval_points(grid).real - data).max())
         if err < bound:
             return poly, err
         best = err if best is None else min(best, err)
@@ -213,7 +213,7 @@ def fit_rational_polys(coeff_map: SampledCoeffMap, max_degree: int,
         raise ValueError("eps_hat must be positive")
     n = coeff_map.degree
     bound = eps_hat / (4.0 * n)
-    values = np.array(coeff_map.values, dtype=complex)
+    values = coeff_map.values
     fitted: list[BivariatePolyQi] = []
     per_component: list[float] = []
     for j in range(n):
@@ -230,7 +230,8 @@ def fit_rational_polys(coeff_map: SampledCoeffMap, max_degree: int,
         fitted.append(BivariatePolyQi(combined))
         per_component.extend([re_err, im_err])
 
-    total_error = _sup_total_error(coeff_map, fitted)
+    total_error = _sup_total_error(
+        values, WeierstrassPoly(n, fitted).eval_points(coeff_map.grid))
     homotopy = check_homotopy(coeff_map, fitted, eps_hat, t_mesh)
     cert = ApproximationCertificate(
         degree=n, eps_hat=eps_hat,
@@ -239,14 +240,8 @@ def fit_rational_polys(coeff_map: SampledCoeffMap, max_degree: int,
     return fitted, cert
 
 
-def _sup_total_error(coeff_map: SampledCoeffMap,
-                     fitted: Sequence[BivariatePolyQi]) -> float:
-    worst = 0.0
-    for (u, v), row in zip(coeff_map.grid, coeff_map.values):
-        total = sum(abs(complex(poly.eval_exact(u, v)) - val)
-                    for poly, val in zip(fitted, row))
-        worst = max(worst, total)
-    return worst
+def _sup_total_error(start: np.ndarray, end: np.ndarray) -> float:
+    return float(np.abs(end - start).sum(axis=1).max())
 
 
 def check_homotopy(coeff_map: SampledCoeffMap,
@@ -256,21 +251,18 @@ def check_homotopy(coeff_map: SampledCoeffMap,
 
     True when the summed sup error is below eps_hat/2 and the discriminant
     stays away from zero at every grid point and homotopy time, so the whole
-    segment remains among separable polynomials.
+    segment remains among separable polynomials. The sampled map's own
+    discriminant is nonzero at every grid point by construction.
     """
     if t_mesh < 2:
         raise ValueError("t_mesh must have at least two points")
-    if _sup_total_error(coeff_map, fitted) >= eps_hat / 2.0:
+    start = coeff_map.values
+    end = WeierstrassPoly(len(fitted), fitted).eval_points(coeff_map.grid)
+    if _sup_total_error(start, end) >= eps_hat / 2.0:
         return False
-    times = np.linspace(0.0, 1.0, t_mesh)
-    for (u, v), row in zip(coeff_map.grid, coeff_map.values):
-        start = np.array(row, dtype=complex)
-        end = np.array([complex(p.eval_exact(u, v)) for p in fitted])
-        base = abs(discriminant_at(start))
-        if base == 0.0:
+    floor = 1e-9 * np.abs(discriminant_at(start))
+    for t in np.linspace(0.0, 1.0, t_mesh):
+        mid = (1.0 - t) * start + t * end
+        if np.any(np.abs(discriminant_at(mid)) <= floor):
             return False
-        for t in times:
-            mid = (1.0 - t) * start + t * end
-            if abs(discriminant_at(mid)) <= 1e-9 * base:
-                return False
     return True

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .permgroup import Permutation, compose
+from .wpoly import min_gap
 
 DEFAULT_CLEARANCE = 0.25
 
@@ -108,21 +109,13 @@ class ConfigPath:
         for pts in self.samples:
             if len(pts) != self.strands:
                 raise ValueError("sample size does not match strand count")
-            if _min_gap(pts) < self.clearance:
+            if min_gap(pts) < self.clearance:
                 raise ClearanceError(
                     f"points within clearance {self.clearance}: {pts!r}")
         start = sorted(self.samples[0], key=lambda z: (z.real, z.imag))
         end = sorted(self.samples[-1], key=lambda z: (z.real, z.imag))
         if any(abs(a - b) > 1e-9 for a, b in zip(start, end)):
             raise ValueError("path is not closed as a multiset")
-
-
-def _min_gap(points) -> float:
-    n = len(points)
-    if n < 2:
-        return float("inf")
-    return min(abs(points[i] - points[j])
-               for i in range(n) for j in range(i + 1, n))
 
 
 def base_configuration(n: int) -> tuple[complex, ...]:
@@ -187,7 +180,7 @@ def config_to_coeffs(path: ConfigPath,
     """Vieta map sample by sample; rejects configurations within clearance."""
     out = []
     for pts in path.samples:
-        if _min_gap(pts) < clearance:
+        if min_gap(pts) < clearance:
             raise ClearanceError(f"configuration within clearance: {pts!r}")
         out.append(roots_to_coeffs(pts))
     return out

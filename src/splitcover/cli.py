@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from .embedding import NoSolutionError
+from .embedding import NoSolutionError, SolutionCheckError
 from .monodromy import (
     FiberMatchError,
     InstabilityError,
@@ -121,12 +121,19 @@ def _load_images(path: str, label: str) -> tuple[Permutation, ...]:
         raise InputError(f"{path}: bad {label} images: {exc}") from exc
 
 
+CONFIG_KEYS = ("tracking", "grid_density", "conservatism")
+
+
 def _load_run_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     data = _load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise InputError(f"{path}: unknown config key(s) {', '.join(unknown)}; "
+                         f"expected only {', '.join(CONFIG_KEYS)}")
     return data
 
 
@@ -296,7 +303,7 @@ def main(argv: Optional[list] = None) -> int:
             ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except VerificationError as exc:
+    except (VerificationError, SolutionCheckError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except NoSolutionError as exc:

@@ -33,6 +33,10 @@ class NoSolutionError(RuntimeError):
     """The embedding problem has no solution without extending the base."""
 
 
+class SolutionCheckError(RuntimeError):
+    """A constructed solution failed the solver's own verification."""
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingInstance:
     base_rank: int
@@ -172,13 +176,13 @@ def solve(instance: EmbeddingInstance,
     mid = extend_table(F, extra)
     tower = subtable(table, mid)
     if tower is None:
-        raise RuntimeError("constructed covering does not factor through F")
+        raise SolutionCheckError("constructed covering does not factor through F")
 
     solution = EmbeddingSolution(
         E_cover=table, tower=tower, psi=psi,
         rank_used=instance.base_rank + extra, images=tuple(assignment))
     if not verify(solution, instance):
-        raise RuntimeError("constructed solution failed verification")
+        raise SolutionCheckError("constructed solution failed verification")
     return solution
 
 

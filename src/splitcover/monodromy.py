@@ -27,6 +27,7 @@ from .wpoly import (
     LoopPath,
     WeierstrassPoly,
     generator_loops,
+    min_gap,
     roots_at,
 )
 
@@ -129,12 +130,6 @@ def _arclength_position(points: np.ndarray):
     return position
 
 
-def _min_gap(roots: np.ndarray) -> float:
-    d = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
-
-
 def _newton_correct(poly: np.ndarray, dpoly: np.ndarray, guesses: np.ndarray,
                     max_iters: int):
     z = guesses.copy()
@@ -193,9 +188,9 @@ def track_loop(f: WeierstrassPoly, loop: LoopPath,
         corrected = _newton_correct(poly, dpoly, roots, cfg.max_newton_iters)
         accepted = False
         if corrected is not None:
-            gap = _min_gap(roots)
+            gap = min_gap(roots)
             movement = float(np.abs(corrected - roots).max())
-            if movement < cfg.safety_factor * gap / 2 and _min_gap(corrected) > 0:
+            if movement < cfg.safety_factor * gap / 2 and min_gap(corrected) > 0:
                 roots = corrected
                 t = t_next
                 h = min(cfg.initial_step, h * 1.4)
@@ -212,7 +207,7 @@ def track_loop(f: WeierstrassPoly, loop: LoopPath,
                     f"root gap collapsed near t={t:.6f}; loop too close to "
                     f"the discriminant locus")
 
-    tol = _min_gap(start) / 2
+    tol = min_gap(start) / 2
     images = []
     for k in range(n):
         dist = np.abs(start - roots[k])
@@ -251,7 +246,7 @@ def basepoint_fiber(f: WeierstrassPoly, space: BaseSpace,
     labels = np.array(root_labels, dtype=complex)
     if len(labels) != len(raw):
         raise ValueError("label count differs from the fiber size")
-    tol = _min_gap(raw) / 2
+    tol = min_gap(raw) / 2
     ordered = np.empty_like(raw)
     used = set()
     for k, lab in enumerate(labels):

@@ -3,7 +3,8 @@
 Coefficients are bivariate polynomials over the Gaussian rationals, evaluated
 exactly; the base space and generator loops are kept in rational coordinates
 so geometric predicates (containment, segment-disc intersection, winding
-numbers) are decided without floating error. Root finding is numerical.
+numbers) are decided without floating error. Root finding is numerical, in
+the roots module.
 """
 
 from __future__ import annotations
@@ -15,17 +16,18 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+# the numeric fiber kernels live in roots; they keep their names here
+from .roots import (
+    MultipleRootError,
+    RootFindingError,
+    discriminant_at,
+    min_gap,
+    roots_at,
+)
+
 
 class GeometryError(RuntimeError):
     """A requested geometric construction is infeasible."""
-
-
-class MultipleRootError(RuntimeError):
-    """Roots came closer than the resolution tolerance."""
-
-
-class RootFindingError(RuntimeError):
-    """The simultaneous iteration failed to converge."""
 
 
 def _frac(x) -> Fraction:
@@ -193,6 +195,37 @@ class BivariatePolyQi:
             out = out + GaussianRational(c.re * scale, c.im * scale)
         return out
 
+    def eval_points(self, points: Sequence[tuple]) -> np.ndarray:
+        """Exact values at rational points, each rounded once to complex.
+
+        Every entry equals complex(self.eval_exact(u, v)) bit for bit: the
+        value is summed in integers over one common denominator (the lcm of
+        the coefficient denominators times the point's denominators raised
+        to the top degrees) and rounded by int/int true division, which is
+        how a Fraction converts to float.
+        """
+        out = np.zeros(len(points), dtype=complex)
+        if not self.terms:
+            return out
+        den = math.lcm(*(x.denominator for c in self.terms.values()
+                         for x in (c.re, c.im)))
+        terms = [(du, dv, c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator))
+                 for (du, dv), c in self.terms.items()]
+        top_u = max(du for du, _ in self.terms)
+        top_v = max(dv for _, dv in self.terms)
+        for k, (u, v) in enumerate(points):
+            u, v = _frac(u), _frac(v)
+            pow_u, pow_v = _scaled_powers(u, top_u), _scaled_powers(v, top_v)
+            re = im = 0
+            for du, dv, c_re, c_im in terms:
+                m = pow_u[du] * pow_v[dv]
+                re += c_re * m
+                im += c_im * m
+            scale = den * u.denominator ** top_u * v.denominator ** top_v
+            out[k] = complex(re / scale, im / scale)
+        return out
+
     def eval_complex(self, u: float, v: float) -> complex:
         out = 0j
         for (du, dv), c in self.terms.items():
@@ -222,6 +255,15 @@ class BivariatePolyQi:
             terms[(int(du), int(dv))] = GaussianRational(
                 Fraction(int(ren), int(red)), Fraction(int(imn), int(imd)))
         return cls(terms)
+
+
+def _scaled_powers(x: Fraction, top: int) -> list[int]:
+    """Numerators of x^0..x^top over the common denominator den(x)^top."""
+    nums, dens = [1], [1]
+    for _ in range(top):
+        nums.append(nums[-1] * x.numerator)
+        dens.append(dens[-1] * x.denominator)
+    return [nums[a] * dens[top - a] for a in range(top + 1)]
 
 
 def _json_frac(x: Fraction) -> list:
@@ -459,20 +501,28 @@ class WeierstrassPoly:
             self._validate_on_grid(validation_density)
 
     def _validate_on_grid(self, density: int):
-        for u, v in sample_grid(self.base, density):
-            values = [complex(c.eval_exact(u, v)) for c in self.coeffs]
-            try:
-                roots_at(values)
-            except (MultipleRootError, RootFindingError) as exc:
-                raise ValueError(
-                    f"repeated roots over ({float(u):.3f}, {float(v):.3f}): "
-                    f"not a Weierstrass polynomial on this space") from exc
+        grid = sample_grid(self.base, density)
+        try:
+            roots_at(self.eval_points(grid))
+        except (MultipleRootError, RootFindingError) as exc:
+            u, v = grid[exc.row]
+            raise ValueError(
+                f"repeated roots over ({float(u):.3f}, {float(v):.3f}): "
+                f"not a Weierstrass polynomial on this space") from exc
 
     def eval_exact(self, u, v) -> list[GaussianRational]:
         u, v = _frac(u), _frac(v)
         if self.base is not None and not self.base.contains(u, v):
             raise ValueError(f"point ({u}, {v}) is outside the base space")
         return [c.eval_exact(u, v) for c in self.coeffs]
+
+    def eval_points(self, points: Sequence[tuple]) -> np.ndarray:
+        """Exactly evaluated coefficients at rational points, rounded once:
+        an (N, degree) array whose row k is the fiber over points[k]."""
+        out = np.empty((len(points), self.degree), dtype=complex)
+        for j, c in enumerate(self.coeffs):
+            out[:, j] = c.eval_points(points)
+        return out
 
     def eval_complex(self, u: float, v: float) -> np.ndarray:
         return np.array([c.eval_complex(u, v) for c in self.coeffs], dtype=complex)
@@ -510,104 +560,3 @@ def sample_grid(space: BaseSpace, density: int) -> list[tuple[Fraction, Fraction
             if space.contains(u, v):
                 pts.append((u, v))
     return pts
-
-
-def _monic_array(coeffs: Sequence[complex]) -> np.ndarray:
-    n = len(coeffs)
-    p = np.empty(n + 1, dtype=complex)
-    p[0] = 1.0
-    for j, a in enumerate(coeffs):
-        p[n - j] = a
-    return p
-
-
-def discriminant_at(coeffs: Sequence[complex]) -> complex:
-    """Discriminant of the monic polynomial with the given low-order coefficients.
-
-    Computed as (-1)^(n(n-1)/2) Res(f, f') via the Sylvester determinant, so
-    it equals the product of squared root differences.
-    """
-    n = len(coeffs)
-    if n == 0:
-        raise ValueError("degree must be at least 1")
-    if n == 1:
-        return 1.0 + 0j
-    p = _monic_array(coeffs)
-    dp = np.array([(n - k) * p[k] for k in range(n)], dtype=complex)
-    size = 2 * n - 1
-    m = np.zeros((size, size), dtype=complex)
-    for row in range(n - 1):
-        m[row, row:row + n + 1] = p
-    for row in range(n):
-        m[n - 1 + row, row:row + n] = dp
-    det = np.linalg.det(m)
-    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    return complex(sign * det)
-
-
-def roots_at(coeffs: Sequence[complex], max_iterations: int = 1200,
-             gap_rtol: float = 1e-7) -> np.ndarray:
-    """All roots of the monic polynomial, via simultaneous Aberth iteration
-    seeded on a circle of radius 1 + max|coeff|, polished by Newton steps.
-
-    Raises MultipleRootError when the computed roots are too close to
-    separate reliably.
-    """
-    n = len(coeffs)
-    if n == 0:
-        raise ValueError("degree must be at least 1")
-    if n == 1:
-        return np.array([-coeffs[0]], dtype=complex)
-    p = _monic_array(coeffs)
-    dp = np.polyder(p)
-    radius = 1.0 + max(abs(a) for a in coeffs)
-    roots = None
-    for attempt in range(3):
-        offset = 0.25 + 0.31 * attempt
-        z = radius * np.exp(2j * np.pi * (np.arange(n) + offset) / n)
-        if _aberth_iterate(p, dp, z, max_iterations):
-            roots = z
-            break
-    if roots is None:
-        raise RootFindingError("simultaneous iteration failed to converge")
-    for _ in range(4):
-        val = np.polyval(p, roots)
-        der = np.polyval(dp, roots)
-        mask = der != 0
-        roots[mask] -= val[mask] / der[mask]
-    scale = 1.0 + max(abs(a) for a in coeffs)
-    residual = np.abs(np.polyval(p, roots))
-    if residual.max() > 1e-10 * scale:
-        raise RootFindingError(f"residual {residual.max():.2e} too large")
-    root_scale = 1.0 + np.abs(roots).max()
-    diffs = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    if diffs.min() < gap_rtol * root_scale:
-        raise MultipleRootError(
-            f"root gap {diffs.min():.2e} below tolerance")
-    return roots
-
-
-def _aberth_iterate(p, dp, z, max_iterations) -> bool:
-    abs_p = np.abs(p)
-    eps = np.finfo(float).eps
-    for _ in range(max_iterations):
-        val = np.polyval(p, z)
-        # roundoff floor of the evaluation itself; converged when reached
-        floor = eps * np.polyval(abs_p, np.abs(z))
-        if np.all(np.abs(val) <= 8.0 * floor):
-            return True
-        der = np.polyval(dp, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(der != 0, val / der, 0.1 + 0.1j)
-            pairwise = z[:, None] - z[None, :]
-            np.fill_diagonal(pairwise, np.inf)
-            sums = (1.0 / pairwise).sum(axis=1)
-            denom = 1.0 - newton * sums
-            step = np.where(denom != 0, newton / denom, newton)
-        if not np.all(np.isfinite(step)):
-            return False
-        z -= step
-        if np.abs(step).max() < 1e-14 * (1.0 + np.abs(z).max()):
-            return True
-    return False

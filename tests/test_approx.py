@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from splitcover.approx import (
@@ -36,6 +37,28 @@ def test_sampled_map_validation():
     with pytest.raises(ValueError):
         # z^2: zero discriminant
         SampledCoeffMap(((Fraction(0), Fraction(0)),), ((0j, 0j),), "singular")
+
+
+def test_sampled_map_values_are_a_read_only_array():
+    m = constant_map(npts=4, coeffs=(-1 + 0j, 1j))
+    assert m.values.shape == (4, 2) and m.values.dtype == complex
+    assert m.degree == 2
+    with pytest.raises(ValueError):
+        m.values[0, 0] = 0j
+    with pytest.raises(ValueError):
+        SampledCoeffMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))),
+                        ((-1 + 0j, 0j), (-1 + 0j,)), "ragged")
+
+
+def test_sample_poly_map_is_exact_on_the_grid():
+    x = default_base_space(1)
+    a0 = BivariatePolyQi({(1, 0): qi(Fraction(-1, 3)), (0, 2): qi(0, Fraction(1, 7))})
+    f = WeierstrassPoly(2, [a0, BivariatePolyQi.constant(qi(0, 1))], base=x,
+                        validate=False)
+    m = sample_poly_map(f, x, density=15)
+    exact = np.array([[complex(c.eval_exact(u, v)) for c in f.coeffs]
+                      for u, v in m.grid])
+    assert m.values.tobytes() == exact.tobytes()
 
 
 def test_estimate_eps_formula_example():

@@ -158,3 +158,39 @@ def test_zero_denominator_is_input_error(re_den, outer_r, tmp_path, capsys):
 def test_grid_flag_only_on_realize_and_embed(argv):
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv + ["--grid", "21"])
+
+
+@pytest.mark.parametrize("config", [
+    {"max_degree": 3, "denominator_bound": 7, "grid_density": 21},
+    {"grid_densty": 21},
+], ids=["removed_keys", "misspelt_key"])
+def test_unknown_config_key_is_input_error(config, z2_artifact, tmp_path, capsys):
+    _, group, _, _ = z2_artifact
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out.json"
+    assert main(["realize", group, "--config", cfg, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "input error" in err and "unknown config key(s)" in err
+    for key in set(config) - {"grid_density"}:
+        assert key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_embed_self_check_failure_exits_2(z2_artifact, tmp_path, capsys,
+                                          monkeypatch):
+    from splitcover import embedding
+
+    _, _, out, _ = z2_artifact
+    monkeypatch.setattr(embedding, "verify", lambda solution, instance: False)
+    h_group = write_json(tmp_path / "z4.json",
+                         closure((perm((1, 2, 3, 4), n=4),)).to_json())
+    phi = write_json(tmp_path / "phi.json", {"gen_images": [[2, 1]]})
+    embed_out = tmp_path / "embedded.json"
+    code = main(["embed", str(out), "--group", h_group, "--phi", phi,
+                 "-o", str(embed_out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "verification failure" in err
+    assert "Traceback" not in err
+    assert not embed_out.exists()

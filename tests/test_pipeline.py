@@ -99,6 +99,16 @@ def test_realize_z2_matches_square_root_oracle(realized_z2):
     assert rep.perms == (rep_perm,)
 
 
+@pytest.mark.parametrize("group, eps_hat", [
+    (closure((perm((1, 2), n=3), perm((1, 2, 3), n=3))), 3.7291712453400896e-08),
+    (closure((perm(tuple(range(1, 13)), n=12),)), 2.1542438521925838e-14),
+], ids=["S3", "Z12"])
+def test_realize_eps_hat_is_pinned(group, eps_hat):
+    # values of the per-point sampling the stacked kernels replaced
+    _, report = realize_group(group)
+    assert report.artifacts["eps_hat"] == pytest.approx(eps_hat, rel=1e-12)
+
+
 def test_realize_requires_matching_holes():
     with pytest.raises(ValueError):
         realize_group(Z2, default_base_space(2))

@@ -20,6 +20,7 @@ from splitcover.wpoly import (
     eval_poly,
     extend_base_space,
     generator_loops,
+    min_gap,
     roots_at,
     sample_grid,
     validate_loop,
@@ -256,3 +257,98 @@ def test_weierstrass_json_round_trip():
 def test_base_space_json_round_trip():
     x = default_base_space(2)
     assert BaseSpace.from_json(x.to_json()) == x
+
+
+# -- whole-grid kernels --
+
+def _exact_complex(poly, points):
+    return np.array([complex(poly.eval_exact(u, v)) for u, v in points],
+                    dtype=complex)
+
+
+@pytest.mark.parametrize("terms", [
+    {(0, 0): qi(Fraction(1, 3), Fraction(-2, 7)), (2, 1): qi(Fraction(5, 11)),
+     (1, 3): qi(Fraction(-3, 4), Fraction(1, 9)), (4, 0): qi(0, Fraction(7, 5))},
+    {(1, 1): qi(0, Fraction(-2, 3))},  # a purely imaginary coefficient
+    {},  # the zero polynomial
+], ids=["mixed", "imaginary", "zero"])
+def test_eval_points_is_bit_identical_to_eval_exact(terms):
+    # a 15-grid has steps of 10/7, so its points are not dyadic
+    grid = sample_grid(default_base_space(2), 15)
+    assert any(u.denominator == 7 for u, _ in grid)
+    poly = BivariatePolyQi(terms)
+    got = poly.eval_points(grid)
+    assert got.tobytes() == _exact_complex(poly, grid).tobytes()
+
+
+def test_weierstrass_eval_points_stacks_coefficients():
+    x = default_base_space(1)
+    coeffs = [BivariatePolyQi({(1, 0): qi(Fraction(-1, 3)), (0, 1): qi(0, -1)}),
+              BivariatePolyQi.zero(),
+              BivariatePolyQi.constant(qi(Fraction(2, 5), 1))]
+    f = WeierstrassPoly(3, coeffs, base=x, validate=False)
+    grid = sample_grid(x, 9)
+    got = f.eval_points(grid)
+    assert got.shape == (len(grid), 3)
+    for j, c in enumerate(coeffs):
+        assert got[:, j].tobytes() == _exact_complex(c, grid).tobytes()
+
+
+def _random_monic_rows(seed, count):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    return rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_roots_match_per_row_solves(seed):
+    # more rows than one block, so the block boundaries are crossed
+    rows = _random_monic_rows(seed, 300)
+    stacked = roots_at(rows)
+    assert stacked.shape == rows.shape
+    for row, got in zip(rows, stacked):
+        assert np.abs(got - roots_at(row)).max() <= 1e-12
+        rebuilt = np.poly(got)[1:][::-1]
+        assert np.abs(rebuilt - row).max() < 1e-8 * (1 + np.abs(row).max())
+
+
+def test_stacked_roots_report_the_first_double_root_row():
+    rows = _random_monic_rows(5, 300)[:, :2]
+    rows[200] = [1, -2]  # (z - 1)^2
+    rows[250] = [0, 0]  # z^2
+    with pytest.raises(MultipleRootError) as info:
+        roots_at(rows)
+    assert info.value.row == 200
+    with pytest.raises(MultipleRootError) as info:
+        roots_at(rows[195:205])
+    assert info.value.row == 5
+
+
+def test_validation_names_the_first_bad_grid_point():
+    # z^2 - (w - 10i/7)(w - 10/7): double roots over the grid points
+    # (0, 10/7) and (10/7, 0) of the 15-grid; the first in grid order is named
+    x = default_base_space(1)
+    a, b = qi(0, Fraction(10, 7)), qi(Fraction(10, 7))
+    a0 = BivariatePolyQi.from_w_powers([-(a * b), a + b, qi(-1)])
+    with pytest.raises(ValueError, match=r"over \(0\.000, 1\.429\)"):
+        WeierstrassPoly(2, [a0, BivariatePolyQi.zero()], base=x)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stacked_discriminants_match_per_row(seed):
+    rows = _random_monic_rows(seed, 300)
+    stacked = discriminant_at(rows)
+    assert stacked.shape == (300,)
+    for row, got in zip(rows, stacked):
+        want = discriminant_at(row)
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert np.array_equal(discriminant_at(rows[:, :1]), np.ones(300))
+
+
+def test_min_gap_single_and_stacked():
+    assert min_gap([]) == math.inf
+    assert min_gap([1 + 1j]) == math.inf
+    assert min_gap([0, 3, 1 + 1j]) == abs(1 + 1j)
+    rows = np.array([[0, 1, 5], [0, 2j, -1j]])
+    assert list(min_gap(rows)) == [1.0, 1.0]
+    assert list(min_gap(rows[:, :1])) == [math.inf, math.inf]
