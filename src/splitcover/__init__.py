@@ -11,9 +11,6 @@ from .approx import (
 )
 from .braid import (
     BraidWord,
-    ConfigPath,
-    braid_to_config_path,
-    config_to_coeffs,
     lift_permutation,
     tau,
 )
@@ -33,7 +30,6 @@ from .freecover import (
     act,
     deck_group,
     is_normal,
-    kernel_table,
     restriction_hom,
     subtable,
     tower_quotient_check,
@@ -75,7 +71,6 @@ from .wpoly import (
     WeierstrassPoly,
     default_base_space,
     discriminant_at,
-    eval_poly,
     generator_loops,
     roots_at,
 )

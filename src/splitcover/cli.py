@@ -85,7 +85,7 @@ def _load_polynomial(path: str) -> tuple[WeierstrassPoly, Optional[BaseSpace]]:
     """Accept either a bare polynomial or a combined realization artifact."""
     data = _load_json(path)
     space = None
-    if "polynomial" in data:
+    if isinstance(data, dict) and "polynomial" in data:
         if "base_space" in data:
             space = _parse_space(path, data["base_space"])
         data = data["polynomial"]
@@ -101,7 +101,8 @@ def _load_polynomial(path: str) -> tuple[WeierstrassPoly, Optional[BaseSpace]]:
 def _parse_space(path: str, data) -> BaseSpace:
     try:
         return BaseSpace.from_json(data)
-    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError,
+            ZeroDivisionError) as exc:
         raise InputError(f"{path}: bad base space: {exc}") from exc
 
 
@@ -157,10 +158,13 @@ def _emit(payload: dict, output: Optional[str]):
 def _pipeline_options(args, config: dict) -> dict:
     opts = {}
     grid = args.grid if args.grid is not None else config.get("grid_density")
-    if grid is not None:
-        opts["grid_density"] = int(grid)
-    if "conservatism" in config:
-        opts["conservatism"] = float(config["conservatism"])
+    try:
+        if grid is not None:
+            opts["grid_density"] = int(grid)
+        if "conservatism" in config:
+            opts["conservatism"] = float(config["conservatism"])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad config value: {exc}") from exc
     return opts
 
 

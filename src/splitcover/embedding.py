@@ -17,6 +17,7 @@ from .freecover import (
     cayley_table,
     deck_group,
     extend_table,
+    restriction_hom,
     subtable,
 )
 from .permgroup import (
@@ -25,6 +26,7 @@ from .permgroup import (
     Permutation,
     closure,
     compose,
+    greedy_generators,
     inverse,
 )
 
@@ -99,7 +101,13 @@ def canonical_monodromy(F_cover: CosetTable) -> tuple[Permutation, ...]:
 def cayley_deck_labeling(images: Sequence[Permutation]) -> GroupHom:
     """Isomorphism from the group generated by ``images`` onto the deck group
     of its regular covering: h acts on cosets by left translation by h^-1."""
-    table, elems = cayley_table(images)
+    return _deck_labeling(images, *cayley_table(images))
+
+
+def _deck_labeling(images: Sequence[Permutation], table: CosetTable,
+                   elems: tuple) -> GroupHom:
+    """cayley_deck_labeling for the table and elements cayley_table(images)
+    returned."""
     index = {e: i + 1 for i, e in enumerate(elems)}
     source = PermGroup(elems[0].degree, tuple(images), _elements=elems)
     deck = deck_group(table)
@@ -108,24 +116,6 @@ def cayley_deck_labeling(images: Sequence[Permutation]) -> GroupHom:
         for h in elems
     }
     return GroupHom(source, deck.group, mapping)
-
-
-def _greedy_kernel_generators(phi: GroupHom) -> tuple[Permutation, ...]:
-    kernel = phi.kernel_elements()
-    total = len(kernel)
-    gens: list[Permutation] = []
-    have = 1
-    for k in kernel:
-        if k.is_identity():
-            continue
-        trial = gens + [k]
-        size = closure(tuple(trial), degree=k.degree).order()
-        if size > have:
-            gens.append(k)
-            have = size
-        if have == total:
-            break
-    return tuple(gens)
 
 
 def _first_generating_assignment(fibers, H: PermGroup):
@@ -161,7 +151,8 @@ def solve(instance: EmbeddingInstance,
         if not allow_rank_extension:
             raise NoSolutionError(
                 "no preimage assignment generates H and rank extension is disabled")
-        kernel_gens = _greedy_kernel_generators(phi)
+        kernel = phi.kernel_elements()
+        kernel_gens = greedy_generators(kernel, H.degree, len(kernel))
         extra = len(kernel_gens)
         fibers = fibers + [(k,) for k in kernel_gens]
         assignment = _first_generating_assignment(fibers, H)
@@ -169,7 +160,7 @@ def solve(instance: EmbeddingInstance,
             raise NoSolutionError("rank extension failed to generate H")
 
     table, elems = cayley_table(assignment)
-    psi_on_gens = cayley_deck_labeling(assignment)
+    psi_on_gens = _deck_labeling(assignment, table, elems)
     mapping = {h: psi_on_gens.mapping[h] for h in elements}
     psi = GroupHom(H, psi_on_gens.target, mapping)
 
@@ -188,16 +179,14 @@ def solve(instance: EmbeddingInstance,
 
 def verify(solution: EmbeddingSolution, instance: EmbeddingInstance) -> bool:
     """Check psi is a labeling isomorphism and phi factors through restriction."""
-    from .freecover import restriction_hom
-
     try:
         psi = solution.psi
         if not psi.is_bijective() or not psi.verify():
             return False
-        deck_e = deck_group(solution.E_cover)
-        if not deck_e.is_galois():
-            return False
-        res = restriction_hom(solution.tower)
+        # raises ValueError unless the tower's top is E_cover and both
+        # coverings are Galois
+        res = restriction_hom(solution.tower, deck_group(solution.E_cover),
+                              deck_group(solution.tower.mid))
         phi = instance.phi
         return all(res(psi(h)) == phi(h) for h in instance.H.elements())
     except (ValueError, KeyError):

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .permgroup import (
-    DEFAULT_CLOSURE_LIMIT,
     ClosureLimitError,
     GroupHom,
     PermGroup,
@@ -40,10 +39,10 @@ class FreeWord:
 
     @staticmethod
     def of(*letters: int) -> "FreeWord":
-        return FreeWord(_reduce_word(letters))
+        return FreeWord(reduce_word(letters))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(_reduce_word(self.letters + other.letters))
+        return FreeWord(reduce_word(self.letters + other.letters))
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple(-a for a in reversed(self.letters)))
@@ -52,7 +51,8 @@ class FreeWord:
         return len(self.letters)
 
 
-def _reduce_word(letters) -> tuple[int, ...]:
+def reduce_word(letters) -> tuple[int, ...]:
+    """Free reduction: cancel every adjacent pair of a letter and its inverse."""
     out: list[int] = []
     for a in letters:
         if out and out[-1] == -a:
@@ -105,28 +105,23 @@ def act(table: CosetTable, word: FreeWord, coset: int) -> int:
     return c
 
 
-def cayley_table(images: Sequence[Permutation],
-                 limit: int = DEFAULT_CLOSURE_LIMIT):
+def cayley_table(images: Sequence[Permutation]):
     """Regular covering for the right-multiplication action of the image group.
 
     Returns the coset table together with the group elements in coset order
-    (coset 1 is the identity), so callers can label cosets by elements.
+    (coset 1 is the identity), so callers can label cosets by elements. The
+    table is also the coset table of the kernel of the homomorphism sending
+    xi to images[i].
     """
     if not images:
         e = Permutation.identity(1)
         return CosetTable(0, 1, ()), (e,)
-    group = closure(tuple(images), limit=limit)
+    group = closure(tuple(images))
     elems = group.elements()
     index = {e: i + 1 for i, e in enumerate(elems)}
     action = tuple(
         Permutation(tuple(index[compose(e, g)] for e in elems)) for g in images)
     return CosetTable(len(images), len(elems), action), elems
-
-
-def kernel_table(images: Sequence[Permutation],
-                 limit: int = DEFAULT_CLOSURE_LIMIT) -> CosetTable:
-    """Coset table of the kernel of the homomorphism sending xi to images[i]."""
-    return cayley_table(images, limit=limit)[0]
 
 
 def is_normal(table: CosetTable) -> bool:
@@ -236,15 +231,17 @@ def extend_table(table: CosetTable, extra: int) -> CosetTable:
     return CosetTable(table.rank + extra, table.size, table.action + pad)
 
 
-def restriction_hom(tower: Tower) -> GroupHom:
+def restriction_hom(tower: Tower, deck_top: DeckGroup,
+                    deck_mid: DeckGroup) -> GroupHom:
     """Induced map between deck groups, pinned by the basepoint image.
 
-    Each top deck transformation descends to the unique mid deck
-    transformation agreeing with it under the projection at the basepoint;
-    the result is surjective with kernel the fiber-preserving decks.
+    ``deck_top`` and ``deck_mid`` are the deck groups of ``tower.top`` and
+    ``tower.mid``. Each top deck transformation descends to the unique mid
+    deck transformation agreeing with it under the projection at the
+    basepoint; the result is surjective with kernel the fiber-preserving decks.
     """
-    deck_top = deck_group(tower.top)
-    deck_mid = deck_group(tower.mid)
+    if deck_top.covering != tower.top or deck_mid.covering != tower.mid:
+        raise ValueError("deck groups do not belong to the tower's coverings")
     if not deck_top.is_galois() or not deck_mid.is_galois():
         raise ValueError("restriction requires both coverings to be Galois")
     mapping = {}
@@ -295,12 +292,13 @@ def tower_quotient_check(tower: Tower) -> TowerQuotientReport:
     fiber_set = frozenset(fiber)
     normal = all(compose(compose(inverse(lam), k), lam) in fiber_set
                  for lam in tops for k in fiber)
-    f_galois = deck_group(tower.mid).is_galois()
+    deck_mid = deck_group(tower.mid)
+    f_galois = deck_mid.is_galois()
     part1 = (f_galois == normal)
 
     kernel_ok = quotient_order = witness = part2 = None
     if f_galois:
-        res = restriction_hom(tower)
+        res = restriction_hom(tower, deck_top, deck_mid)
         kernel_ok = frozenset(res.kernel_elements()) == fiber_set
         cosets: dict[frozenset, Permutation] = {}
         for lam in tops:
@@ -310,7 +308,7 @@ def tower_quotient_check(tower: Tower) -> TowerQuotientReport:
         well_defined = all(
             all(res(compose(rep, k)) == images[key] for k in fiber)
             for key, rep in cosets.items())
-        mid_order = deck_group(tower.mid).group.order()
+        mid_order = deck_mid.group.order()
         bijective = (len(cosets) == mid_order
                      and len(set(images.values())) == mid_order)
         multiplicative = True

@@ -19,7 +19,6 @@ from .permgroup import (
     GroupHom,
     PermGroup,
     Permutation,
-    compose,
     inverse,
 )
 from .wpoly import (
@@ -62,8 +61,8 @@ class TrackingConfig:
             raise ValueError("min_step must be smaller than initial_step")
         if not 0 < self.safety_factor < 1:
             raise ValueError("safety_factor must lie in (0, 1)")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be positive")
+        if not isinstance(self.max_newton_iters, int) or self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be a positive integer")
 
     def halved(self, factor: int = 2) -> "TrackingConfig":
         return TrackingConfig(self.initial_step / factor, self.min_step,
@@ -207,18 +206,21 @@ def track_loop(f: WeierstrassPoly, loop: LoopPath,
                     f"root gap collapsed near t={t:.6f}; loop too close to "
                     f"the discriminant locus")
 
-    tol = min_gap(start) / 2
-    images = []
-    for k in range(n):
-        dist = np.abs(start - roots[k])
-        j = int(dist.argmin())
-        if dist[j] >= tol:
-            raise FiberMatchError(
-                f"endpoint root {k + 1} is not within half a gap of any label")
-        images.append(j + 1)
-    if sorted(images) != list(range(1, n + 1)):
-        raise FiberMatchError("endpoint matching is not a bijection")
-    return Permutation(tuple(images))
+    match = _nearest_labels(start, roots, "endpoint roots and start labels")
+    return Permutation(tuple(int(j) + 1 for j in match))
+
+
+def _nearest_labels(labels: np.ndarray, points: np.ndarray,
+                    what: str) -> np.ndarray:
+    """Index of the label nearest to each point. Every point must lie within
+    half the labels' minimal gap of its label, and no label may be hit twice."""
+    dist = np.abs(points[:, None] - labels[None, :])
+    match = dist.argmin(axis=1)
+    if (dist[np.arange(len(points)), match] >= min_gap(labels) / 2).any() \
+            or len(set(match.tolist())) != len(points):
+        raise FiberMatchError(
+            f"{what} do not match one to one within half a gap")
+    return match
 
 
 def refine_and_compare(f: WeierstrassPoly, loop: LoopPath,
@@ -246,39 +248,30 @@ def basepoint_fiber(f: WeierstrassPoly, space: BaseSpace,
     labels = np.array(root_labels, dtype=complex)
     if len(labels) != len(raw):
         raise ValueError("label count differs from the fiber size")
-    tol = min_gap(raw) / 2
-    ordered = np.empty_like(raw)
-    used = set()
-    for k, lab in enumerate(labels):
-        dist = np.abs(raw - lab)
-        j = int(dist.argmin())
-        if dist[j] >= tol or j in used:
-            raise FiberMatchError("given labels do not match the computed fiber")
-        used.add(j)
-        ordered[k] = raw[j]
-    return ordered
+    return raw[_nearest_labels(raw, labels, "given labels and the computed fiber")]
 
 
 def characteristic_hom(f: WeierstrassPoly, space: BaseSpace,
                        cfg: TrackingConfig = DEFAULT_TRACKING,
-                       root_labels: Optional[Sequence[complex]] = None,
-                       refine: bool = False,
-                       loops: Optional[Sequence[LoopPath]] = None) -> MonodromyRep:
-    """Tracked permutation of the basepoint fiber for every generator loop."""
-    if loops is None:
-        loops = generator_loops(space)
+                       root_labels: Optional[Sequence[complex]] = None
+                       ) -> MonodromyRep:
+    """Tracked permutation of the basepoint fiber for every generator loop,
+    each confirmed by step refinement (refine_and_compare)."""
+    loops = generator_loops(space)
     fiber = basepoint_fiber(f, space, root_labels)
-    tracker = refine_and_compare if refine else track_loop
-    perms = tuple(tracker(f, loop, cfg, fiber) for loop in loops)
+    perms = tuple(refine_and_compare(f, loop, cfg, fiber) for loop in loops)
     return MonodromyRep(len(loops), len(fiber), perms,
                         tuple(complex(z) for z in fiber))
 
 
-def splitting_cover(rep: MonodromyRep) -> tuple[CosetTable, DeckGroup]:
+def splitting_cover(rep: MonodromyRep) -> tuple[CosetTable, DeckGroup, tuple]:
     """Regular covering whose fiber is the monodromy image group, with its
-    deck group; the fiber size always equals the deck group order."""
-    table, _ = cayley_table(rep.perms)
-    return table, deck_group(table)
+    deck group and the group's elements in coset order (as permutations of
+    the roots); the fiber size always equals the deck group order."""
+    table, elems = cayley_table(rep.perms)
+    if not rep.perms:
+        elems = (Permutation.identity(rep.degree),)
+    return table, deck_group(table), elems
 
 
 def irreducibility_check(rep: MonodromyRep) -> bool:
@@ -286,18 +279,16 @@ def irreducibility_check(rep: MonodromyRep) -> bool:
     return PermGroup(rep.degree, rep.perms).is_transitive()
 
 
-def deck_action_on_roots(rep: MonodromyRep) -> tuple[GroupHom, bool]:
-    """Action of the splitting cover's deck group on the root labels.
+def deck_action_on_roots(rep: MonodromyRep, deck: DeckGroup,
+                         elems: tuple) -> tuple[GroupHom, bool]:
+    """Action of the splitting cover's deck group on the root labels, given
+    the deck group and elements that splitting_cover(rep) returned.
 
     The deck transformation moving the basepoint coset to the coset of group
     element g acts on labels by g^-1; inversion makes the assignment a
     homomorphism under left-to-right composition. The flag reports
     injectivity, which holds for every regular action.
     """
-    table, elems = cayley_table(rep.perms)
-    if not rep.perms:
-        elems = (Permutation.identity(rep.degree),)
-    deck = deck_group(table)
     target = PermGroup(rep.degree, rep.perms, _elements=tuple(elems))
     mapping = {lam: inverse(elems[lam(1) - 1]) for lam in deck.group.elements()}
     hom = GroupHom(deck.group, target, mapping)

@@ -234,36 +234,26 @@ def closure(generators: Sequence[Permutation], degree: Optional[int] = None,
     return g
 
 
-def centralizer_in_sym(G: PermGroup, brute_force_max_degree: int = 8) -> PermGroup:
-    """All permutations of {1..n} commuting with every generator of G.
+def centralizer_in_sym(G: PermGroup) -> PermGroup:
+    """All permutations of {1..n} commuting with every generator of a
+    transitive G; an intransitive G raises ValueError.
 
-    Transitive G: candidates are determined by the image of point 1 and are
-    extended equivariantly along a spanning tree, so only n candidates are
-    tried. Otherwise falls back to enumerating the full symmetric group,
-    which is only feasible for small degree.
+    Candidates are determined by the image of point 1 and are extended
+    equivariantly along a spanning tree, so only n candidates are tried.
     """
     n = G.degree
+    order, parent = _spanning_tree(n, G.generators)
     found = []
-    if G.is_transitive():
-        order, parent = _spanning_tree(n, G.generators)
-        for b in range(1, n + 1):
-            s = [0] * (n + 1)
-            s[1] = b
-            for x in order[1:]:
-                prev, g = parent[x]
-                s[x] = g(s[prev])
-            if sorted(s[1:]) != list(range(1, n + 1)):
-                continue
-            if all(s[g(x)] == g(s[x]) for g in G.generators for x in range(1, n + 1)):
-                found.append(Permutation._unsafe(tuple(s[1:])))
-    elif n <= brute_force_max_degree:
-        for images in itertools.permutations(range(1, n + 1)):
-            s = Permutation._unsafe(images)
-            if all(compose(s, g) == compose(g, s) for g in G.generators):
-                found.append(s)
-    else:
-        raise ValueError(
-            f"degree {n} too large for brute force and the group is not transitive")
+    for b in range(1, n + 1):
+        s = [0] * (n + 1)
+        s[1] = b
+        for x in order[1:]:
+            prev, g = parent[x]
+            s[x] = g(s[prev])
+        if sorted(s[1:]) != list(range(1, n + 1)):
+            continue
+        if all(s[g(x)] == g(s[x]) for g in G.generators for x in range(1, n + 1)):
+            found.append(Permutation._unsafe(tuple(s[1:])))
     return PermGroup(n, tuple(found), _elements=tuple(found))
 
 
@@ -386,15 +376,18 @@ def _close_hom(source: PermGroup, target_degree: int, gen_pairs) -> Optional[dic
     return mapping
 
 
-def _reduced_generators(G: PermGroup) -> tuple:
+def greedy_generators(candidates: Iterable[Permutation], degree: int,
+                      order: int) -> tuple:
+    """Candidates kept in turn when they lie outside the group generated by
+    those kept before, until that group has the given order."""
     gens: list[Permutation] = []
-    have = {Permutation.identity(G.degree)}
-    for g in G.generators:
+    have = {Permutation.identity(degree)}
+    for g in candidates:
+        if len(have) == order:
+            break
         if g not in have:
             gens.append(g)
-            have = set(_bfs_closure(G.degree, gens, G.order()))
-            if len(have) == G.order():
-                break
+            have = set(_bfs_closure(degree, gens, order))
     return tuple(gens)
 
 
@@ -414,7 +407,7 @@ def isomorphic_as_groups(G: PermGroup, H: PermGroup,
     h_orders = sorted(p.order() for p in H.elements())
     if g_orders != h_orders:
         return None
-    gens = _reduced_generators(G)
+    gens = greedy_generators(G.generators, G.degree, G.order())
     if not gens:
         e = Permutation.identity(H.degree)
         return GroupHom(G, H, {Permutation.identity(G.degree): e})

@@ -24,7 +24,13 @@ from .approx import (
 )
 from .braid import lift_permutation, tau
 from .embedding import EmbeddingInstance
-from .freecover import extend_table, restriction_hom, subtable
+from .freecover import (
+    cayley_table,
+    deck_group,
+    extend_table,
+    restriction_hom,
+    subtable,
+)
 from .monodromy import (
     DEFAULT_TRACKING,
     MonodromyRep,
@@ -38,7 +44,6 @@ from .permgroup import (
     GroupHom,
     PermGroup,
     Permutation,
-    compose,
     conjugate,
     isomorphic_as_groups,
 )
@@ -57,7 +62,7 @@ from .wpoly import (
     extend_base_space,
 )
 
-DEFAULT_ORDER_LIMIT = 24
+ORDER_LIMIT = 24
 SCHEMA_VERSION = 1
 
 
@@ -100,16 +105,6 @@ class _Stopwatch:
         now = time.perf_counter()
         self.marks[name] = round(now - self._t, 6)
         self._t = now
-
-
-def regular_representation(G: PermGroup) -> tuple[tuple, tuple]:
-    """Element list and right-translation image of every generator."""
-    elems = G.elements()
-    index = {e: i + 1 for i, e in enumerate(elems)}
-    images = tuple(
-        Permutation(tuple(index[compose(e, g)] for e in elems))
-        for g in G.generators)
-    return elems, images
 
 
 def align_regular_labelings(src: Sequence[Permutation],
@@ -161,8 +156,7 @@ def _hole_centers(space: BaseSpace) -> list[GaussianRational]:
     return [GaussianRational(h.center[0], h.center[1]) for h in space.holes]
 
 
-def _synthesize_validated(elems, gens, centers, space: BaseSpace,
-                          validation_density: int = 15
+def _synthesize_validated(elems, gens, centers, space: BaseSpace
                           ) -> tuple[SynthesisResult, WeierstrassPoly]:
     """Exact synthesis with a deterministic fallback schedule of weights or
     twists; each candidate must pass the separability grid check. Returns
@@ -175,9 +169,7 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace,
             try:
                 synth = synthesize_abelian(elems, gens, centers,
                                            weight_base=Fraction(base))
-                return synth, WeierstrassPoly(
-                    n, synth.coeffs, base=space,
-                    validation_density=validation_density)
+                return synth, WeierstrassPoly(n, synth.coeffs, base=space)
             except (SynthesisUnsupported, ValueError) as exc:
                 failures.append(f"weight base {base}: {exc}")
         raise SynthesisUnsupported("; ".join(failures))
@@ -187,9 +179,7 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace,
             for twist in s3_twist_schedule(kind):
                 try:
                     synth = synthesize_s3(elems, gens, centers, twist=twist)
-                    return synth, WeierstrassPoly(
-                        n, synth.coeffs, base=space,
-                        validation_density=validation_density)
+                    return synth, WeierstrassPoly(n, synth.coeffs, base=space)
                 except (SynthesisUnsupported, ValueError) as exc:
                     failures.append(f"twist {twist}: {exc}")
             raise SynthesisUnsupported("; ".join(failures))
@@ -202,7 +192,6 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
                   tracking: TrackingConfig = DEFAULT_TRACKING,
                   grid_density: int = DEFAULT_GRID_DENSITY,
                   conservatism: float = DEFAULT_CONSERVATISM,
-                  order_limit: int = DEFAULT_ORDER_LIMIT,
                   ) -> tuple[WeierstrassPoly, PipelineReport]:
     """Produce a Weierstrass polynomial whose splitting-cover deck group is
     isomorphic to G, with one base-space hole per given generator.
@@ -214,17 +203,18 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
     output polynomial must match the regular generator images exactly.
     """
     watch = _Stopwatch()
-    elems = G.elements()
-    n = len(elems)
-    if n > order_limit:
-        raise ValueError(f"group order {n} exceeds the limit {order_limit}")
+    n = G.order()
+    if n > ORDER_LIMIT:
+        raise ValueError(f"group order {n} exceeds the limit {ORDER_LIMIT}")
     m = len(G.generators)
     if space is None:
         space = default_base_space(m)
     if len(space.holes) != m:
         raise ValueError("one hole per generator required")
 
-    elems, reg = regular_representation(G)
+    # the regular representation: right translation of G on its elements
+    regular, elems = cayley_table(G.generators)
+    reg = regular.action
     braid_words = tuple(lift_permutation(p) for p in reg)
     for word, p in zip(braid_words, reg):
         if tau(word) != p:
@@ -252,16 +242,16 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
     watch.lap("sampling")
 
     labels = synth.root_labels_at(_basepoint_complex(space))
-    rep = characteristic_hom(f, space, tracking, root_labels=labels, refine=True)
+    rep = characteristic_hom(f, space, tracking, root_labels=labels)
     if synth.target_perms is None:
         pi = align_regular_labelings(rep.perms, reg)
         if pi is not None:
             rep = _relabel_rep(rep, pi)
     watch.lap("tracking")
 
-    table, deck = splitting_cover(rep)
+    table, deck, cover_elems = splitting_cover(rep)
     iso = isomorphic_as_groups(deck.group, G) if deck.group.order() <= 64 else None
-    action_hom, faithful = deck_action_on_roots(rep)
+    _, faithful = deck_action_on_roots(rep, deck, cover_elems)
     watch.lap("verification")
 
     report.artifacts["monodromy"] = rep.to_json()
@@ -304,11 +294,11 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     problem over g, verified at the coset-table level and by exact
     monodromy match."""
     watch = _Stopwatch()
-    rep_g = characteristic_hom(g, space, tracking, refine=True)
+    rep_g = characteristic_hom(g, space, tracking)
     if not irreducibility_check(rep_g):
         raise IrreducibilityFailureError(
             "the base polynomial's monodromy is intransitive")
-    f_table, f_deck = splitting_cover(rep_g)
+    f_table, f_deck, _ = splitting_cover(rep_g)
     watch.lap("base_monodromy")
 
     phi = GroupHom.from_generator_images(H, f_deck.group, tuple(phi_images))
@@ -325,15 +315,15 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     rep_h = MonodromyRep.from_json(realize_report.artifacts["monodromy"])
     watch.lap("realize")
 
-    e_table, _ = splitting_cover(rep_h)
+    e_table, e_deck, _ = splitting_cover(rep_h)
     f_ext = extend_table(f_table, extra)
     tower = subtable(e_table, f_ext)
     triangle = False
     if tower is not None:
-        res = restriction_hom(tower)
+        res = restriction_hom(tower, e_deck, deck_group(f_ext))
         triangle = all(res(solution.psi(x)) == phi(x) for x in H.elements())
 
-    rep_g2 = characteristic_hom(g, space2, tracking, refine=True,
+    rep_g2 = characteristic_hom(g, space2, tracking,
                                 root_labels=rep_g.root_labels)
     base_stable = (rep_g2.perms[:space.rank] == rep_g.perms and
                    all(p.is_identity() for p in rep_g2.perms[space.rank:]))
@@ -374,9 +364,9 @@ def run_monodromy(f: WeierstrassPoly, space: BaseSpace,
                   tracking: TrackingConfig = DEFAULT_TRACKING) -> PipelineReport:
     """Track a polynomial's monodromy and report the derived structure."""
     watch = _Stopwatch()
-    rep = characteristic_hom(f, space, tracking, refine=True)
-    table, deck = splitting_cover(rep)
-    hom, faithful = deck_action_on_roots(rep)
+    rep = characteristic_hom(f, space, tracking)
+    table, deck, elems = splitting_cover(rep)
+    _, faithful = deck_action_on_roots(rep, deck, elems)
     watch.lap("monodromy")
     report = PipelineReport(command="monodromy")
     report.inputs = {"polynomial": f.to_json(), "base_space": space.to_json()}
@@ -402,10 +392,10 @@ def run_verify_tower(h: WeierstrassPoly, g: WeierstrassPoly, space: BaseSpace,
     """Re-derive both splitting coverings over the same base space and check
     that psi and phi close the restriction triangle."""
     watch = _Stopwatch()
-    rep_g = characteristic_hom(g, space, tracking, refine=True)
-    rep_h = characteristic_hom(h, space, tracking, refine=True)
-    g_table, g_deck = splitting_cover(rep_g)
-    h_table, h_deck = splitting_cover(rep_h)
+    rep_g = characteristic_hom(g, space, tracking)
+    rep_h = characteristic_hom(h, space, tracking)
+    g_table, g_deck, _ = splitting_cover(rep_g)
+    h_table, h_deck, _ = splitting_cover(rep_h)
     tower = subtable(h_table, g_table)
     watch.lap("monodromy")
 
@@ -425,7 +415,7 @@ def run_verify_tower(h: WeierstrassPoly, g: WeierstrassPoly, space: BaseSpace,
         verdicts["phi_surjective"] = False
         verdicts["psi_bijective"] = False
     if tower is not None and psi is not None and phi is not None:
-        res = restriction_hom(tower)
+        res = restriction_hom(tower, h_deck, g_deck)
         verdicts["restriction_triangle"] = all(
             res(psi(x)) == phi(x) for x in H.elements())
     else:

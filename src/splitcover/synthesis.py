@@ -28,10 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .permgroup import PermGroup, Permutation, compose
-from .wpoly import BivariatePolyQi, GaussianRational
-
-QI_ZERO = GaussianRational()
-QI_ONE = GaussianRational(Fraction(1))
+from .wpoly import QI_ONE, QI_ZERO, BivariatePolyQi, GaussianRational
 
 
 class SynthesisUnsupported(RuntimeError):

@@ -379,14 +379,14 @@ def default_base_space(m: int) -> BaseSpace:
                      (Fraction(0), Fraction(-8)))
 
 
-def extend_base_space(space: BaseSpace, extra: int, gap: int = 4) -> BaseSpace:
-    """Append unit holes to the right of the existing ones."""
+def extend_base_space(space: BaseSpace, extra: int) -> BaseSpace:
+    """Append unit holes to the right of the existing ones, 4 apart."""
     if extra <= 0:
         return space
     holes = list(space.holes)
-    x = max((h.center[0] for h in holes), default=Fraction(-gap))
+    x = max((h.center[0] for h in holes), default=Fraction(-4))
     for _ in range(extra):
-        x = x + gap
+        x = x + 4
         holes.append(Disc((x, Fraction(0)), Fraction(1)))
     return BaseSpace(space.outer, tuple(holes), space.basepoint)
 
@@ -443,12 +443,10 @@ def _rational_unit(angle: float, scale_bits: int = 20) -> tuple[Fraction, Fracti
             Fraction(round(math.sin(angle) * s), s))
 
 
-def generator_loops(space: BaseSpace, circle_vertices: int = 16,
-                    ring_factor: Fraction = Fraction(2)) -> list[LoopPath]:
-    """One polygonal loop per hole: out from the basepoint, once around
-    counterclockwise, and back. The winding matrix against the hole centers
-    is verified to be the identity."""
-    ring_factor = _frac(ring_factor)
+def generator_loops(space: BaseSpace) -> list[LoopPath]:
+    """One polygonal loop per hole: out from the basepoint, once around a
+    16-gon of twice the hole's radius counterclockwise, and back. The winding
+    matrix against the hole centers is verified to be the identity."""
     holes = space.holes
     for a, b in zip(holes, holes[1:]):
         if a.center[0] >= b.center[0]:
@@ -456,11 +454,11 @@ def generator_loops(space: BaseSpace, circle_vertices: int = 16,
     loops = []
     for idx, hole in enumerate(holes):
         cx, cy = hole.center
-        rho = ring_factor * hole.radius
+        rho = 2 * hole.radius
         bottom = (cx, cy - rho)
         ring = [bottom]
-        for j in range(1, circle_vertices):
-            ang = -math.pi / 2 + 2 * math.pi * j / circle_vertices
+        for j in range(1, 16):
+            ang = -math.pi / 2 + 2 * math.pi * j / 16
             cos_a, sin_a = _rational_unit(ang)
             ring.append((cx + rho * cos_a, cy + rho * sin_a))
         ring.append(bottom)
@@ -479,17 +477,20 @@ def generator_loops(space: BaseSpace, circle_vertices: int = 16,
     return loops
 
 
+VALIDATION_DENSITY = 15
+
+
 class WeierstrassPoly:
     """Monic polynomial in z whose coefficients are maps on a base space.
 
-    When a base space is attached, construction samples a grid over it and
-    requires every fiber to have distinct roots, which is the defining
-    property of these polynomials.
+    When a base space is attached, construction samples a grid of
+    VALIDATION_DENSITY x VALIDATION_DENSITY points over it and requires every
+    fiber to have distinct roots, which is the defining property of these
+    polynomials.
     """
 
     def __init__(self, degree: int, coeffs: Sequence[BivariatePolyQi],
-                 base: Optional[BaseSpace] = None, validate: bool = True,
-                 validation_density: int = 15):
+                 base: Optional[BaseSpace] = None, validate: bool = True):
         if degree < 1:
             raise ValueError("degree must be at least 1")
         if len(coeffs) != degree:
@@ -498,10 +499,10 @@ class WeierstrassPoly:
         self.coeffs = tuple(coeffs)
         self.base = base
         if base is not None and validate:
-            self._validate_on_grid(validation_density)
+            self._validate_on_grid()
 
-    def _validate_on_grid(self, density: int):
-        grid = sample_grid(self.base, density)
+    def _validate_on_grid(self):
+        grid = sample_grid(self.base, VALIDATION_DENSITY)
         try:
             roots_at(self.eval_points(grid))
         except (MultipleRootError, RootFindingError) as exc:
@@ -540,11 +541,6 @@ class WeierstrassPoly:
         return cls(int(data["degree"]),
                    [BivariatePolyQi.from_json(c) for c in data["coeffs"]],
                    base=base, validate=validate)
-
-
-def eval_poly(f: WeierstrassPoly, x) -> list[GaussianRational]:
-    """Exact coefficients of the fiber polynomial over a rational point."""
-    return f.eval_exact(x[0], x[1])
 
 
 def sample_grid(space: BaseSpace, density: int) -> list[tuple[Fraction, Fraction]]:

@@ -2,16 +2,7 @@ import random
 
 import pytest
 
-from splitcover.braid import (
-    BraidWord,
-    ClearanceError,
-    braid_position,
-    braid_to_config_path,
-    config_to_coeffs,
-    lift_permutation,
-    roots_to_coeffs,
-    tau,
-)
+from splitcover.braid import BraidWord, lift_permutation, tau
 from splitcover.permgroup import Permutation, compose
 
 
@@ -76,85 +67,3 @@ def test_tau_lift_round_trip_random_large():
             rng.shuffle(images)
             p = Permutation(tuple(images))
             assert tau(lift_permutation(p)) == p
-
-
-def test_config_path_empty_word():
-    path = braid_to_config_path(BraidWord(3, ()))
-    assert len(path.samples) == 1
-    assert path.samples[0] == (1 + 0j, 2 + 0j, 3 + 0j)
-
-
-def test_config_path_half_turn_midpoint():
-    pts = braid_position(BraidWord(2, (1,)), 0.5)
-    got = sorted(pts, key=lambda z: z.imag)
-    assert abs(got[0] - (1.5 - 0.5j)) < 1e-12
-    assert abs(got[1] - (1.5 + 0.5j)) < 1e-12
-
-
-def test_config_path_full_twist_returns_points():
-    # s1 s1 is a full twist: both points come back to their original positions
-    pts = braid_position(BraidWord(2, (1, 1)), 1.0)
-    assert abs(pts[0] - 1) < 1e-12 and abs(pts[1] - 2) < 1e-12
-
-
-def test_endpoint_reindexed_by_tau():
-    rng = random.Random(17)
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        w = BraidWord.of(n, [rng.choice([1, -1]) * rng.randint(1, n - 1)
-                             for _ in range(rng.randint(1, 6))])
-        start = braid_position(w, 0.0)
-        end = braid_position(w, 1.0)
-        t = tau(w)
-        for k in range(1, n + 1):
-            assert abs(end[k - 1] - start[t(k) - 1]) < 1e-12
-
-
-def test_path_clearance_holds_throughout():
-    w = BraidWord.of(4, [1, 3, 2, -1])
-    path = braid_to_config_path(w, samples_per_letter=16)
-    for pts in path.samples:
-        gaps = [abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:]]
-        assert min(gaps) >= 0.25
-
-
-def test_samples_per_letter_minimum():
-    with pytest.raises(ValueError):
-        braid_to_config_path(BraidWord(2, (1,)), samples_per_letter=2)
-
-
-def test_roots_to_coeffs_examples():
-    a = roots_to_coeffs([1, -1])
-    assert abs(a[0] - (-1)) < 1e-12 and abs(a[1]) < 1e-12
-    b = roots_to_coeffs([0, 1, 2])
-    assert abs(b[0] - 0) < 1e-12
-    assert abs(b[1] - 2) < 1e-12
-    assert abs(b[2] - (-3)) < 1e-12
-
-
-def test_config_to_coeffs_constant_path():
-    path = braid_to_config_path(BraidWord(3, ()))
-    coeffs = config_to_coeffs(path)
-    assert len(coeffs) == 1
-    expected = roots_to_coeffs([1, 2, 3])
-    assert all(abs(x - y) < 1e-12 for x, y in zip(coeffs[0], expected))
-
-
-def test_config_to_coeffs_discriminant_nonzero():
-    from splitcover.wpoly import discriminant_at
-    w = BraidWord.of(3, [1, 2])
-    path = braid_to_config_path(w, samples_per_letter=8)
-    for row, pts in zip(config_to_coeffs(path), path.samples):
-        d = discriminant_at(row)
-        prod = 1.0 + 0j
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                prod *= (pts[i] - pts[j]) ** 2
-        assert abs(d - prod) < 1e-8 * max(1.0, abs(prod))
-        assert abs(d) > 1e-6
-
-
-def test_clearance_error():
-    with pytest.raises(ClearanceError):
-        config_to_coeffs(
-            braid_to_config_path(BraidWord(2, ()), clearance=0.0), clearance=10.0)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -194,3 +195,111 @@ def test_embed_self_check_failure_exits_2(z2_artifact, tmp_path, capsys,
     assert "verification failure" in err
     assert "Traceback" not in err
     assert not embed_out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"conservatism": [1]},
+    {"conservatism": None},
+    {"grid_density": [41]},
+    {"grid_density": {"n": 41}},
+], ids=["conservatism_list", "conservatism_null", "grid_list", "grid_object"])
+def test_non_numeric_config_value_is_input_error(config, z2_artifact, tmp_path,
+                                                 capsys):
+    _, group, _, _ = z2_artifact
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert main(["realize", group, "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", [5, "polynomial", None])
+def test_polynomial_file_that_is_not_an_object_is_input_error(payload, tmp_path,
+                                                              capsys):
+    path = write_json(tmp_path / "poly.json", payload)
+    space = write_json(tmp_path / "space.json", default_base_space(1).to_json())
+    assert main(["monodromy", path, "--base-space", space]) == 4
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+# -- seeded fuzzing of every JSON input: types and structure, not magnitudes --
+
+FUZZ_INPUTS = {
+    "group": {"degree": 2, "generators": [[2, 1]]},
+    # z^2 - w, branched only at the center of the single hole
+    "polynomial": {"degree": 2,
+                   "coeffs": [[[1, 0, -1, 1, 0, 1], [0, 1, 0, 1, -1, 1]], []]},
+    "base_space": default_base_space(1).to_json(),
+    "config": {"tracking": {"initial_step": 0.02, "min_step": 1e-08,
+                            "safety_factor": 0.4, "max_newton_iters": 30},
+               "grid_density": 11, "conservatism": 0.5},
+}
+
+
+def _json_paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _swap_type(value, rng):
+    options = [None, True, str(value) if not isinstance(value, str) else 1]
+    if isinstance(value, int) and not isinstance(value, bool):
+        options.append(float(value))
+    if isinstance(value, list):
+        options.append({str(i): v for i, v in enumerate(value)})
+    if isinstance(value, dict):
+        options.append(list(value.values()))
+    return rng.choice(options)
+
+
+def _mutate(doc, rng):
+    """One mutation at a random node: swap its JSON type, drop it from its
+    parent, or wrap it in a list."""
+    doc = json.loads(json.dumps(doc))
+    path = rng.choice(list(_json_paths(doc)))
+    ops = ["swap", "wrap"] + (["drop"] if path else [])
+    op = rng.choice(ops)
+    if not path:
+        return _swap_type(doc, rng) if op == "swap" else [doc]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "swap":
+        parent[path[-1]] = _swap_type(parent[path[-1]], rng)
+    else:
+        parent[path[-1]] = [parent[path[-1]]]
+    return doc
+
+
+def _fuzz_argv(target, doc, tmp_path):
+    """Write the inputs with ``target`` replaced by ``doc``; the command that
+    reads them."""
+    paths = {name: write_json(tmp_path / f"{name}.json",
+                              doc if name == target else default)
+             for name, default in FUZZ_INPUTS.items()}
+    if target in ("group", "config"):
+        argv = ["realize", paths["group"], "--config", paths["config"]]
+    else:
+        argv = ["monodromy", paths["polynomial"],
+                "--base-space", paths["base_space"]]
+    return argv + ["-o", str(tmp_path / "out.json")]
+
+
+def test_cli_fuzz_mutated_inputs_exit_cleanly(tmp_path, capsys):
+    for target in sorted(FUZZ_INPUTS):
+        rng = random.Random(f"cli-fuzz-{target}")
+        for _ in range(24):
+            doc = _mutate(FUZZ_INPUTS[target], rng)
+            argv = _fuzz_argv(target, doc, tmp_path)
+            try:
+                code = main(argv)
+            except Exception as exc:  # a traceback at the command line
+                pytest.fail(f"{argv[0]} with {target} {doc!r} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), (target, doc, code, err)
+            assert "Traceback" not in err

@@ -8,7 +8,7 @@ from splitcover.embedding import (
     solve,
     verify,
 )
-from splitcover.freecover import cayley_table, deck_group, kernel_table
+from splitcover.freecover import cayley_table, deck_group
 from splitcover.permgroup import (
     GroupHom,
     Permutation,
@@ -33,13 +33,13 @@ def make_instance(f_gens, H, surj_images):
 
 
 def test_canonical_monodromy_trivial_cover():
-    t = kernel_table((perm(n=1), perm(n=1)))
+    t = cayley_table((perm(n=1), perm(n=1)))[0]
     eta = canonical_monodromy(t)
     assert all(p.is_identity() for p in eta)
 
 
 def test_canonical_monodromy_z2():
-    t = kernel_table((perm((1, 2), n=2),))
+    t = cayley_table((perm((1, 2), n=2),))[0]
     eta = canonical_monodromy(t)
     assert eta == (perm((1, 2), n=2),)
 
@@ -77,7 +77,8 @@ def test_cayley_deck_labeling_is_isomorphism():
 
 def test_solve_identity_case():
     z2 = closure((perm((1, 2), n=2),))
-    inst = make_instance(z2.generators, z2, (deck_group(kernel_table(z2.generators)).group.elements()[1],))
+    deck = deck_group(cayley_table(z2.generators)[0])
+    inst = make_instance(z2.generators, z2, (deck.group.elements()[1],))
     # phi: identity labeling of Z2 onto its deck group
     sol = solve(inst, allow_rank_extension=False)
     assert sol.rank_used == 1
@@ -173,7 +174,7 @@ def test_solution_tower_consistency_with_quotient_theorem():
 
 def test_instance_validation():
     z4 = closure((perm((1, 2, 3, 4), n=4),))
-    f_table = kernel_table((perm((1, 2), n=2),))
+    f_table = cayley_table((perm((1, 2), n=2),))[0]
     deck = deck_group(f_table)
     bad_phi = GroupHom.from_generator_images(z4, deck.group, (Permutation.identity(2),))
     inst = EmbeddingInstance(1, f_table, z4, bad_phi)

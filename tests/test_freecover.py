@@ -9,7 +9,6 @@ from splitcover.freecover import (
     deck_group,
     extend_table,
     is_normal,
-    kernel_table,
     restriction_hom,
     stabilizer_table,
     subtable,
@@ -18,12 +17,16 @@ from splitcover.freecover import (
 from splitcover.permgroup import Permutation, closure, compose
 
 
+def restrict(tower):
+    return restriction_hom(tower, deck_group(tower.top), deck_group(tower.mid))
+
+
 def perm(*cycles, n):
     return Permutation.from_cycles(n, [tuple(c) for c in cycles])
 
 
 def z_table(k):
-    return kernel_table((perm(tuple(range(1, k + 1)), n=k),))
+    return cayley_table((perm(tuple(range(1, k + 1)), n=k),))[0]
 
 
 S3_GENS = (perm((1, 2), n=3), perm((1, 2, 3), n=3))
@@ -45,9 +48,9 @@ def test_act_identity_word():
 
 
 def test_act_involution_and_inverse():
-    t2 = kernel_table((perm((1, 2), n=2),))
+    t2 = cayley_table((perm((1, 2), n=2),))[0]
     assert act(t2, FreeWord.of(1, 1), 1) == 1
-    t3 = kernel_table((perm((1, 2, 3), n=3),))
+    t3 = cayley_table((perm((1, 2, 3), n=3),))[0]
     assert act(t3, FreeWord.of(-1), 1) == 3
 
 
@@ -61,13 +64,13 @@ def test_act_functoriality():
 
 
 def test_kernel_table_trivial_image():
-    t = kernel_table((perm(n=1),))
+    t = cayley_table((perm(n=1),))[0]
     assert t.size == 1
 
 
 def test_kernel_table_sizes():
-    assert kernel_table((perm((1, 2), n=2),)).size == 2
-    t = kernel_table(S3_GENS)
+    assert cayley_table((perm((1, 2), n=2),))[0].size == 2
+    t = cayley_table(S3_GENS)[0]
     assert t.size == 6
     assert t.rank == 2
 
@@ -75,7 +78,7 @@ def test_kernel_table_sizes():
 def test_kernel_table_always_normal():
     for gens in [(perm((1, 2), n=2),), S3_GENS,
                  (perm((1, 2, 3, 4), n=4), perm((1, 3), n=4))]:
-        assert is_normal(kernel_table(gens))
+        assert is_normal(cayley_table(gens)[0])
 
 
 def test_is_normal_cases():
@@ -144,14 +147,14 @@ def test_tower_validation():
 def test_restriction_identity_tower():
     t = z_table(4)
     tw = subtable(t, t)
-    res = restriction_hom(tw)
+    res = restrict(tw)
     for lam in res.source.elements():
         assert res(lam) == lam
 
 
 def test_restriction_z4_over_z2():
     tw = subtable(z_table(4), z_table(2))
-    res = restriction_hom(tw)
+    res = restrict(tw)
     assert res.is_surjective()
     assert len(res.kernel_elements()) == 2
 
@@ -165,7 +168,7 @@ def test_restriction_s3_over_a3_quotient():
     assert f_table.size == 2
     tw = subtable(e_table, f_table)
     assert tw is not None
-    res = restriction_hom(tw)
+    res = restrict(tw)
     assert res.is_surjective()
     assert len(res.kernel_elements()) == 3
 
@@ -176,7 +179,25 @@ def test_restriction_requires_galois():
     tw = subtable(e_table, f_table)
     assert tw is not None
     with pytest.raises(ValueError):
-        restriction_hom(tw)
+        restrict(tw)
+
+
+def test_restriction_rejects_deck_groups_of_other_coverings():
+    tw = subtable(z_table(4), z_table(2))
+    with pytest.raises(ValueError):
+        restriction_hom(tw, deck_group(tw.mid), deck_group(tw.top))
+
+
+def test_galois_tower_check_computes_each_deck_group_once(monkeypatch):
+    from splitcover import freecover
+
+    tables = []
+    real = freecover.deck_group
+    monkeypatch.setattr(freecover, "deck_group",
+                        lambda table: tables.append(table) or real(table))
+    report = tower_quotient_check(subtable(z_table(4), z_table(2)))
+    assert report.f_galois and report.all_verified()
+    assert tables == [z_table(4), z_table(2)]
 
 
 def test_quotient_check_identity_tower():

@@ -65,6 +65,8 @@ def test_tracking_config_validation():
         TrackingConfig(min_step=1.0)
     with pytest.raises(ValueError):
         TrackingConfig(safety_factor=1.5)
+    with pytest.raises(ValueError):
+        TrackingConfig(max_newton_iters=30.0)
 
 
 def test_constant_coefficients_yield_identity():
@@ -131,7 +133,7 @@ def test_characteristic_hom_identity_for_linear():
 
 def test_characteristic_hom_z2_model():
     f, x = power_model(2)
-    rep = characteristic_hom(f, x, refine=True)
+    rep = characteristic_hom(f, x)
     assert rep.rank == 1 and rep.perms == (perm((1, 2), n=2),)
     assert irreducibility_check(rep)
 
@@ -141,7 +143,7 @@ def test_characteristic_hom_nonvanishing_constant():
     x = default_base_space(1)
     a0 = BivariatePolyQi({(0, 0): qi(100), (1, 0): qi(-1)})
     f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()], base=x)
-    rep = characteristic_hom(f, x, refine=True)
+    rep = characteristic_hom(f, x)
     assert rep.perms[0].is_identity()
     assert not irreducibility_check(rep)
 
@@ -162,11 +164,11 @@ def test_characteristic_hom_respects_given_labels():
 
 def test_splitting_cover_sizes():
     rep = MonodromyRep(1, 2, (perm((1, 2), n=2),), (1 + 0j, -1 + 0j))
-    table, deck = splitting_cover(rep)
+    table, deck, _ = splitting_cover(rep)
     assert table.size == 2 and deck.group.order() == 2
     rep2 = MonodromyRep(
         2, 3, (perm((1, 2), n=3), perm((1, 2, 3), n=3)), (0j, 1 + 0j, 2 + 0j))
-    table2, deck2 = splitting_cover(rep2)
+    table2, deck2, _ = splitting_cover(rep2)
     assert table2.size == 6 and deck2.group.order() == 6
     assert is_normal(table2)
     assert deck2.is_galois()
@@ -174,7 +176,7 @@ def test_splitting_cover_sizes():
 
 def test_splitting_cover_identity_rep():
     rep = MonodromyRep(1, 2, (perm(n=2),), (1 + 0j, -1 + 0j))
-    table, deck = splitting_cover(rep)
+    table, deck, _ = splitting_cover(rep)
     assert table.size == 1 and deck.group.order() == 1
 
 
@@ -218,7 +220,7 @@ def test_irreducibility_matches_union_find():
 
 def test_deck_action_on_roots_faithful():
     rep = MonodromyRep(1, 2, (perm((1, 2), n=2),), (1 + 0j, -1 + 0j))
-    hom, faithful = deck_action_on_roots(rep)
+    hom, faithful = deck_action_on_roots(rep, *splitting_cover(rep)[1:])
     assert faithful
     images = {hom(lam) for lam in hom.source.elements()}
     assert images == {perm(n=2), perm((1, 2), n=2)}
@@ -228,7 +230,7 @@ def test_deck_action_regular_klein_faithful():
     a = perm((1, 2), (3, 4), n=4)
     b = perm((1, 3), (2, 4), n=4)
     rep = MonodromyRep(2, 4, (a, b), (0j, 1 + 0j, 2 + 0j, 3 + 0j))
-    hom, faithful = deck_action_on_roots(rep)
+    hom, faithful = deck_action_on_roots(rep, *splitting_cover(rep)[1:])
     assert faithful
     assert hom.is_bijective()
     assert {q for q in hom.mapping.values()} == set(closure((a, b)).elements())

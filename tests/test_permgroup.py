@@ -128,10 +128,9 @@ def test_transitive_and_regular():
     assert s3.is_regular() == (s3.is_transitive() and s3.order() == s3.degree)
 
 
-def test_centralizer_trivial_group_is_full_sym():
-    g = PermGroup(3, ())
-    c = centralizer_in_sym(g)
-    assert c.order() == 6
+def test_centralizer_rejects_intransitive_group():
+    with pytest.raises(ValueError):
+        centralizer_in_sym(PermGroup(3, ()))
 
 
 def test_centralizer_regular_cyclic():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitcover.freecover import cayley_table
 from splitcover.permgroup import (
     Permutation,
     closure,
@@ -12,7 +13,6 @@ from splitcover.pipeline import (
     IrreducibilityFailureError,
     align_regular_labelings,
     realize_group,
-    regular_representation,
     run_monodromy,
     run_verify_tower,
     solve_semitop_embedding,
@@ -46,9 +46,14 @@ def realized_z2():
     return poly, space, report
 
 
+def regular_images(group):
+    return cayley_table(group.generators)[0].action
+
+
 def test_regular_representation_s3():
     s3 = closure((perm((1, 2), n=3), perm((1, 2, 3), n=3)))
-    elems, images = regular_representation(s3)
+    table, elems = cayley_table(s3.generators)
+    images = table.action
     assert len(elems) == 6
     assert all(p.degree == 6 for p in images)
     assert closure(images).order() == 6
@@ -57,7 +62,7 @@ def test_regular_representation_s3():
 
 def test_align_regular_labelings_round_trip():
     s3 = closure((perm((1, 2), n=3), perm((1, 2, 3), n=3)))
-    _, reg = regular_representation(s3)
+    reg = regular_images(s3)
     shuffle = Permutation((3, 1, 4, 2, 6, 5))
     scrambled = tuple(conjugate(p, inverse(shuffle)) for p in reg)
     pi = align_regular_labelings(scrambled, reg)
@@ -66,8 +71,8 @@ def test_align_regular_labelings_round_trip():
 
 
 def test_align_regular_labelings_rejects_mismatch():
-    z4 = regular_representation(Z4)[1]
-    v4 = regular_representation(V4)[1]
+    z4 = regular_images(Z4)
+    v4 = regular_images(V4)
     padded_z4 = (z4[0], Permutation.identity(4))
     assert align_regular_labelings(padded_z4, v4) is None
 
@@ -95,7 +100,7 @@ def test_realize_z2_matches_square_root_oracle(realized_z2):
     poly, space, _ = realized_z2
     rep_perm = Permutation((2, 1))
     from splitcover.monodromy import characteristic_hom
-    rep = characteristic_hom(poly, space, refine=True)
+    rep = characteristic_hom(poly, space)
     assert rep.perms == (rep_perm,)
 
 
@@ -117,7 +122,7 @@ def test_realize_requires_matching_holes():
 def test_realize_rejects_oversized_group():
     z30 = closure((perm(tuple(range(1, 31)), n=30),))
     with pytest.raises(ValueError):
-        realize_group(z30, order_limit=24)
+        realize_group(z30)
 
 
 def test_realize_unsupported_group_raises():
@@ -182,6 +187,24 @@ def test_run_monodromy_square_root_model(realized_z2):
     assert report.artifacts["irreducible"] is True
     assert report.artifacts["monodromy"]["perms"] == [[2, 1]]
     assert report.verdicts["deck_action_on_roots_faithful"]
+
+
+@pytest.mark.parametrize("command", ["realize", "monodromy"])
+def test_splitting_cover_is_built_once(command, realized_z2, monkeypatch):
+    from splitcover import monodromy
+
+    calls = []
+    for name in ("cayley_table", "deck_group"):
+        real = getattr(monodromy, name)
+        monkeypatch.setattr(monodromy, name,
+                            lambda arg, _real=real, _name=name:
+                            calls.append(_name) or _real(arg))
+    poly, space, _ = realized_z2
+    if command == "realize":
+        realize_group(Z2, space)
+    else:
+        run_monodromy(poly, space)
+    assert calls == ["cayley_table", "deck_group"]
 
 
 def test_run_verify_tower_z4_over_z2(realized_z2):

@@ -17,7 +17,6 @@ from splitcover.wpoly import (
     WeierstrassPoly,
     default_base_space,
     discriminant_at,
-    eval_poly,
     extend_base_space,
     generator_loops,
     min_gap,
@@ -217,10 +216,10 @@ def test_weierstrass_poly_eval_and_membership():
     a0 = BivariatePolyQi({(1, 0): qi(-1), (0, 1): qi(0, -1)})
     a1 = BivariatePolyQi.zero()
     f = WeierstrassPoly(2, [a0, a1], base=x)
-    vals = eval_poly(f, (Fraction(4), Fraction(0)))
+    vals = f.eval_exact(Fraction(4), Fraction(0))
     assert vals[0] == qi(-4) and vals[1] == qi(0)
     with pytest.raises(ValueError):
-        eval_poly(f, (Fraction(0), Fraction(0)))  # inside the hole
+        f.eval_exact(Fraction(0), Fraction(0))  # inside the hole
 
 
 def test_weierstrass_poly_rejects_singular_family():
@@ -235,7 +234,7 @@ def test_weierstrass_constant_coefficients():
     x = default_base_space(1)
     f = WeierstrassPoly(2, [BivariatePolyQi.constant(qi(-1)), BivariatePolyQi.zero()],
                         base=x)
-    vals = eval_poly(f, x.basepoint)
+    vals = f.eval_exact(*x.basepoint)
     assert vals[0] == qi(-1)
 
 
