@@ -4,11 +4,13 @@ The tracker is an adaptive predictor-corrector: roots are predicted by their
 previous values and corrected by Newton iteration on the fiber polynomial. A
 step is accepted only when every root moved less than a fixed fraction of
 half the current minimal root gap, which makes nearest-neighbor matching of
-the final fiber unambiguous.
+the final fiber unambiguous. It tracks a stack of rows, one per (loop, step
+refinement pass), each making the decisions it would make alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -21,6 +23,7 @@ from .permgroup import (
     Permutation,
     inverse,
 )
+from .roots import _block_gaps, _derivative_rows, _monic_rows, _polyval_rows, _spread
 from .wpoly import (
     BaseSpace,
     LoopPath,
@@ -111,41 +114,158 @@ def _loop_points(loop: LoopPath) -> np.ndarray:
 
 
 def _arclength_position(points: np.ndarray):
+    """Point at arclength fraction t of the polyline. It works in Python
+    floats and complexes, which give numpy's scalar results bit for bit at a
+    fraction of their cost per call."""
     seg = np.abs(np.diff(points))
-    total = seg.sum()
+    total = float(seg.sum())
+    pts = points.tolist()
     if total == 0:
-        return lambda t: points[0]
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
+        return lambda t: pts[0]
+    seg, cum = seg.tolist(), [0.0] + np.cumsum(seg).tolist()
+    last = len(pts) - 2
 
     def position(t: float) -> complex:
         s = min(max(t, 0.0), 1.0) * total
-        k = int(np.searchsorted(cum, s, side="right") - 1)
-        k = min(k, len(points) - 2)
+        k = min(bisect_right(cum, s) - 1, last)
         if seg[k] == 0:
-            return points[k]
+            return pts[k]
         frac = (s - cum[k]) / seg[k]
-        return points[k] * (1 - frac) + points[k + 1] * frac
+        return pts[k] * (1 - frac) + pts[k + 1] * frac
 
     return position
 
 
-def _newton_correct(poly: np.ndarray, dpoly: np.ndarray, guesses: np.ndarray,
-                    max_iters: int):
+def _newton_rows(p: np.ndarray, guesses: np.ndarray, max_iters: np.ndarray):
+    """Newton's method on row k of guesses for the polynomial p[k] (highest
+    coefficient first). Returns the corrected roots and which rows converged.
+
+    A row converges when its largest step falls below 1e-13 (1 + max|z|); it
+    fails at a zero or non-finite derivative, a non-finite iterate or after
+    max_iters[k] steps. It leaves the stack as soon as it converges or fails,
+    so it takes the steps it would take alone.
+    """
+    count, n = guesses.shape
     z = guesses.copy()
-    tol_hit = False
-    for _ in range(max_iters):
-        val = np.polyval(poly, z)
-        der = np.polyval(dpoly, z)
-        if np.any(der == 0) or not np.all(np.isfinite(der)):
-            return None
-        step = val / der
-        z = z - step
-        if not np.all(np.isfinite(z)):
-            return None
-        if np.abs(step).max() < 1e-13 * (1.0 + np.abs(z).max()):
-            tol_hit = True
-            break
-    return z if tol_hit else None
+    converged = np.zeros(count, dtype=bool)
+    # p and its derivative in one Horner pass over a (2, rows, n) stack; the
+    # derivative is led by a zero coefficient, which leaves its values as
+    # np.polyval computes them
+    dp = np.zeros(p.shape, dtype=complex)
+    dp[:, 1:] = _derivative_rows(p)
+    both = _spread(np.concatenate((p, dp)), n).reshape(n + 1, 2, count, n)
+    live, zl = np.arange(count), z
+    # rows whose iteration budget is spent fail; none is before the smallest
+    budget = int(max_iters.min())
+    with np.errstate(all="ignore"):
+        for it in range(int(max_iters.max())):
+            if it >= budget:
+                keep = max_iters[live] > it
+                live, zl, both = live[keep], zl[keep], both[:, :, keep]
+                if not live.size:
+                    break
+            both_z = np.concatenate((zl, zl)).reshape(both.shape[1:])
+            val, der = _polyval_rows(both, both_z)
+            good = ((der != 0) & np.isfinite(der)).all(axis=1)
+            step = val / der
+            zl = zl - step
+            good &= np.isfinite(zl).all(axis=1)
+            hit = good & (np.abs(step).max(axis=1)
+                          < 1e-13 * (1.0 + np.abs(zl).max(axis=1)))
+            keep = good & ~hit
+            if not keep.all():
+                z[live[hit]] = zl[hit]
+                converged[live[hit]] = True
+                live, zl, both = live[keep], zl[keep], both[:, :, keep]
+                if not live.size:
+                    break
+    return z, converged
+
+
+def _track_rows(f: WeierstrassPoly,
+                rows: Sequence[tuple[LoopPath, TrackingConfig]],
+                start: np.ndarray) -> list:
+    """Continue the start fiber along every row's loop with the row's
+    tracking configuration, all rows in one stack.
+
+    Returns, per row, the endpoint fiber (in start order) or the tracking
+    error the row raises. Each row keeps its own t, step and roots and makes
+    the accept, reject and step-size decisions it would make alone; the
+    corrector runs on the stack of unfinished rows. Once a row fails, the
+    rows after it stop: callers report the first failing row in row order,
+    so those results are never read and are left None.
+    """
+    count, n = len(rows), len(start)
+    if n == 1:
+        return [start.copy() for _ in rows]
+    results: list = [None] * count
+    first_failed = count
+    # state of the unfinished rows; entry j tracks row[j]
+    row = np.arange(count)
+    positions = [_arclength_position(_loop_points(loop)) for loop, _ in rows]
+    initial = np.array([cfg.initial_step for _, cfg in rows])
+    min_step = np.array([cfg.min_step for _, cfg in rows])
+    safety = np.array([cfg.safety_factor for _, cfg in rows])
+    max_iters = np.array([cfg.max_newton_iters for _, cfg in rows])
+    t, h = np.zeros(count), initial.copy()
+    roots = np.tile(start, (count, 1))
+    gap = np.full(count, min_gap(start))
+    while row.size:
+        t_next = np.minimum(1.0, t + h)
+        points = [pos(s) for pos, s in zip(positions, t_next.tolist())]
+        coeffs = f.eval_complex_points([(x.real, x.imag) for x in points])
+        corrected, converged = _newton_rows(_monic_rows(coeffs), roots, max_iters)
+        with np.errstate(all="ignore"):
+            new_gap = _block_gaps(corrected)
+            accept = (converged
+                      & (np.abs(corrected - roots).max(axis=1) < safety * gap / 2)
+                      & (new_gap > 0))
+        roots[accept] = corrected[accept]
+        gap[accept] = new_gap[accept]
+        t = np.where(accept, t_next, t)
+        h = np.where(accept, np.minimum(initial, h * 1.4), h / 2)
+        under = ~accept & (h < min_step)
+        finished = t >= 1.0 - 1e-15
+        if not (under.any() or finished.any()):
+            continue
+        for j in np.flatnonzero(under).tolist():
+            if converged[j]:
+                results[row[j]] = StepUnderflowError(
+                    f"root gap collapsed near t={t[j]:.6f}; loop too close to "
+                    f"the discriminant locus")
+            else:
+                results[row[j]] = NewtonDivergenceError(
+                    f"Newton corrector failed near t={t[j]:.6f}")
+            first_failed = min(first_failed, row[j])
+        for j in np.flatnonzero(finished).tolist():
+            results[row[j]] = roots[j].copy()
+        keep = ~under & ~finished & (row < first_failed)
+        row, t, h, roots, gap = row[keep], t[keep], h[keep], roots[keep], gap[keep]
+        initial, min_step, safety, max_iters = (
+            initial[keep], min_step[keep], safety[keep], max_iters[keep])
+        positions = [pos for pos, k in zip(positions, keep) if k]
+    return results
+
+
+def _permutations(start: np.ndarray, results: list) -> list[Permutation]:
+    """The permutation of each tracked row, sending start label k to the
+    label whose position the k-th root reached; raises the first row's error,
+    in row order."""
+    perms = []
+    for end in results:
+        if isinstance(end, Exception):
+            raise end
+        match = _nearest_labels(start, end, "endpoint roots and start labels")
+        perms.append(Permutation(tuple(int(j) + 1 for j in match)))
+    return perms
+
+
+def _start_fiber(f: WeierstrassPoly, loop: LoopPath,
+                 start_roots: Optional[Sequence[complex]]) -> np.ndarray:
+    if start_roots is not None:
+        return np.array(start_roots, dtype=complex)
+    u0, v0 = loop.vertices[0]
+    return roots_at(f.eval_complex(float(u0), float(v0)))
 
 
 def track_loop(f: WeierstrassPoly, loop: LoopPath,
@@ -155,59 +275,11 @@ def track_loop(f: WeierstrassPoly, loop: LoopPath,
 
     Returns the permutation sending start label k to the label whose position
     the k-th root reached. Loops sharing a basepoint fiber compose left to
-    right, matching permutation composition.
+    right, matching permutation composition. A one-row call of the stacked
+    tracker.
     """
-    position = _arclength_position(_loop_points(loop))
-
-    def fiber_poly(t: float) -> np.ndarray:
-        x = position(t)
-        coeffs = f.eval_complex(x.real, x.imag)
-        n = len(coeffs)
-        poly = np.empty(n + 1, dtype=complex)
-        poly[0] = 1.0
-        poly[1:] = coeffs[::-1]
-        return poly
-
-    if start_roots is None:
-        u0, v0 = loop.vertices[0]
-        start = roots_at(f.eval_complex(float(u0), float(v0)))
-    else:
-        start = np.array(start_roots, dtype=complex)
-    n = len(start)
-    if n == 1:
-        return Permutation.identity(1)
-
-    roots = start.copy()
-    t, h = 0.0, cfg.initial_step
-    newton_failed = False
-    while t < 1.0 - 1e-15:
-        t_next = min(1.0, t + h)
-        poly = fiber_poly(t_next)
-        dpoly = np.polyder(poly)
-        corrected = _newton_correct(poly, dpoly, roots, cfg.max_newton_iters)
-        accepted = False
-        if corrected is not None:
-            gap = min_gap(roots)
-            movement = float(np.abs(corrected - roots).max())
-            if movement < cfg.safety_factor * gap / 2 and min_gap(corrected) > 0:
-                roots = corrected
-                t = t_next
-                h = min(cfg.initial_step, h * 1.4)
-                accepted = True
-                newton_failed = False
-        if not accepted:
-            newton_failed = corrected is None
-            h /= 2
-            if h < cfg.min_step:
-                if newton_failed:
-                    raise NewtonDivergenceError(
-                        f"Newton corrector failed near t={t:.6f}")
-                raise StepUnderflowError(
-                    f"root gap collapsed near t={t:.6f}; loop too close to "
-                    f"the discriminant locus")
-
-    match = _nearest_labels(start, roots, "endpoint roots and start labels")
-    return Permutation(tuple(int(j) + 1 for j in match))
+    start = _start_fiber(f, loop, start_roots)
+    return _permutations(start, _track_rows(f, [(loop, cfg)], start))[0]
 
 
 def _nearest_labels(labels: np.ndarray, points: np.ndarray,
@@ -223,17 +295,29 @@ def _nearest_labels(labels: np.ndarray, points: np.ndarray,
     return match
 
 
+def _refined(f: WeierstrassPoly, loops: Sequence[LoopPath],
+             cfg: TrackingConfig, start: np.ndarray) -> list[Permutation]:
+    """Track every loop at the given step, half of it and a quarter of it, all
+    3 * len(loops) rows in one stack; the three permutations of each loop
+    must agree. Errors are raised in (loop, pass) order."""
+    passes = (cfg, cfg.halved(2), cfg.halved(4))
+    results = _track_rows(f, [(loop, c) for loop in loops for c in passes], start)
+    perms = []
+    for i in range(0, len(results), 3):
+        trio = _permutations(start, results[i:i + 3])
+        if trio[0] != trio[1] or trio[1] != trio[2]:
+            raise InstabilityError(
+                f"step refinement changed the tracked permutation: {trio!r}")
+        perms.append(trio[0])
+    return perms
+
+
 def refine_and_compare(f: WeierstrassPoly, loop: LoopPath,
                        cfg: TrackingConfig = DEFAULT_TRACKING,
                        start_roots: Optional[Sequence[complex]] = None) -> Permutation:
     """Track at the given step, half of it, and a quarter of it; all three
-    permutations must agree."""
-    results = [track_loop(f, loop, c, start_roots)
-               for c in (cfg, cfg.halved(2), cfg.halved(4))]
-    if results[0] != results[1] or results[1] != results[2]:
-        raise InstabilityError(
-            f"step refinement changed the tracked permutation: {results!r}")
-    return results[0]
+    permutations must agree. A three-row call of the stacked tracker."""
+    return _refined(f, [loop], cfg, _start_fiber(f, loop, start_roots))[0]
 
 
 def basepoint_fiber(f: WeierstrassPoly, space: BaseSpace,
@@ -256,10 +340,11 @@ def characteristic_hom(f: WeierstrassPoly, space: BaseSpace,
                        root_labels: Optional[Sequence[complex]] = None
                        ) -> MonodromyRep:
     """Tracked permutation of the basepoint fiber for every generator loop,
-    each confirmed by step refinement (refine_and_compare)."""
+    each confirmed by step refinement as in refine_and_compare; all loops and
+    passes are tracked in one stack."""
     loops = generator_loops(space)
     fiber = basepoint_fiber(f, space, root_labels)
-    perms = tuple(refine_and_compare(f, loop, cfg, fiber) for loop in loops)
+    perms = tuple(_refined(f, loops, cfg, fiber))
     return MonodromyRep(len(loops), len(fiber), perms,
                         tuple(complex(z) for z in fiber))
 

@@ -498,6 +498,13 @@ class WeierstrassPoly:
         self.degree = degree
         self.coeffs = tuple(coeffs)
         self.base = base
+        # (du, dv, complex coefficient) of every term, converted once for
+        # eval_complex_points
+        self._complex_terms = tuple(
+            tuple((du, dv, complex(c)) for (du, dv), c in p.terms.items())
+            for p in self.coeffs)
+        self._top_u = max((du for p in self.coeffs for du, _ in p.terms), default=0)
+        self._top_v = max((dv for p in self.coeffs for _, dv in p.terms), default=0)
         if base is not None and validate:
             self._validate_on_grid()
 
@@ -525,8 +532,29 @@ class WeierstrassPoly:
             out[:, j] = c.eval_points(points)
         return out
 
+    def eval_complex_points(self, points: Sequence[tuple]) -> np.ndarray:
+        """Float coefficients at float points (u, v): an (N, degree) array
+        whose row k is the fiber over points[k].
+
+        Each coefficient sums c * u**du * v**dv over its terms in order, in
+        Python complex arithmetic, so every entry equals
+        BivariatePolyQi.eval_complex bit for bit.
+        """
+        out = np.empty((len(points), self.degree), dtype=complex)
+        for k, (u, v) in enumerate(points):
+            pow_u = [u ** d for d in range(self._top_u + 1)]
+            pow_v = [v ** d for d in range(self._top_v + 1)]
+            row = []
+            for terms in self._complex_terms:
+                acc = 0j
+                for du, dv, c in terms:
+                    acc += c * pow_u[du] * pow_v[dv]
+                row.append(acc)
+            out[k] = row
+        return out
+
     def eval_complex(self, u: float, v: float) -> np.ndarray:
-        return np.array([c.eval_complex(u, v) for c in self.coeffs], dtype=complex)
+        return self.eval_complex_points(((u, v),))[0]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeierstrassPoly)
@@ -544,15 +572,37 @@ class WeierstrassPoly:
 
 
 def sample_grid(space: BaseSpace, density: int) -> list[tuple[Fraction, Fraction]]:
-    """Rational tensor grid over the bounding box, filtered to the space."""
+    """Rational tensor grid over the bounding box, filtered to the space.
+
+    Membership is decided exactly as BaseSpace.contains decides it, in
+    integers: every coordinate, centre and radius is scaled by one common
+    denominator.
+    """
     if density < 2:
         raise ValueError("grid density must be at least 2")
     x0, x1, y0, y1 = space.bounding_box()
+    discs = (space.outer,) + space.holes
+    den = math.lcm(*(q.denominator for d in discs for q in (*d.center, d.radius)))
+    scale = den * (density - 1)
+
+    def scaled(lo: Fraction, hi: Fraction) -> list[int]:
+        # k-th coordinate lo + (hi - lo) k / (density - 1), times scale
+        first, stride = int(lo * scale), int((hi - lo) * den)
+        return [first + stride * k for k in range(density)]
+
+    def disc(d: Disc) -> tuple[int, int, int]:
+        """Scaled centre and squared radius."""
+        return (int(d.center[0] * scale), int(d.center[1] * scale),
+                int(d.radius * scale) ** 2)
+
+    ox, oy, outer_r2 = disc(space.outer)
+    holes = [disc(h) for h in space.holes]
+    us = [x0 + (x1 - x0) * Fraction(i, density - 1) for i in range(density)]
+    vs = [y0 + (y1 - y0) * Fraction(j, density - 1) for j in range(density)]
     pts = []
-    for i in range(density):
-        u = x0 + (x1 - x0) * Fraction(i, density - 1)
-        for j in range(density):
-            v = y0 + (y1 - y0) * Fraction(j, density - 1)
-            if space.contains(u, v):
+    for u, su in zip(us, scaled(x0, x1)):
+        for v, sv in zip(vs, scaled(y0, y1)):
+            if (su - ox) ** 2 + (sv - oy) ** 2 <= outer_r2 and all(
+                    (su - cx) ** 2 + (sv - cy) ** 2 >= r2 for cx, cy, r2 in holes):
                 pts.append((u, v))
     return pts

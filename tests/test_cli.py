@@ -183,7 +183,8 @@ def test_embed_self_check_failure_exits_2(z2_artifact, tmp_path, capsys,
     from splitcover import embedding
 
     _, _, out, _ = z2_artifact
-    monkeypatch.setattr(embedding, "verify", lambda solution, instance: False)
+    # the self-check solve runs, with the deck groups it already holds
+    monkeypatch.setattr(embedding, "_verified", lambda *args: False)
     h_group = write_json(tmp_path / "z4.json",
                          closure((perm((1, 2, 3, 4), n=4),)).to_json())
     phi = write_json(tmp_path / "phi.json", {"gen_images": [[2, 1]]})

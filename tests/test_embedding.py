@@ -34,19 +34,19 @@ def make_instance(f_gens, H, surj_images):
 
 def test_canonical_monodromy_trivial_cover():
     t = cayley_table((perm(n=1), perm(n=1)))[0]
-    eta = canonical_monodromy(t)
+    eta = canonical_monodromy(deck_group(t))
     assert all(p.is_identity() for p in eta)
 
 
 def test_canonical_monodromy_z2():
     t = cayley_table((perm((1, 2), n=2),))[0]
-    eta = canonical_monodromy(t)
+    eta = canonical_monodromy(deck_group(t))
     assert eta == (perm((1, 2), n=2),)
 
 
 def test_canonical_monodromy_is_homomorphism_s3():
     table, _ = cayley_table(S3_GENS)
-    eta = canonical_monodromy(table)
+    eta = canonical_monodromy(deck_group(table))
     # the image of a word must be the left-to-right product of generator images
     from splitcover.freecover import FreeWord, act
     deck = deck_group(table)
@@ -66,7 +66,7 @@ def test_canonical_monodromy_is_homomorphism_s3():
 def test_canonical_monodromy_requires_galois():
     from splitcover.freecover import CosetTable
     with pytest.raises(ValueError):
-        canonical_monodromy(CosetTable(2, 3, S3_GENS))
+        canonical_monodromy(deck_group(CosetTable(2, 3, S3_GENS)))
 
 
 def test_cayley_deck_labeling_is_isomorphism():
@@ -119,6 +119,29 @@ def test_solve_klein_requires_rank_extension():
     assert sol.rank_used == 2
     assert sol.E_cover.size == 4
     assert verify(sol, inst)
+
+
+@pytest.mark.parametrize("name", ["Z4", "V4"])
+def test_solve_computes_each_deck_group_once(monkeypatch, name):
+    # over Z2: Z4 needs no extension, so the mid covering is F itself; V4
+    # needs one more generator, so F, E and the extended mid covering differ
+    from splitcover import embedding
+    gens = {"Z4": (perm((1, 2, 3, 4), n=4),),
+            "V4": (perm((1, 2), (3, 4), n=4), perm((1, 3), (2, 4), n=4))}[name]
+    f_table, _ = cayley_table((perm((1, 2), n=2),))
+    s = deck_group(f_table).from_basepoint_image(2)
+    images = (s,) + (Permutation.identity(2),) * (len(gens) - 1)
+    inst = make_instance((perm((1, 2), n=2),), closure(gens), images)
+    tables = []
+    real = embedding.deck_group
+    monkeypatch.setattr(embedding, "deck_group",
+                        lambda table: tables.append(table) or real(table))
+    sol = solve(inst)
+    coverings = [inst.F_cover, sol.E_cover]
+    if name == "V4":
+        assert sol.rank_used == 2
+        coverings.append(sol.tower.mid)
+    assert tables == coverings
 
 
 def test_solve_deterministic():

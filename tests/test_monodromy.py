@@ -1,13 +1,23 @@
+import cmath
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from splitcover.freecover import is_normal
+from splitcover import monodromy
+from splitcover.cli import main
+from splitcover.freecover import cayley_table, is_normal
 from splitcover.monodromy import (
     DEFAULT_TRACKING,
+    InstabilityError,
     MonodromyRep,
     TrackingConfig,
+    _permutations,
+    _refined,
+    _track_rows,
+    basepoint_fiber,
     characteristic_hom,
     deck_action_on_roots,
     irreducibility_check,
@@ -17,6 +27,7 @@ from splitcover.monodromy import (
 )
 from splitcover.permgroup import Permutation, closure, compose
 from splitcover.wpoly import (
+    QI_ZERO,
     BivariatePolyQi,
     GaussianRational,
     LoopPath,
@@ -236,13 +247,130 @@ def test_deck_action_regular_klein_faithful():
     assert {q for q in hom.mapping.values()} == set(closure((a, b)).elements())
 
 
-def test_refine_and_compare_detects_instability():
-    # an artificially coarse configuration cannot trip the guard on a benign
-    # model, so instead check the stability contract holds on the k = 4 model
+def _swap_second_pass(real):
+    """A tracker whose half-step pass (every second of three rows) ends with
+    its roots in reverse order."""
+    def track(f, rows, start):
+        results = real(f, rows, start)
+        return [end[::-1] if i % 3 == 1 else end for i, end in enumerate(results)]
+    return track
+
+
+def test_refine_and_compare_detects_instability(monkeypatch):
     f, x = power_model(4)
     loop = generator_loops(x)[0]
     coarse = TrackingConfig(initial_step=0.05)
+    # the passes agree on the unmodified tracker
     assert refine_and_compare(f, loop, coarse) == track_loop(f, loop)
+    monkeypatch.setattr(monodromy, "_track_rows",
+                        _swap_second_pass(monodromy._track_rows))
+    with pytest.raises(InstabilityError, match="step refinement changed"):
+        refine_and_compare(f, loop, coarse)
+
+
+def test_instability_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
+    f, x = power_model(2)
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"polynomial": f.to_json(),
+                                "base_space": x.to_json()}))
+    monkeypatch.setattr(monodromy, "_track_rows",
+                        _swap_second_pass(monodromy._track_rows))
+    assert main(["monodromy", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical instability: step refinement changed" in err
+    assert "Traceback" not in err
+
+
+def radical_family(n, c, exponents):
+    """z^n - c * prod (w - x_i)^k_i over the default space with one hole per
+    exponent, x_i the hole centres."""
+    x = default_base_space(len(exponents))
+    w_coeffs = [c]  # lowest power of w first
+    for hole, k in zip(x.holes, exponents):
+        centre = qi(hole.center[0])
+        for _ in range(k):
+            w_coeffs = [(w_coeffs[i - 1] if i else QI_ZERO)
+                        - (centre * w_coeffs[i] if i < len(w_coeffs) else QI_ZERO)
+                        for i in range(len(w_coeffs) + 1)]
+    a0 = BivariatePolyQi.from_w_powers([-a for a in w_coeffs])
+    return WeierstrassPoly(n, [a0] + [BivariatePolyQi.zero()] * (n - 1),
+                           base=x), x
+
+
+def rotation(labels, k, n):
+    """The loop around a hole of exponent k turns every root by 2 pi k / n:
+    label z goes to the label at z exp(2 pi i k / n)."""
+    turn = cmath.exp(2j * math.pi * k / n)
+    return Permutation(tuple(
+        min(range(n), key=lambda j: abs(z * turn - labels[j])) + 1 for z in labels))
+
+
+PASSES = (DEFAULT_TRACKING, DEFAULT_TRACKING.halved(2), DEFAULT_TRACKING.halved(4))
+
+
+def assert_rows_match_alone(f, loops, fiber):
+    rows = [(loop, cfg) for loop in loops for cfg in PASSES]
+    stacked = _track_rows(f, rows, fiber)
+    for row, end in zip(rows, stacked):
+        alone = _track_rows(f, [row], fiber)[0]
+        assert end.tobytes() == alone.tobytes()
+        assert _permutations(fiber, [end]) == _permutations(fiber, [alone])
+    return _permutations(fiber, stacked)
+
+
+@pytest.mark.parametrize("n, exponents", [
+    (2, (1,)), (3, (1, 2)), (6, (2, 1, 1)), (7, (1, 1, 2)), (11, (2, 1)),
+    (12, (1, 2, 1))])
+def test_stacked_rows_equal_rows_tracked_alone(n, exponents):
+    f, x = radical_family(n, qi(Fraction(3, 5), Fraction(4, 5)), exponents)
+    loops = generator_loops(x)
+    fiber = basepoint_fiber(f, x)
+    perms = assert_rows_match_alone(f, loops, fiber)
+    expected = [rotation(fiber, k, n) for k in exponents]
+    assert perms == [p for p in expected for _ in PASSES]
+    assert characteristic_hom(f, x).perms == tuple(expected)
+
+
+def test_stacked_rows_equal_rows_tracked_alone_on_realized_s3():
+    from splitcover.pipeline import realize_group
+    gens = (perm((1, 2), n=3), perm((1, 2, 3), n=3))
+    poly, report = realize_group(closure(gens))
+    space = default_base_space(2)
+    rep = MonodromyRep.from_json(report.artifacts["monodromy"])
+    fiber = basepoint_fiber(poly, space, rep.root_labels)
+    perms = assert_rows_match_alone(poly, generator_loops(space), fiber)
+    regular = cayley_table(gens)[0].action
+    assert perms == [p for p in regular for _ in PASSES]
+
+
+def test_stacked_track_raises_the_first_failing_row():
+    # both loops cross the branch point w = 0 of z^2 - w, where the two
+    # roots meet: the early one at 40% of its length, the late one at 65%
+    f, x = power_model(2)
+    fiber = basepoint_fiber(f, x)
+    b = x.basepoint
+    early = LoopPath((b, (0, 2), b))
+    late = LoopPath((b, (8, -8), (8, 8), (-8, -8), b))
+    alone = {}
+    for loop in (early, late):
+        with pytest.raises((monodromy.StepUnderflowError,
+                            monodromy.NewtonDivergenceError)) as exc:
+            track_loop(f, loop, DEFAULT_TRACKING, fiber)
+        alone[loop] = exc.value
+    assert str(alone[early]) != str(alone[late])
+    # the early row fails first but is second in row order
+    results = _track_rows(f, [(late, DEFAULT_TRACKING), (early, DEFAULT_TRACKING)],
+                          fiber)
+    assert [(type(r), str(r)) for r in results] == \
+        [(type(alone[k]), str(alone[k])) for k in (late, early)]
+    with pytest.raises(RuntimeError) as exc:
+        _permutations(fiber, results)
+    assert exc.value is results[0]
+    for order in ((late, early), (early, late)):
+        with pytest.raises(RuntimeError) as exc:
+            _refined(f, list(order), DEFAULT_TRACKING, fiber)
+        first = alone[order[0]]
+        assert type(exc.value) is type(first) and str(exc.value) == str(first)
 
 
 def test_step_underflow_when_refinement_is_exhausted():

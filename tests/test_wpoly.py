@@ -246,6 +246,57 @@ def test_sample_grid_respects_space():
     assert len(pts) > 200
 
 
+def _grid_by_contains(space, density):
+    """The reference: every bounding-box grid point BaseSpace.contains keeps."""
+    x0, x1, y0, y1 = space.bounding_box()
+    pts = []
+    for i in range(density):
+        u = x0 + (x1 - x0) * Fraction(i, density - 1)
+        for j in range(density):
+            v = y0 + (y1 - y0) * Fraction(j, density - 1)
+            if space.contains(u, v):
+                pts.append((u, v))
+    return pts
+
+
+OFF_LATTICE_SPACE = BaseSpace(
+    Disc((Fraction(1, 3), Fraction(-2, 7)), Fraction(19, 2)),
+    (Disc((Fraction(-7, 3), Fraction(1, 5)), Fraction(5, 4)),
+     Disc((Fraction(10, 3), Fraction(-3, 2)), Fraction(2, 3))),
+    (Fraction(1, 3), Fraction(-15, 2)))
+
+
+@pytest.mark.parametrize("space", [default_base_space(m) for m in range(4)]
+                         + [OFF_LATTICE_SPACE],
+                         ids=["m0", "m1", "m2", "m3", "off-lattice"])
+def test_sample_grid_matches_contains(space):
+    for density in (2, 15, 41):
+        assert sample_grid(space, density) == _grid_by_contains(space, density)
+
+
+def test_sample_grid_keeps_boundary_points():
+    # on the 41-grid of radius-10 spaces, (6, 8) lies on the outer circle and
+    # (-1, 0) on the unit hole's circle; both belong to the closed space
+    pts = sample_grid(default_base_space(1), 41)
+    assert (Fraction(6), Fraction(8)) in pts and (Fraction(-1), Fraction(0)) in pts
+
+
+def test_eval_complex_points_is_bit_identical_to_eval_complex():
+    coeffs = [BivariatePolyQi({(0, 0): qi(Fraction(1, 3), Fraction(-2, 7)),
+                               (2, 1): qi(Fraction(5, 11)),
+                               (1, 3): qi(Fraction(-3, 4), Fraction(1, 9)),
+                               (4, 0): qi(0, Fraction(7, 5))}),
+              BivariatePolyQi.zero(),
+              BivariatePolyQi.from_w_powers([qi(2), qi(-1, 3), qi(0, 1), qi(1)])]
+    f = WeierstrassPoly(3, coeffs, validate=False)
+    rng = random.Random(7)
+    points = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(200)]
+    points += [(0.0, -0.0), (-0.0, 2.5), (np.float64(1.25), np.float64(-3.5))]
+    want = np.array([[c.eval_complex(u, v) for c in coeffs] for u, v in points])
+    assert f.eval_complex_points(points).tobytes() == want.tobytes()
+    assert f.eval_complex(*points[3]).tobytes() == want[3].tobytes()
+
+
 def test_weierstrass_json_round_trip():
     a0 = BivariatePolyQi({(1, 0): qi(-1), (0, 1): qi(0, -1)})
     f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
