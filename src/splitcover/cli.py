@@ -8,7 +8,6 @@ failure (including a failed verdict in a report), 3 numerical instability,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from typing import Optional
@@ -296,16 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process: a parser is full of
-    reference cycles, so one built per call would stay as garbage until a
-    full collection, and a process running many commands would grow."""
-    return build_parser()
-
-
 def main(argv: Optional[list] = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -23,7 +23,7 @@ from .permgroup import (
     Permutation,
     inverse,
 )
-from .roots import _block_gaps, _derivative_rows, _monic_rows, _polyval_rows, _spread
+from .roots import _block_gaps, _derivative_rows, _monic_rows, _polyval_rows
 from .wpoly import (
     BaseSpace,
     LoopPath,
@@ -66,10 +66,6 @@ class TrackingConfig:
             raise ValueError("safety_factor must lie in (0, 1)")
         if not isinstance(self.max_newton_iters, int) or self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be a positive integer")
-
-    def halved(self, factor: int = 2) -> "TrackingConfig":
-        return TrackingConfig(self.initial_step / factor, self.min_step,
-                              self.safety_factor, self.max_newton_iters)
 
 
 DEFAULT_TRACKING = TrackingConfig()
@@ -136,14 +132,16 @@ def _arclength_position(points: np.ndarray):
     return position
 
 
-def _newton_rows(p: np.ndarray, guesses: np.ndarray, max_iters: np.ndarray):
+def _newton_rows(p: np.ndarray, guesses: np.ndarray, max_iters: int,
+                 spread: np.ndarray):
     """Newton's method on row k of guesses for the polynomial p[k] (highest
     coefficient first). Returns the corrected roots and which rows converged.
 
     A row converges when its largest step falls below 1e-13 (1 + max|z|); it
     fails at a zero or non-finite derivative, a non-finite iterate or after
-    max_iters[k] steps. It leaves the stack as soon as it converges or fails,
-    so it takes the steps it would take alone.
+    max_iters steps. It leaves the stack as soon as it converges or fails,
+    so it takes the steps it would take alone. spread is a (degree + 1, 2,
+    rows, degree) buffer that it fills with the coefficient columns.
     """
     count, n = guesses.shape
     z = guesses.copy()
@@ -151,19 +149,12 @@ def _newton_rows(p: np.ndarray, guesses: np.ndarray, max_iters: np.ndarray):
     # p and its derivative in one Horner pass over a (2, rows, n) stack; the
     # derivative is led by a zero coefficient, which leaves its values as
     # np.polyval computes them
-    dp = np.zeros(p.shape, dtype=complex)
-    dp[:, 1:] = _derivative_rows(p)
-    both = _spread(np.concatenate((p, dp)), n).reshape(n + 1, 2, count, n)
-    live, zl = np.arange(count), z
-    # rows whose iteration budget is spent fail; none is before the smallest
-    budget = int(max_iters.min())
+    spread[:, 0] = p.T[:, :, None]
+    spread[0, 1] = 0
+    spread[1:, 1] = _derivative_rows(p).T[:, :, None]
+    live, zl, both = np.arange(count), z, spread
     with np.errstate(all="ignore"):
-        for it in range(int(max_iters.max())):
-            if it >= budget:
-                keep = max_iters[live] > it
-                live, zl, both = live[keep], zl[keep], both[:, :, keep]
-                if not live.size:
-                    break
+        for _ in range(max_iters):
             both_z = np.concatenate((zl, zl)).reshape(both.shape[1:])
             val, der = _polyval_rows(both, both_z)
             good = ((der != 0) & np.isfinite(der)).all(axis=1)
@@ -182,11 +173,11 @@ def _newton_rows(p: np.ndarray, guesses: np.ndarray, max_iters: np.ndarray):
     return z, converged
 
 
-def _track_rows(f: WeierstrassPoly,
-                rows: Sequence[tuple[LoopPath, TrackingConfig]],
-                start: np.ndarray) -> list:
-    """Continue the start fiber along every row's loop with the row's
-    tracking configuration, all rows in one stack.
+def _track_rows(f: WeierstrassPoly, rows: Sequence[tuple[LoopPath, float]],
+                cfg: TrackingConfig, start: np.ndarray) -> list:
+    """Continue the start fiber along every row's loop, all rows in one
+    stack. A row is a loop and its initial step; the other settings come
+    from cfg.
 
     Returns, per row, the endpoint fiber (in start order) or the tracking
     error the row raises. Each row keeps its own t, step and roots and makes
@@ -203,28 +194,29 @@ def _track_rows(f: WeierstrassPoly,
     # state of the unfinished rows; entry j tracks row[j]
     row = np.arange(count)
     positions = [_arclength_position(_loop_points(loop)) for loop, _ in rows]
-    initial = np.array([cfg.initial_step for _, cfg in rows])
-    min_step = np.array([cfg.min_step for _, cfg in rows])
-    safety = np.array([cfg.safety_factor for _, cfg in rows])
-    max_iters = np.array([cfg.max_newton_iters for _, cfg in rows])
+    initial = np.array([step for _, step in rows])
     t, h = np.zeros(count), initial.copy()
     roots = np.tile(start, (count, 1))
     gap = np.full(count, min_gap(start))
+    # the corrector's coefficient columns, filled in place at every step
+    spread = np.empty((n + 1, 2, count, n), dtype=complex)
     while row.size:
         t_next = np.minimum(1.0, t + h)
         points = [pos(s) for pos, s in zip(positions, t_next.tolist())]
         coeffs = f.eval_complex_points([(x.real, x.imag) for x in points])
-        corrected, converged = _newton_rows(_monic_rows(coeffs), roots, max_iters)
+        corrected, converged = _newton_rows(_monic_rows(coeffs), roots,
+                                            cfg.max_newton_iters, spread)
         with np.errstate(all="ignore"):
             new_gap = _block_gaps(corrected)
             accept = (converged
-                      & (np.abs(corrected - roots).max(axis=1) < safety * gap / 2)
+                      & (np.abs(corrected - roots).max(axis=1)
+                         < cfg.safety_factor * gap / 2)
                       & (new_gap > 0))
         roots[accept] = corrected[accept]
         gap[accept] = new_gap[accept]
         t = np.where(accept, t_next, t)
         h = np.where(accept, np.minimum(initial, h * 1.4), h / 2)
-        under = ~accept & (h < min_step)
+        under = ~accept & (h < cfg.min_step)
         finished = t >= 1.0 - 1e-15
         if not (under.any() or finished.any()):
             continue
@@ -241,9 +233,9 @@ def _track_rows(f: WeierstrassPoly,
             results[row[j]] = roots[j].copy()
         keep = ~under & ~finished & (row < first_failed)
         row, t, h, roots, gap = row[keep], t[keep], h[keep], roots[keep], gap[keep]
-        initial, min_step, safety, max_iters = (
-            initial[keep], min_step[keep], safety[keep], max_iters[keep])
+        initial = initial[keep]
         positions = [pos for pos, k in zip(positions, keep) if k]
+        spread = np.empty((n + 1, 2, row.size, n), dtype=complex)
     return results
 
 
@@ -279,7 +271,8 @@ def track_loop(f: WeierstrassPoly, loop: LoopPath,
     tracker.
     """
     start = _start_fiber(f, loop, start_roots)
-    return _permutations(start, _track_rows(f, [(loop, cfg)], start))[0]
+    return _permutations(start, _track_rows(f, [(loop, cfg.initial_step)], cfg,
+                                             start))[0]
 
 
 def _nearest_labels(labels: np.ndarray, points: np.ndarray,
@@ -300,8 +293,9 @@ def _refined(f: WeierstrassPoly, loops: Sequence[LoopPath],
     """Track every loop at the given step, half of it and a quarter of it, all
     3 * len(loops) rows in one stack; the three permutations of each loop
     must agree. Errors are raised in (loop, pass) order."""
-    passes = (cfg, cfg.halved(2), cfg.halved(4))
-    results = _track_rows(f, [(loop, c) for loop in loops for c in passes], start)
+    steps = [cfg.initial_step / k for k in (1, 2, 4)]
+    results = _track_rows(f, [(loop, h) for loop in loops for h in steps], cfg,
+                          start)
     perms = []
     for i in range(0, len(results), 3):
         trio = _permutations(start, results[i:i + 3])

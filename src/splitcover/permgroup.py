@@ -119,7 +119,11 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
     qi = q.images
-    return Permutation._unsafe(tuple(qi[v - 1] for v in p.images))
+    # built from a list, not a generator: tuple() of a generator grows its
+    # result by resizing and so never reuses a freed tuple of the final
+    # size, and freed ones pile up in the interpreter's free lists (up to
+    # 2000 per size) until a full garbage collection
+    return Permutation._unsafe(tuple([qi[v - 1] for v in p.images]))
 
 
 def inverse(p: Permutation) -> Permutation:

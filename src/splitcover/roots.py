@@ -70,7 +70,8 @@ def _spread(p: np.ndarray, width: int) -> np.ndarray:
     """Coefficient columns of p, highest first, each repeated width times: a
     (degree + 1, rows, width) stack for _polyval_rows. Horner on it needs no
     broadcasting, which numpy runs about twice as slowly on short rows."""
-    return np.repeat(p.T[:, :, None], width, axis=2)
+    return np.ascontiguousarray(
+        np.broadcast_to(p.T[:, :, None], p.T.shape + (width,)))
 
 
 def _polyval_rows(spread: np.ndarray, z: np.ndarray) -> np.ndarray:

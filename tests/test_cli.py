@@ -161,22 +161,6 @@ def test_grid_flag_only_on_realize_and_embed(argv):
         build_parser().parse_args(argv + ["--grid", "21"])
 
 
-def test_main_builds_its_parser_once(monkeypatch, tmp_path):
-    # a parser holds reference cycles; one per call would pile up as garbage
-    from splitcover import cli
-
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    cli._parser.cache_clear()
-    try:
-        for _ in range(3):
-            assert main(["monodromy", str(tmp_path / "missing.json")]) == 4
-    finally:
-        cli._parser.cache_clear()
-    assert built == [1]
-
-
 @pytest.mark.parametrize("config", [
     {"max_degree": 3, "denominator_bound": 7, "grid_density": 21},
     {"grid_densty": 21},

@@ -250,8 +250,8 @@ def test_deck_action_regular_klein_faithful():
 def _swap_second_pass(real):
     """A tracker whose half-step pass (every second of three rows) ends with
     its roots in reverse order."""
-    def track(f, rows, start):
-        results = real(f, rows, start)
+    def track(f, rows, cfg, start):
+        results = real(f, rows, cfg, start)
         return [end[::-1] if i % 3 == 1 else end for i, end in enumerate(results)]
     return track
 
@@ -305,14 +305,15 @@ def rotation(labels, k, n):
         min(range(n), key=lambda j: abs(z * turn - labels[j])) + 1 for z in labels))
 
 
-PASSES = (DEFAULT_TRACKING, DEFAULT_TRACKING.halved(2), DEFAULT_TRACKING.halved(4))
+# the initial steps of the three refinement passes
+PASSES = tuple(DEFAULT_TRACKING.initial_step / k for k in (1, 2, 4))
 
 
 def assert_rows_match_alone(f, loops, fiber):
-    rows = [(loop, cfg) for loop in loops for cfg in PASSES]
-    stacked = _track_rows(f, rows, fiber)
+    rows = [(loop, step) for loop in loops for step in PASSES]
+    stacked = _track_rows(f, rows, DEFAULT_TRACKING, fiber)
     for row, end in zip(rows, stacked):
-        alone = _track_rows(f, [row], fiber)[0]
+        alone = _track_rows(f, [row], DEFAULT_TRACKING, fiber)[0]
         assert end.tobytes() == alone.tobytes()
         assert _permutations(fiber, [end]) == _permutations(fiber, [alone])
     return _permutations(fiber, stacked)
@@ -359,7 +360,8 @@ def test_stacked_track_raises_the_first_failing_row():
         alone[loop] = exc.value
     assert str(alone[early]) != str(alone[late])
     # the early row fails first but is second in row order
-    results = _track_rows(f, [(late, DEFAULT_TRACKING), (early, DEFAULT_TRACKING)],
+    step = DEFAULT_TRACKING.initial_step
+    results = _track_rows(f, [(late, step), (early, step)], DEFAULT_TRACKING,
                           fiber)
     assert [(type(r), str(r)) for r in results] == \
         [(type(alone[k]), str(alone[k])) for k in (late, early)]
