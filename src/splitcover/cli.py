@@ -156,15 +156,21 @@ def _emit(payload: dict, output: Optional[str]):
 
 
 def _pipeline_options(args, config: dict) -> dict:
+    """Grid density and conservatism; a config value of another JSON type,
+    a bool included, is an input error, never coerced."""
     opts = {}
-    grid = args.grid if args.grid is not None else config.get("grid_density")
-    try:
-        if grid is not None:
-            opts["grid_density"] = int(grid)
-        if "conservatism" in config:
-            opts["conservatism"] = float(config["conservatism"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad config value: {exc}") from exc
+    for key, kinds, what in (("grid_density", int, "an integer"),
+                             ("conservatism", (int, float), "a number")):
+        if key in config:
+            value = config[key]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise InputError(f"bad config value: {key} must be {what}, "
+                                 f"not {json.dumps(value)}")
+            opts[key] = value
+    if "conservatism" in opts:
+        opts["conservatism"] = float(opts["conservatism"])
+    if args.grid is not None:
+        opts["grid_density"] = args.grid
     return opts
 
 

@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .freecover import (
     CosetTable,
-    DeckGroup,
     Tower,
     cayley_table,
     deck_group,
@@ -47,8 +46,9 @@ class EmbeddingInstance:
     H: PermGroup
     phi: GroupHom
 
-    def validate(self) -> DeckGroup:
-        """Check the instance and return the deck group of F."""
+    def validate(self):
+        """Raise ValueError unless F is a Galois covering of the base and phi
+        maps H onto its deck group."""
         if self.base_rank != self.F_cover.rank:
             raise ValueError("base rank must match the covering rank")
         deck = deck_group(self.F_cover)
@@ -59,7 +59,6 @@ class EmbeddingInstance:
             raise ValueError("phi must be defined on H")
         if self.phi.image_elements() != deck.group.element_set():
             raise ValueError("phi must be surjective onto the deck group of F")
-        return deck
 
     def to_json(self) -> dict:
         return {"base_rank": self.base_rank, "F_cover": self.F_cover.to_json(),
@@ -80,19 +79,20 @@ class EmbeddingSolution:
                 "images": [p.to_json() for p in self.images]}
 
 
-def canonical_monodromy(deck: DeckGroup) -> tuple[Permutation, ...]:
+def canonical_monodromy(table: CosetTable) -> tuple[Permutation, ...]:
     """Deck transformation induced by each free generator of the base, for
-    the deck group of a Galois covering.
+    a Galois covering.
 
     Generator xi is sent to the deck transformation moving the basepoint to
     the endpoint of the lift of xi^-1; with left-to-right composition this is
     the homomorphism onto the deck group whose kernel is the covering's
     subgroup.
     """
+    deck = deck_group(table)
     if not deck.is_galois():
         raise ValueError("canonical monodromy requires a Galois covering")
     out = []
-    for p in deck.covering.action:
+    for p in table.action:
         target = inverse(p)(1)
         lam = deck.from_basepoint_image(target)
         if lam is None:
@@ -104,21 +104,20 @@ def canonical_monodromy(deck: DeckGroup) -> tuple[Permutation, ...]:
 def cayley_deck_labeling(images: Sequence[Permutation]) -> GroupHom:
     """Isomorphism from the group generated by ``images`` onto the deck group
     of its regular covering: h acts on cosets by left translation by h^-1."""
-    table, elems = cayley_table(images)
-    return _deck_labeling(images, deck_group(table), elems)
+    return _deck_labeling(images, *cayley_table(images))
 
 
-def _deck_labeling(images: Sequence[Permutation], deck: DeckGroup,
+def _deck_labeling(images: Sequence[Permutation], table: CosetTable,
                    elems: tuple) -> GroupHom:
-    """cayley_deck_labeling for the deck group of the table and the elements
-    that cayley_table(images) returned."""
+    """cayley_deck_labeling for the table and elements that
+    cayley_table(images) returned."""
     index = {e: i + 1 for i, e in enumerate(elems)}
     source = PermGroup(elems[0].degree, tuple(images), _elements=elems)
     mapping = {
         h: Permutation(tuple(index[compose(inverse(h), e)] for e in elems))
         for h in elems
     }
-    return GroupHom(source, deck.group, mapping)
+    return GroupHom(source, deck_group(table).group, mapping)
 
 
 def _first_generating_assignment(fibers, H: PermGroup):
@@ -140,9 +139,9 @@ def solve(instance: EmbeddingInstance,
     extension is allowed, fresh generators mapped to kernel generators are
     appended (new holes in the base space).
     """
-    deck_f = instance.validate()
+    instance.validate()
     H, phi, F = instance.H, instance.phi, instance.F_cover
-    eta = canonical_monodromy(deck_f)
+    eta = canonical_monodromy(F)
     elements = H.elements()
     fibers = [tuple(h for h in elements if phi(h) == d) for d in eta]
     if any(not f for f in fibers):
@@ -163,41 +162,32 @@ def solve(instance: EmbeddingInstance,
             raise NoSolutionError("rank extension failed to generate H")
 
     table, elems = cayley_table(assignment)
-    deck_e = deck_group(table)
-    psi_on_gens = _deck_labeling(assignment, deck_e, elems)
+    psi_on_gens = _deck_labeling(assignment, table, elems)
     mapping = {h: psi_on_gens.mapping[h] for h in elements}
     psi = GroupHom(H, psi_on_gens.target, mapping)
 
-    mid = extend_table(F, extra)
-    deck_mid = deck_f if mid is F else deck_group(mid)
-    tower = subtable(table, mid)
+    tower = subtable(table, extend_table(F, extra))
     if tower is None:
         raise SolutionCheckError("constructed covering does not factor through F")
 
     solution = EmbeddingSolution(
         E_cover=table, tower=tower, psi=psi,
         rank_used=instance.base_rank + extra, images=tuple(assignment))
-    if not _verified(solution, instance, deck_e, deck_mid):
+    if not verify(solution, instance):
         raise SolutionCheckError("constructed solution failed verification")
     return solution
 
 
 def verify(solution: EmbeddingSolution, instance: EmbeddingInstance) -> bool:
     """Check psi is a labeling isomorphism and phi factors through restriction."""
-    return _verified(solution, instance, deck_group(solution.E_cover),
-                     deck_group(solution.tower.mid))
-
-
-def _verified(solution: EmbeddingSolution, instance: EmbeddingInstance,
-              deck_top: DeckGroup, deck_mid: DeckGroup) -> bool:
-    """verify, given the deck groups of the tower's top and mid coverings."""
     try:
         psi = solution.psi
+        if solution.tower.top != solution.E_cover:
+            return False
         if not psi.is_bijective() or not psi.verify():
             return False
-        # raises ValueError unless the deck groups belong to the tower's
-        # coverings, its top is E_cover and both coverings are Galois
-        res = restriction_hom(solution.tower, deck_top, deck_mid)
+        # raises ValueError unless both coverings of the tower are Galois
+        res = restriction_hom(solution.tower)
         phi = instance.phi
         return all(res(psi(h)) == phi(h) for h in instance.H.elements())
     except (ValueError, KeyError):

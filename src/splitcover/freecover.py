@@ -69,6 +69,9 @@ class CosetTable:
     rank: int
     size: int
     action: tuple[Permutation, ...]
+    # the deck group, computed by deck_group on first use
+    _deck: Optional["DeckGroup"] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         if self.size < 1:
@@ -135,34 +138,33 @@ def is_normal(table: CosetTable) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class DeckGroup:
-    """Label-preserving automorphisms of a coset-table covering."""
+    """Label-preserving automorphisms of a coset-table covering with
+    ``size`` cosets."""
 
-    covering: CosetTable
+    size: int
     group: PermGroup
     by_basepoint: dict = field(repr=False)
 
     def is_galois(self) -> bool:
-        return self.group.order() == self.covering.size
+        return self.group.order() == self.size
 
     def from_basepoint_image(self, coset: int) -> Optional[Permutation]:
         return self.by_basepoint.get(coset)
 
-    def labels(self) -> dict:
-        """Each deck transformation keyed by where it moves the basepoint."""
-        return {v: k for k, v in self.by_basepoint.items()}
-
 
 def deck_group(table: CosetTable) -> DeckGroup:
-    """Deck transformations, computed as the centralizer of the action image.
+    """Deck transformations, computed as the centralizer of the action image
+    once per table and kept on it.
 
     The covering is Galois exactly when this group acts transitively on the
     cosets, which for a centralizer of a transitive group means its order
     equals the number of cosets.
     """
-    acting = PermGroup(table.size, table.action)
-    deck = centralizer_in_sym(acting)
-    by_basepoint = {p(1): p for p in deck.elements()}
-    return DeckGroup(table, deck, by_basepoint)
+    if table._deck is None:
+        group = centralizer_in_sym(PermGroup(table.size, table.action))
+        by_basepoint = {p(1): p for p in group.elements()}
+        object.__setattr__(table, "_deck", DeckGroup(table.size, group, by_basepoint))
+    return table._deck
 
 
 @dataclass(frozen=True)
@@ -231,17 +233,14 @@ def extend_table(table: CosetTable, extra: int) -> CosetTable:
     return CosetTable(table.rank + extra, table.size, table.action + pad)
 
 
-def restriction_hom(tower: Tower, deck_top: DeckGroup,
-                    deck_mid: DeckGroup) -> GroupHom:
+def restriction_hom(tower: Tower) -> GroupHom:
     """Induced map between deck groups, pinned by the basepoint image.
 
-    ``deck_top`` and ``deck_mid`` are the deck groups of ``tower.top`` and
-    ``tower.mid``. Each top deck transformation descends to the unique mid
-    deck transformation agreeing with it under the projection at the
-    basepoint; the result is surjective with kernel the fiber-preserving decks.
+    Each top deck transformation descends to the unique mid deck
+    transformation agreeing with it under the projection at the basepoint;
+    the result is surjective with kernel the fiber-preserving decks.
     """
-    if deck_top.covering != tower.top or deck_mid.covering != tower.mid:
-        raise ValueError("deck groups do not belong to the tower's coverings")
+    deck_top, deck_mid = deck_group(tower.top), deck_group(tower.mid)
     if not deck_top.is_galois() or not deck_mid.is_galois():
         raise ValueError("restriction requires both coverings to be Galois")
     mapping = {}
@@ -298,7 +297,7 @@ def tower_quotient_check(tower: Tower) -> TowerQuotientReport:
 
     kernel_ok = quotient_order = witness = part2 = None
     if f_galois:
-        res = restriction_hom(tower, deck_top, deck_mid)
+        res = restriction_hom(tower)
         kernel_ok = frozenset(res.kernel_elements()) == fiber_set
         cosets: dict[frozenset, Permutation] = {}
         for lam in tops:

@@ -10,8 +10,10 @@ refinement pass), each making the decisions it would make alone.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -58,13 +60,19 @@ class TrackingConfig:
     max_newton_iters: int = 30
 
     def __post_init__(self):
+        for name in ("initial_step", "min_step", "safety_factor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
         if self.initial_step <= 0 or self.min_step <= 0:
             raise ValueError("step sizes must be positive")
         if self.min_step >= self.initial_step:
             raise ValueError("min_step must be smaller than initial_step")
         if not 0 < self.safety_factor < 1:
             raise ValueError("safety_factor must lie in (0, 1)")
-        if not isinstance(self.max_newton_iters, int) or self.max_newton_iters < 1:
+        if isinstance(self.max_newton_iters, bool) or \
+                not isinstance(self.max_newton_iters, int) or self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be a positive integer")
 
 

@@ -283,12 +283,11 @@ class GroupHom:
     """
 
     def __init__(self, source: PermGroup, target: PermGroup,
-                 mapping: Mapping[Permutation, Permutation], check: bool = True):
+                 mapping: Mapping[Permutation, Permutation]):
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         els = self.source.elements()

@@ -24,13 +24,7 @@ from .approx import (
 )
 from .braid import lift_permutation, tau
 from .embedding import EmbeddingInstance
-from .freecover import (
-    cayley_table,
-    deck_group,
-    extend_table,
-    restriction_hom,
-    subtable,
-)
+from .freecover import cayley_table, restriction_hom, subtable
 from .monodromy import (
     DEFAULT_TRACKING,
     MonodromyRep,
@@ -315,12 +309,11 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     rep_h = MonodromyRep.from_json(realize_report.artifacts["monodromy"])
     watch.lap("realize")
 
-    e_table, e_deck, _ = splitting_cover(rep_h)
-    f_ext = extend_table(f_table, extra)
-    tower = subtable(e_table, f_ext)
+    e_table, _, _ = splitting_cover(rep_h)
+    tower = subtable(e_table, solution.tower.mid)
     triangle = False
     if tower is not None:
-        res = restriction_hom(tower, e_deck, deck_group(f_ext))
+        res = restriction_hom(tower)
         triangle = all(res(solution.psi(x)) == phi(x) for x in H.elements())
 
     rep_g2 = characteristic_hom(g, space2, tracking,
@@ -416,7 +409,7 @@ def run_verify_tower(h: WeierstrassPoly, g: WeierstrassPoly, space: BaseSpace,
         verdicts["phi_surjective"] = False
         verdicts["psi_bijective"] = False
     if tower is not None and psi is not None and phi is not None:
-        res = restriction_hom(tower, h_deck, g_deck)
+        res = restriction_hom(tower)
         verdicts["restriction_triangle"] = all(
             res(psi(x)) == phi(x) for x in H.elements())
     else:

@@ -10,7 +10,7 @@ the roots module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -90,10 +90,6 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
     @staticmethod
-    def from_int(n: int) -> "GaussianRational":
-        return GaussianRational(Fraction(n))
-
-    @staticmethod
     def i() -> "GaussianRational":
         return GaussianRational(Fraction(0), Fraction(1))
 
@@ -124,14 +120,6 @@ class BivariatePolyQi:
     @staticmethod
     def zero() -> "BivariatePolyQi":
         return BivariatePolyQi({})
-
-    @staticmethod
-    def variable_u() -> "BivariatePolyQi":
-        return BivariatePolyQi({(1, 0): QI_ONE})
-
-    @staticmethod
-    def variable_v() -> "BivariatePolyQi":
-        return BivariatePolyQi({(0, 1): QI_ONE})
 
     def __add__(self, other: "BivariatePolyQi") -> "BivariatePolyQi":
         out = dict(self.terms)
@@ -177,9 +165,6 @@ class BivariatePolyQi:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        return max((du + dv for du, dv in self.terms), default=0)
 
     def eval_exact(self, u: Fraction, v: Fraction) -> GaussianRational:
         u, v = _frac(u), _frac(v)
@@ -314,6 +299,9 @@ class BaseSpace:
     outer: Disc
     holes: tuple[Disc, ...]
     basepoint: tuple[Fraction, Fraction]
+    # the generator loops, built and validated by generator_loops on first use
+    _loops: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "holes", tuple(self.holes))
@@ -443,10 +431,13 @@ def _rational_unit(angle: float, scale_bits: int = 20) -> tuple[Fraction, Fracti
             Fraction(round(math.sin(angle) * s), s))
 
 
-def generator_loops(space: BaseSpace) -> list[LoopPath]:
+def generator_loops(space: BaseSpace) -> tuple[LoopPath, ...]:
     """One polygonal loop per hole: out from the basepoint, once around a
     16-gon of twice the hole's radius counterclockwise, and back. The winding
-    matrix against the hole centers is verified to be the identity."""
+    matrix against the hole centers is verified to be the identity. Built
+    once per space and kept on it."""
+    if space._loops is not None:
+        return space._loops
     holes = space.holes
     for a, b in zip(holes, holes[1:]):
         if a.center[0] >= b.center[0]:
@@ -474,7 +465,8 @@ def generator_loops(space: BaseSpace) -> list[LoopPath]:
                 raise GeometryError(
                     f"loop around hole {idx + 1} winds wrongly about hole {jdx + 1}")
         loops.append(loop)
-    return loops
+    object.__setattr__(space, "_loops", tuple(loops))
+    return space._loops
 
 
 VALIDATION_DENSITY = 15

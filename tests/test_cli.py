@@ -183,8 +183,8 @@ def test_embed_self_check_failure_exits_2(z2_artifact, tmp_path, capsys,
     from splitcover import embedding
 
     _, _, out, _ = z2_artifact
-    # the self-check solve runs, with the deck groups it already holds
-    monkeypatch.setattr(embedding, "_verified", lambda *args: False)
+    # the self-check that solve runs on its own solution
+    monkeypatch.setattr(embedding, "verify", lambda *args: False)
     h_group = write_json(tmp_path / "z4.json",
                          closure((perm((1, 2, 3, 4), n=4),)).to_json())
     phi = write_json(tmp_path / "phi.json", {"gen_images": [[2, 1]]})
@@ -201,16 +201,29 @@ def test_embed_self_check_failure_exits_2(z2_artifact, tmp_path, capsys,
 @pytest.mark.parametrize("config", [
     {"conservatism": [1]},
     {"conservatism": None},
+    {"conservatism": True},
+    {"conservatism": "0.5"},
     {"grid_density": [41]},
     {"grid_density": {"n": 41}},
-], ids=["conservatism_list", "conservatism_null", "grid_list", "grid_object"])
+    {"grid_density": 7.9},
+    {"grid_density": "9"},
+    {"grid_density": None},
+    {"tracking": {"initial_step": True}},
+    {"tracking": {"max_newton_iters": True}},
+    {"tracking": {"initial_step": float("nan")}},
+], ids=["conservatism_list", "conservatism_null", "conservatism_bool",
+        "conservatism_string", "grid_list", "grid_object", "grid_float",
+        "grid_string", "grid_null", "initial_step_bool",
+        "max_newton_iters_bool", "initial_step_nan"])
 def test_non_numeric_config_value_is_input_error(config, z2_artifact, tmp_path,
                                                  capsys):
     _, group, _, _ = z2_artifact
     cfg = write_json(tmp_path / "cfg.json", config)
-    assert main(["realize", group, "--config", cfg]) == 4
+    out = tmp_path / "out.json"
+    assert main(["realize", group, "--config", cfg, "-o", str(out)]) == 4
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload", [5, "polynomial", None])
@@ -258,13 +271,13 @@ def _swap_type(value, rng):
 
 def _mutate(doc, rng):
     """One mutation at a random node: swap its JSON type, drop it from its
-    parent, or wrap it in a list."""
+    parent, or wrap it in a list. Returns the document and the operation."""
     doc = json.loads(json.dumps(doc))
     path = rng.choice(list(_json_paths(doc)))
     ops = ["swap", "wrap"] + (["drop"] if path else [])
     op = rng.choice(ops)
     if not path:
-        return _swap_type(doc, rng) if op == "swap" else [doc]
+        return (_swap_type(doc, rng) if op == "swap" else [doc]), op
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -274,7 +287,7 @@ def _mutate(doc, rng):
         parent[path[-1]] = _swap_type(parent[path[-1]], rng)
     else:
         parent[path[-1]] = [parent[path[-1]]]
-    return doc
+    return doc, op
 
 
 def _fuzz_argv(target, doc, tmp_path):
@@ -295,7 +308,7 @@ def test_cli_fuzz_mutated_inputs_exit_cleanly(tmp_path, capsys):
     for target in sorted(FUZZ_INPUTS):
         rng = random.Random(f"cli-fuzz-{target}")
         for _ in range(24):
-            doc = _mutate(FUZZ_INPUTS[target], rng)
+            doc, op = _mutate(FUZZ_INPUTS[target], rng)
             argv = _fuzz_argv(target, doc, tmp_path)
             try:
                 code = main(argv)
@@ -304,3 +317,7 @@ def test_cli_fuzz_mutated_inputs_exit_cleanly(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code in (0, 2, 3, 4), (target, doc, code, err)
             assert "Traceback" not in err
+            # a config value of the wrong type is never coerced; a dropped
+            # key falls back to its default
+            if target == "config" and op != "drop":
+                assert code == 4, (doc, op, code, err)

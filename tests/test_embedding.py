@@ -34,19 +34,19 @@ def make_instance(f_gens, H, surj_images):
 
 def test_canonical_monodromy_trivial_cover():
     t = cayley_table((perm(n=1), perm(n=1)))[0]
-    eta = canonical_monodromy(deck_group(t))
+    eta = canonical_monodromy(t)
     assert all(p.is_identity() for p in eta)
 
 
 def test_canonical_monodromy_z2():
     t = cayley_table((perm((1, 2), n=2),))[0]
-    eta = canonical_monodromy(deck_group(t))
+    eta = canonical_monodromy(t)
     assert eta == (perm((1, 2), n=2),)
 
 
 def test_canonical_monodromy_is_homomorphism_s3():
     table, _ = cayley_table(S3_GENS)
-    eta = canonical_monodromy(deck_group(table))
+    eta = canonical_monodromy(table)
     # the image of a word must be the left-to-right product of generator images
     from splitcover.freecover import FreeWord, act
     deck = deck_group(table)
@@ -66,7 +66,7 @@ def test_canonical_monodromy_is_homomorphism_s3():
 def test_canonical_monodromy_requires_galois():
     from splitcover.freecover import CosetTable
     with pytest.raises(ValueError):
-        canonical_monodromy(deck_group(CosetTable(2, 3, S3_GENS)))
+        canonical_monodromy(CosetTable(2, 3, S3_GENS))
 
 
 def test_cayley_deck_labeling_is_isomorphism():
@@ -121,27 +121,68 @@ def test_solve_klein_requires_rank_extension():
     assert verify(sol, inst)
 
 
-@pytest.mark.parametrize("name", ["Z4", "V4"])
-def test_solve_computes_each_deck_group_once(monkeypatch, name):
-    # over Z2: Z4 needs no extension, so the mid covering is F itself; V4
-    # needs one more generator, so F, E and the extended mid covering differ
-    from splitcover import embedding
+def count_deck_computations(monkeypatch):
+    """Deck groups computed from now on, one centralizer each."""
+    from splitcover import freecover
+    calls = []
+    real = freecover.centralizer_in_sym
+    monkeypatch.setattr(freecover, "centralizer_in_sym",
+                        lambda group: calls.append(group) or real(group))
+    return calls
+
+
+def over_z2_instance(name):
+    """Z4 or V4 over the Z2 covering, on a table whose deck group is not yet
+    computed: Z4 needs no extension, so the mid covering is F itself; V4
+    needs one more generator, so F, E and the extended mid covering differ."""
     gens = {"Z4": (perm((1, 2, 3, 4), n=4),),
             "V4": (perm((1, 2), (3, 4), n=4), perm((1, 3), (2, 4), n=4))}[name]
-    f_table, _ = cayley_table((perm((1, 2), n=2),))
-    s = deck_group(f_table).from_basepoint_image(2)
-    images = (s,) + (Permutation.identity(2),) * (len(gens) - 1)
-    inst = make_instance((perm((1, 2), n=2),), closure(gens), images)
-    tables = []
-    real = embedding.deck_group
-    monkeypatch.setattr(embedding, "deck_group",
-                        lambda table: tables.append(table) or real(table))
+    H = closure(gens)
+    # phi targets the deck group of an equal table, not of F's own object
+    deck = deck_group(cayley_table((perm((1, 2), n=2),))[0])
+    images = ((deck.from_basepoint_image(2),)
+              + (Permutation.identity(2),) * (len(gens) - 1))
+    phi = GroupHom.from_generator_images(H, deck.group, images)
+    return EmbeddingInstance(1, cayley_table((perm((1, 2), n=2),))[0], H, phi)
+
+
+@pytest.mark.parametrize("name", ["Z4", "V4"])
+def test_solve_computes_each_deck_group_once(monkeypatch, name):
+    # F and E, and for V4 the extended mid covering
+    inst = over_z2_instance(name)
+    calls = count_deck_computations(monkeypatch)
     sol = solve(inst)
-    coverings = [inst.F_cover, sol.E_cover]
-    if name == "V4":
-        assert sol.rank_used == 2
-        coverings.append(sol.tower.mid)
-    assert tables == coverings
+    assert sol.rank_used == (1 if name == "Z4" else 2)
+    assert (sol.tower.mid is inst.F_cover) == (name == "Z4")
+    expected = 2 if name == "Z4" else 3
+    assert len(calls) == expected
+    assert verify(sol, inst)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("name", ["Z4", "V4"])
+def test_verify_after_solve_computes_no_deck_group(monkeypatch, name):
+    inst = over_z2_instance(name)
+    sol = solve(inst)
+    calls = count_deck_computations(monkeypatch)
+    assert verify(sol, inst)
+    assert calls == []
+
+
+def test_verify_rejects_tower_over_another_top():
+    # the reversed Z4 covering has the same deck group and projection to Z2,
+    # but it is not the solution's covering
+    from splitcover.embedding import EmbeddingSolution
+    from splitcover.freecover import CosetTable, subtable
+    from splitcover.permgroup import inverse
+    inst = over_z2_instance("Z4")
+    sol = solve(inst)
+    other = CosetTable(1, 4, (inverse(sol.E_cover.action[0]),))
+    tower = subtable(other, sol.tower.mid)
+    assert tower.projection == sol.tower.projection
+    wrong = EmbeddingSolution(sol.E_cover, tower, sol.psi, sol.rank_used,
+                              sol.images)
+    assert not verify(wrong, inst)
 
 
 def test_solve_deterministic():

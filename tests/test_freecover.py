@@ -17,10 +17,6 @@ from splitcover.freecover import (
 from splitcover.permgroup import Permutation, closure, compose
 
 
-def restrict(tower):
-    return restriction_hom(tower, deck_group(tower.top), deck_group(tower.mid))
-
-
 def perm(*cycles, n):
     return Permutation.from_cycles(n, [tuple(c) for c in cycles])
 
@@ -147,14 +143,14 @@ def test_tower_validation():
 def test_restriction_identity_tower():
     t = z_table(4)
     tw = subtable(t, t)
-    res = restrict(tw)
+    res = restriction_hom(tw)
     for lam in res.source.elements():
         assert res(lam) == lam
 
 
 def test_restriction_z4_over_z2():
     tw = subtable(z_table(4), z_table(2))
-    res = restrict(tw)
+    res = restriction_hom(tw)
     assert res.is_surjective()
     assert len(res.kernel_elements()) == 2
 
@@ -168,7 +164,7 @@ def test_restriction_s3_over_a3_quotient():
     assert f_table.size == 2
     tw = subtable(e_table, f_table)
     assert tw is not None
-    res = restrict(tw)
+    res = restriction_hom(tw)
     assert res.is_surjective()
     assert len(res.kernel_elements()) == 3
 
@@ -179,25 +175,48 @@ def test_restriction_requires_galois():
     tw = subtable(e_table, f_table)
     assert tw is not None
     with pytest.raises(ValueError):
-        restrict(tw)
-
-
-def test_restriction_rejects_deck_groups_of_other_coverings():
-    tw = subtable(z_table(4), z_table(2))
-    with pytest.raises(ValueError):
-        restriction_hom(tw, deck_group(tw.mid), deck_group(tw.top))
+        restriction_hom(tw)
 
 
 def test_galois_tower_check_computes_each_deck_group_once(monkeypatch):
     from splitcover import freecover
 
-    tables = []
-    real = freecover.deck_group
-    monkeypatch.setattr(freecover, "deck_group",
-                        lambda table: tables.append(table) or real(table))
-    report = tower_quotient_check(subtable(z_table(4), z_table(2)))
+    groups = []
+    real = freecover.centralizer_in_sym
+    monkeypatch.setattr(freecover, "centralizer_in_sym",
+                        lambda group: groups.append(group) or real(group))
+    tower = subtable(z_table(4), z_table(2))
+    report = tower_quotient_check(tower)
     assert report.f_galois and report.all_verified()
-    assert tables == [z_table(4), z_table(2)]
+    assert [g.generators for g in groups] == [tower.top.action, tower.mid.action]
+    tower_quotient_check(tower)
+    restriction_hom(tower)
+    assert len(groups) == 2
+
+
+def test_deck_group_is_kept_on_its_table():
+    t = z_table(3)
+    assert deck_group(t) is deck_group(t)
+    # equal tables are separate objects with separate deck groups
+    assert deck_group(z_table(3)) is not deck_group(t)
+    assert z_table(3) == t and hash(z_table(3)) == hash(t)
+
+
+def test_table_and_deck_group_are_freed_together():
+    # no reference cycle: reference counting alone frees both
+    import gc
+    import weakref
+    t = z_table(4)
+    refs = [weakref.ref(t), weakref.ref(deck_group(t))]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert refs[1]() is deck_group(t)
+        del t
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_quotient_check_identity_tower():

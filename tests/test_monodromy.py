@@ -78,6 +78,11 @@ def test_tracking_config_validation():
         TrackingConfig(safety_factor=1.5)
     with pytest.raises(ValueError):
         TrackingConfig(max_newton_iters=30.0)
+    # bools, strings and non-finite values are never coerced
+    for bad in ({"max_newton_iters": True}, {"safety_factor": "0.4"},
+                {"min_step": float("nan")}, {"initial_step": float("inf")}):
+        with pytest.raises(ValueError):
+            TrackingConfig(**bad)
 
 
 def test_constant_coefficients_yield_identity():

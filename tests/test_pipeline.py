@@ -19,6 +19,7 @@ from splitcover.pipeline import (
 )
 from splitcover.synthesis import SynthesisUnsupported
 from splitcover.wpoly import (
+    BaseSpace,
     BivariatePolyQi,
     GaussianRational,
     WeierstrassPoly,
@@ -189,32 +190,66 @@ def test_run_monodromy_square_root_model(realized_z2):
     assert report.verdicts["deck_action_on_roots_faithful"]
 
 
+def count_calls(monkeypatch, *bindings):
+    """Calls through each (module, name) binding from now on, in order."""
+    calls = []
+    for module, name in bindings:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    return calls
+
+
 @pytest.mark.parametrize("command", ["realize", "monodromy"])
 def test_splitting_cover_is_built_once(command, realized_z2, monkeypatch):
-    from splitcover import monodromy
+    from splitcover import freecover, monodromy
 
-    calls = []
-    for name in ("cayley_table", "deck_group"):
-        real = getattr(monodromy, name)
-        monkeypatch.setattr(monodromy, name,
-                            lambda arg, _real=real, _name=name:
-                            calls.append(_name) or _real(arg))
+    calls = count_calls(monkeypatch, (monodromy, "cayley_table"),
+                        (freecover, "centralizer_in_sym"))
     poly, space, _ = realized_z2
     if command == "realize":
         realize_group(Z2, space)
     else:
         run_monodromy(poly, space)
-    assert calls == ["cayley_table", "deck_group"]
+    assert calls == ["cayley_table", "centralizer_in_sym"]
 
 
-def test_run_verify_tower_z4_over_z2(realized_z2):
+@pytest.mark.parametrize("H, phi_extra, decks, loops",
+                         [(Z4, 0, 4, 1), (V4, 1, 5, 3)], ids=["Z4", "V4"])
+def test_embed_computes_deck_groups_and_loops_once(H, phi_extra, decks, loops,
+                                                    realized_z2, monkeypatch):
+    # deck groups: F, the solver's E, the realization's splitting cover, the
+    # realized E and for V4 the extended mid covering; loops: one per hole of
+    # the base space and of the extended one
+    from splitcover import freecover, wpoly
+
+    poly, space, _ = realized_z2
+    space = BaseSpace.from_json(space.to_json())
+    calls = count_calls(monkeypatch, (freecover, "centralizer_in_sym"),
+                        (wpoly, "validate_loop"))
+    s = Permutation((2, 1))
+    _, report = solve_semitop_embedding(
+        poly, space, H, (s,) + (Permutation.identity(2),) * phi_extra)
+    assert report.all_passed()
+    assert calls.count("centralizer_in_sym") == decks
+    assert calls.count("validate_loop") == loops
+
+
+def test_run_verify_tower_z4_over_z2(realized_z2, monkeypatch):
+    from splitcover import wpoly
+
     g_poly, space, _ = realized_z2
     s = Permutation((2, 1))
     h_poly, embed_report = solve_semitop_embedding(g_poly, space, Z4, (s,))
     psi_images = [Permutation.from_json(p) for p in
                   embed_report.artifacts["embedding_solution"]["psi"]["gen_images"]]
-    report = run_verify_tower(h_poly, g_poly, space, Z4, (s,), psi_images)
+    # both polynomials are tracked around the loops of one space, built once
+    fresh = BaseSpace.from_json(space.to_json())
+    calls = count_calls(monkeypatch, (wpoly, "validate_loop"))
+    report = run_verify_tower(h_poly, g_poly, fresh, Z4, (s,), psi_images)
     assert report.all_passed(), report.verdicts
+    assert len(calls) == fresh.rank
 
 
 def test_run_verify_tower_detects_wrong_psi(realized_z2):

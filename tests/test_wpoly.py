@@ -123,7 +123,38 @@ def float_winding(loop, point):
 
 
 def test_generator_loops_empty():
-    assert generator_loops(default_base_space(0)) == []
+    assert generator_loops(default_base_space(0)) == ()
+
+
+def test_generator_loops_are_validated_once_per_space(monkeypatch):
+    from splitcover import wpoly
+    calls = []
+    real = wpoly.validate_loop
+    monkeypatch.setattr(wpoly, "validate_loop",
+                        lambda space, loop: calls.append(loop) or real(space, loop))
+    x = default_base_space(2)
+    loops = generator_loops(x)
+    assert generator_loops(x) is loops and len(calls) == 2
+    # an equal space is another object with its own loops
+    assert generator_loops(default_base_space(2)) == loops and len(calls) == 4
+    assert default_base_space(2) == x and hash(default_base_space(2)) == hash(x)
+
+
+def test_space_and_loops_are_freed_together():
+    # no reference cycle: reference counting alone frees both
+    import gc
+    import weakref
+    x = default_base_space(1)
+    refs = [weakref.ref(x), weakref.ref(generator_loops(x)[0])]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert refs[1]() is generator_loops(x)[0]
+        del x
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
