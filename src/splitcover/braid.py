@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .freecover import reduce_word
-from .permgroup import Permutation, compose
+from .permgroup import Permutation, compose, json_int
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class BraidWord:
 
     @classmethod
     def from_json(cls, data) -> "BraidWord":
-        return cls.of(int(data["strands"]), [int(v) for v in data["letters"]])
+        return cls.of(json_int(data["strands"]),
+                      [json_int(v) for v in data["letters"]])
 
 
 def tau(word: BraidWord) -> Permutation:

@@ -104,15 +104,15 @@ def canonical_monodromy(table: CosetTable) -> tuple[Permutation, ...]:
 def cayley_deck_labeling(images: Sequence[Permutation]) -> GroupHom:
     """Isomorphism from the group generated by ``images`` onto the deck group
     of its regular covering: h acts on cosets by left translation by h^-1."""
-    return _deck_labeling(images, *cayley_table(images))
-
-
-def _deck_labeling(images: Sequence[Permutation], table: CosetTable,
-                   elems: tuple) -> GroupHom:
-    """cayley_deck_labeling for the table and elements that
-    cayley_table(images) returned."""
-    index = {e: i + 1 for i, e in enumerate(elems)}
+    table, elems = cayley_table(images)
     source = PermGroup(elems[0].degree, tuple(images), _elements=elems)
+    return _deck_labeling(source, table, elems)
+
+
+def _deck_labeling(source: PermGroup, table: CosetTable, elems: tuple) -> GroupHom:
+    """cayley_deck_labeling on ``source``, the group whose generating images
+    cayley_table turned into ``table`` and ``elems``."""
+    index = {e: i + 1 for i, e in enumerate(elems)}
     mapping = {
         h: Permutation(tuple(index[compose(inverse(h), e)] for e in elems))
         for h in elems
@@ -162,9 +162,7 @@ def solve(instance: EmbeddingInstance,
             raise NoSolutionError("rank extension failed to generate H")
 
     table, elems = cayley_table(assignment)
-    psi_on_gens = _deck_labeling(assignment, table, elems)
-    mapping = {h: psi_on_gens.mapping[h] for h in elements}
-    psi = GroupHom(H, psi_on_gens.target, mapping)
+    psi = _deck_labeling(H, table, elems)
 
     tower = subtable(table, extend_table(F, extra))
     if tower is None:
@@ -184,7 +182,7 @@ def verify(solution: EmbeddingSolution, instance: EmbeddingInstance) -> bool:
         psi = solution.psi
         if solution.tower.top != solution.E_cover:
             return False
-        if not psi.is_bijective() or not psi.verify():
+        if not psi.is_bijective():
             return False
         # raises ValueError unless both coverings of the tower are Galois
         res = restriction_hom(solution.tower)

@@ -24,6 +24,7 @@ from .permgroup import (
     PermGroup,
     Permutation,
     inverse,
+    json_int,
 )
 from .roots import _block_gaps, _derivative_rows, _monic_rows, _polyval_rows
 from .wpoly import (
@@ -108,7 +109,7 @@ class MonodromyRep:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MonodromyRep":
-        return cls(int(data["rank"]), int(data["degree"]),
+        return cls(json_int(data["rank"]), json_int(data["degree"]),
                    tuple(Permutation.from_json(p) for p in data["perms"]),
                    tuple(complex(re, im) for re, im in data["root_labels"]))
 

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .permgroup import json_int
 # the numeric fiber kernels live in roots; they keep their names here
 from .roots import (
     MultipleRootError,
@@ -33,11 +34,9 @@ class GeometryError(RuntimeError):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
-    raise ValueError(f"expected a rational, got {x!r}")
+        return Fraction(json_int(x[0]), json_int(x[1]))
+    return Fraction(json_int(x))
 
 
 @dataclass(frozen=True)
@@ -237,8 +236,8 @@ class BivariatePolyQi:
     def from_json(cls, data: Iterable) -> "BivariatePolyQi":
         terms = {}
         for du, dv, ren, red, imn, imd in data:
-            terms[(int(du), int(dv))] = GaussianRational(
-                Fraction(int(ren), int(red)), Fraction(int(imn), int(imd)))
+            terms[(json_int(du), json_int(dv))] = GaussianRational(
+                _frac((ren, red)), _frac((imn, imd)))
         return cls(terms)
 
 
@@ -558,7 +557,7 @@ class WeierstrassPoly:
     @classmethod
     def from_json(cls, data: Mapping, base: Optional[BaseSpace] = None,
                   validate: bool = False) -> "WeierstrassPoly":
-        return cls(int(data["degree"]),
+        return cls(json_int(data["degree"]),
                    [BivariatePolyQi.from_json(c) for c in data["coeffs"]],
                    base=base, validate=validate)
 

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines and timings.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -57,9 +59,31 @@ def test_catalog_is_as_expected():
 
 # -- criterion 1: normality and quotient isomorphism over exhaustive towers --
 
+# SHA-256 over the fields of every criterion-1 tower report and over
+# EmbeddingSolution.to_json() of every criterion-2 instance, in loop order:
+# a change to the discrete layer that alters any report or solution, or the
+# generator lists of the deck groups a solution serializes, fails here
+CRITERION_1_DIGEST = (
+    "8bd70e9bcde0c766a557e8d602356f0502e0cbbf53390ac686a1bf22dcb51f7e")
+CRITERION_2_DIGEST = (
+    "747cafa766146f05fd01ac5c085aff21b1831a35b0700d526fc618c8f7d61060")
+
+
+def _digest_line(value) -> bytes:
+    return (json.dumps(value, sort_keys=True) + "\n").encode()
+
+
+def _report_fields(report):
+    return [report.f_galois, [p.images for p in report.fiber_decks],
+            report.fiber_decks_normal, report.part1_holds,
+            report.kernel_matches_fiber_decks, report.quotient_order,
+            report.part2_holds]
+
+
 def test_criterion_1_tower_theorem():
     start = time.time()
     towers = 0
+    digest = hashlib.sha256()
     for name, group in CATALOG.items():
         subgroups = all_subgroups(group)
         for a, b in generating_pairs(group):
@@ -69,6 +93,7 @@ def test_criterion_1_tower_theorem():
                 tower = subtable(e_table, f_table)
                 assert tower is not None, (name, a, b)
                 report = tower_quotient_check(tower)
+                digest.update(_digest_line(_report_fields(report)))
                 assert report.part1_holds, (name, a, b, len(sub))
                 if report.f_galois:
                     assert report.part2_holds, (name, a, b, len(sub))
@@ -77,6 +102,7 @@ def test_criterion_1_tower_theorem():
                         == e_table.size
                 towers += 1
     elapsed = time.time() - start
+    assert digest.hexdigest() == CRITERION_1_DIGEST
     assert elapsed < 60, f"criterion 1 exceeded 60s: {elapsed:.1f}"
     _report(1, "tower normality and quotient", f"{towers} towers", elapsed)
 
@@ -105,6 +131,7 @@ def _surjections_up_to_automorphism(H, G):
 def test_criterion_2_embedding_solver():
     start = time.time()
     instances = failures = 0
+    digest = hashlib.sha256()
     for g_name, G in CATALOG.items():
         f_table, _ = cayley_table(G.generators)
         labeling = cayley_deck_labeling(G.generators)
@@ -118,6 +145,7 @@ def test_criterion_2_embedding_solver():
                     H, labeling.target, phi_images)
                 inst = EmbeddingInstance(f_table.rank, f_table, H, phi)
                 solution = solve(inst, allow_rank_extension=True)
+                digest.update(_digest_line(solution.to_json()))
                 instances += 1
                 if not verify(solution, inst):
                     failures += 1
@@ -125,6 +153,7 @@ def test_criterion_2_embedding_solver():
     # one instance per kernel class: 23 over the cyclic groups, 2 for S3,
     # 4 each for D4 and Q8, 2 for A4, 5 for D6
     assert instances == 40
+    assert digest.hexdigest() == CRITERION_2_DIGEST
     assert failures == 0
     assert elapsed < 300, f"criterion 2 exceeded 5min: {elapsed:.1f}"
     _report(2, "embedding solver", f"{instances} instances, 0 failures", elapsed)

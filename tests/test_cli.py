@@ -226,6 +226,26 @@ def test_non_numeric_config_value_is_input_error(config, z2_artifact, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target, doc", [
+    ("group", {"degree": 2, "generators": [[2.9, 1.2]]}),
+    ("group", {"degree": 2, "generators": [[True, 2]]}),
+    ("group", {"degree": 2.7, "generators": [[2, 1]]}),
+    ("polynomial", {"degree": 2,
+                    "coeffs": [[[1, 0, -1, 1, 0.5, 1], [0, 1, 0, 1, -1, 1]], []]}),
+    ("base_space", dict(default_base_space(1).to_json(), outer={
+        "c": [[0, 1], [0, 1]], "r": [10.6, 1]})),
+], ids=["float_images", "bool_image", "float_degree", "float_numerator",
+        "float_radius"])
+def test_non_integer_json_value_is_input_error(target, doc, tmp_path, capsys):
+    # integers are never truncated: each of these used to run on an altered
+    # input and exit 0
+    argv = _fuzz_argv(target, doc, tmp_path)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("payload", [5, "polynomial", None])
 def test_polynomial_file_that_is_not_an_object_is_input_error(payload, tmp_path,
                                                               capsys):
@@ -271,23 +291,25 @@ def _swap_type(value, rng):
 
 def _mutate(doc, rng):
     """One mutation at a random node: swap its JSON type, drop it from its
-    parent, or wrap it in a list. Returns the document and the operation."""
+    parent, or wrap it in a list. Returns the document, the operation and
+    the node as it was."""
     doc = json.loads(json.dumps(doc))
     path = rng.choice(list(_json_paths(doc)))
     ops = ["swap", "wrap"] + (["drop"] if path else [])
     op = rng.choice(ops)
     if not path:
-        return (_swap_type(doc, rng) if op == "swap" else [doc]), op
+        return (_swap_type(doc, rng) if op == "swap" else [doc]), op, doc
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
+    node = parent[path[-1]]
     if op == "drop":
         del parent[path[-1]]
     elif op == "swap":
         parent[path[-1]] = _swap_type(parent[path[-1]], rng)
     else:
         parent[path[-1]] = [parent[path[-1]]]
-    return doc, op
+    return doc, op, node
 
 
 def _fuzz_argv(target, doc, tmp_path):
@@ -308,7 +330,7 @@ def test_cli_fuzz_mutated_inputs_exit_cleanly(tmp_path, capsys):
     for target in sorted(FUZZ_INPUTS):
         rng = random.Random(f"cli-fuzz-{target}")
         for _ in range(24):
-            doc, op = _mutate(FUZZ_INPUTS[target], rng)
+            doc, op, node = _mutate(FUZZ_INPUTS[target], rng)
             argv = _fuzz_argv(target, doc, tmp_path)
             try:
                 code = main(argv)
@@ -321,3 +343,7 @@ def test_cli_fuzz_mutated_inputs_exit_cleanly(tmp_path, capsys):
             # key falls back to its default
             if target == "config" and op != "drop":
                 assert code == 4, (doc, op, code, err)
+            # nor is an integer: a swapped integer leaf of any input is
+            # never truncated or read as a bool
+            if op == "swap" and type(node) is int:
+                assert code == 4, (target, doc, code, err)

@@ -194,6 +194,21 @@ def test_galois_tower_check_computes_each_deck_group_once(monkeypatch):
     assert len(groups) == 2
 
 
+def test_restriction_hom_checks_the_cayley_graph_edges(monkeypatch):
+    from splitcover import permgroup
+
+    tower = subtable(z_table(12), z_table(6))
+    calls = []
+    real = permgroup.compose
+    monkeypatch.setattr(permgroup, "compose",
+                        lambda p, q: calls.append(1) or real(p, q))
+    res = restriction_hom(tower)
+    assert res.is_surjective() and len(res.kernel_elements()) == 2
+    # one generator of Z12 among the 12 its deck group lists: the reduction
+    # closes it once (12) and checks 12 edges (24); all pairs would be 288
+    assert len(calls) <= 50
+
+
 def test_deck_group_is_kept_on_its_table():
     t = z_table(3)
     assert deck_group(t) is deck_group(t)

@@ -15,6 +15,7 @@ from splitcover.permgroup import (
     identity,
     inverse,
     isomorphic_as_groups,
+    _close_hom,
 )
 
 
@@ -179,7 +180,8 @@ def test_isomorphic_identity_case():
     g = closure((perm((1, 2, 3), n=3),))
     hom = isomorphic_as_groups(g, g)
     assert hom is not None and hom.is_bijective()
-    assert hom.verify()
+    # the construction check accepts the mapping it returned
+    assert isinstance(GroupHom(hom.source, hom.target, hom.mapping), GroupHom)
 
 
 def test_isomorphic_rejects_z4_vs_klein():
@@ -210,7 +212,8 @@ def test_isomorphic_s3_presentations():
     b = closure((x, y))
     assert b.order() == 6
     hom = isomorphic_as_groups(a, b)
-    assert hom is not None and hom.is_bijective() and hom.verify()
+    assert hom is not None and hom.is_bijective()
+    assert isinstance(GroupHom(hom.source, hom.target, hom.mapping), GroupHom)
 
 
 def test_group_hom_from_generator_images_and_kernel():
@@ -226,6 +229,83 @@ def test_group_hom_rejects_non_homomorphism():
     z3 = closure((perm((1, 2, 3), n=3),))
     with pytest.raises(ValueError):
         GroupHom.from_generator_images(z4, z3, (perm((1, 2, 3), n=3),))
+
+
+def all_pairs_is_hom(source, target, mapping):
+    """Reference: the mapping covers the source, lands in the target and is
+    multiplicative on every pair of elements."""
+    els = source.elements()
+    if set(mapping) != set(els) or not all(v in target for v in mapping.values()):
+        return False
+    return all(mapping[compose(a, b)] == compose(mapping[a], mapping[b])
+               for a in els for b in els)
+
+
+def group_hom_accepts(source, target, mapping):
+    try:
+        GroupHom(source, target, mapping)
+    except ValueError:
+        return False
+    return True
+
+
+def test_group_hom_accepts_exactly_the_homomorphisms():
+    from catalog import CATALOG
+    from splitcover.freecover import cayley_table, deck_group
+
+    rng = random.Random(20261018)
+    groups = [g for g in CATALOG.values() if g.order() <= 12]
+    # deck groups list every element as a generator; the trivial group has
+    # no generator at all
+    sources = groups + [deck_group(cayley_table(g.generators)[0]).group
+                        for g in groups] + [PermGroup(3)]
+    accepted = rejected = 0
+    for source in sources:
+        els = source.elements()
+        mappings = []
+        for k in range(120):
+            target = rng.choice(groups)
+            images = [rng.choice(target.elements()) for _ in source.generators]
+            closed = _close_hom(source, target.degree, zip(source.generators, images))
+            if closed is None:
+                continue
+            if k % 2:
+                a = rng.choice(els)
+                closed[a] = rng.choice([t for t in target.elements()
+                                        if t != closed[a]])
+            mappings.append((target, closed))
+        for _ in range(20):
+            target = rng.choice(groups)
+            mappings.append((target, {a: rng.choice(target.elements()) for a in els}))
+        for target, mapping in mappings:
+            expected = all_pairs_is_hom(source, target, mapping)
+            assert group_hom_accepts(source, target, mapping) == expected, \
+                (source, target, mapping)
+            accepted += expected
+            rejected += not expected
+    assert accepted > 300 and rejected > 900
+
+
+@pytest.mark.parametrize("generators, elements", [
+    ((perm((1, 3), (2, 4), n=4),), (perm((1, 2, 3, 4), n=4),)),
+    ((perm((1, 2, 3, 4), n=4),), (perm((1, 3), (2, 4), n=4),)),
+], ids=["generate_too_little", "leave_the_elements"])
+def test_group_hom_rejects_source_generators_not_generating_its_elements(
+        generators, elements):
+    els = closure(elements).elements()
+    source = PermGroup(4, generators, _elements=els)
+    target = closure(elements)
+    with pytest.raises(ValueError):
+        GroupHom(source, target, {p: p for p in els})
+
+
+def test_is_abelian_matches_all_pairs():
+    from catalog import CATALOG
+
+    for group in CATALOG.values():
+        els = group.elements()
+        assert group.is_abelian() == all(
+            compose(a, b) == compose(b, a) for a in els for b in els)
 
 
 def test_conjugate_relabels():
