@@ -1,19 +1,12 @@
 """Deck transformation groups of finite coverings, Galois embedding problems,
 and Weierstrass polynomial realizations over a disc with holes."""
 
-from .approx import (
-    ApproximationCertificate,
-    DegreeExhaustedError,
-    SampledCoeffMap,
-    check_homotopy,
-    estimate_eps,
-    fit_rational_polys,
-)
 from .braid import (
     BraidWord,
     lift_permutation,
     tau,
 )
+from .certify import WeierstrassCertificate, certify
 from .embedding import (
     EmbeddingInstance,
     EmbeddingSolution,
@@ -70,7 +63,6 @@ from .wpoly import (
     LoopPath,
     WeierstrassPoly,
     default_base_space,
-    discriminant_at,
     generator_loops,
     roots_at,
 )

@@ -122,7 +122,7 @@ def _load_images(path: str, label: str) -> tuple[Permutation, ...]:
         raise InputError(f"{path}: bad {label} images: {exc}") from exc
 
 
-CONFIG_KEYS = ("tracking", "grid_density", "conservatism")
+CONFIG_KEYS = ("tracking",)
 
 
 def _load_run_config(path: Optional[str]) -> dict:
@@ -155,32 +155,11 @@ def _emit(payload: dict, output: Optional[str]):
         print(text)
 
 
-def _pipeline_options(args, config: dict) -> dict:
-    """Grid density and conservatism; a config value of another JSON type,
-    a bool included, is an input error, never coerced."""
-    opts = {}
-    for key, kinds, what in (("grid_density", int, "an integer"),
-                             ("conservatism", (int, float), "a number")):
-        if key in config:
-            value = config[key]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise InputError(f"bad config value: {key} must be {what}, "
-                                 f"not {json.dumps(value)}")
-            opts[key] = value
-    if "conservatism" in opts:
-        opts["conservatism"] = float(opts["conservatism"])
-    if args.grid is not None:
-        opts["grid_density"] = args.grid
-    return opts
-
-
 def _cmd_realize(args) -> int:
     config = _load_run_config(args.config)
     group = _load_group(args.group)
     space = _load_space(args.base_space)
-    opts = _pipeline_options(args, config)
-    poly, report = realize_group(group, space, tracking=_tracking_from(config),
-                                 **opts)
+    poly, report = realize_group(group, space, tracking=_tracking_from(config))
     if args.seed is not None:
         report.inputs["seed"] = args.seed
     _emit({"schema_version": report.schema_version,
@@ -199,11 +178,10 @@ def _cmd_embed(args) -> int:
                          "combined polynomial artifact)")
     group = _load_group(args.group)
     phi_images = _load_images(args.phi, "phi")
-    opts = _pipeline_options(args, config)
     out_poly, report = solve_semitop_embedding(
         poly, space, group, phi_images,
         allow_rank_extension=args.allow_rank_extension,
-        tracking=_tracking_from(config), **opts)
+        tracking=_tracking_from(config))
     if args.seed is not None:
         report.inputs["seed"] = args.seed
     _emit({"schema_version": report.schema_version,
@@ -250,21 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("-o", "--output", help="write the JSON result here "
                                               "instead of stdout")
-        p.add_argument("--config", help="JSON file with tracking and "
-                                        "sampling parameters")
+        p.add_argument("--config", help="JSON file with tracking parameters")
         p.add_argument("--seed", type=int, help="recorded in the report; all "
                                                 "pipelines are deterministic")
-
-    def grid_option(p):
-        p.add_argument("--grid", type=int, help="density of the grid that "
-                                                "samples eps_hat (default 41)")
 
     p = sub.add_parser("realize", help="realize a finite group as a deck group")
     p.add_argument("group", help="PermGroup JSON file")
     p.add_argument("--base-space", help="BaseSpace JSON file (default layout "
                                         "if omitted)")
     common(p)
-    grid_option(p)
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("embed", help="solve a semi-topological embedding problem")
@@ -279,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append base-space holes when no preimage assignment "
                         "generates H")
     common(p)
-    grid_option(p)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("monodromy", help="track a polynomial's monodromy")

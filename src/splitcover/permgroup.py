@@ -38,7 +38,8 @@ class Permutation:
             raise ValueError("permutation degree must be at least 1")
         seen = [False] * (n + 1)
         for v in images:
-            if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
+            if (not isinstance(v, int) or isinstance(v, bool)
+                    or not 1 <= v <= n or seen[v]):
                 raise ValueError(f"not a bijection of 1..{n}: {images!r}")
             seen[v] = True
         object.__setattr__(self, "images", images)

@@ -9,22 +9,17 @@ returning silently wrong artifacts.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import embedding as embedding_mod
-from .approx import (
-    DEFAULT_CONSERVATISM,
-    DEFAULT_GRID_DENSITY,
-    ApproximationCertificate,
-    estimate_eps,
-    sample_poly_map,
-)
 from .braid import lift_permutation, tau
+from .certify import WeierstrassCertificate, certify
 from .embedding import EmbeddingInstance
-from .freecover import cayley_table, restriction_hom, subtable
+from .freecover import CosetTable, cayley_table, restriction_hom, subtable
 from .monodromy import (
     DEFAULT_TRACKING,
     MonodromyRep,
@@ -151,50 +146,52 @@ def _hole_centers(space: BaseSpace) -> list[GaussianRational]:
 
 
 def _synthesize_validated(elems, gens, centers, space: BaseSpace
-                          ) -> tuple[SynthesisResult, WeierstrassPoly]:
+                          ) -> tuple[SynthesisResult, WeierstrassPoly,
+                                     WeierstrassCertificate]:
     """Exact synthesis with a deterministic fallback schedule of weights or
-    twists; each candidate must pass the separability grid check. Returns
-    the synthesis and the validated polynomial built from it."""
+    twists; the first candidate whose polynomial is certified Weierstrass on
+    the space is returned with that polynomial and its certificate."""
     n = len(elems)
     group = PermGroup(elems[0].degree, tuple(gens), _elements=tuple(elems))
-    failures: list[str] = []
+    kind = (gens[0].order(), gens[1].order()) if len(gens) == 2 else None
     if group.is_abelian():
-        for base in (1, 2, 3, 5):
-            try:
-                synth = synthesize_abelian(elems, gens, centers,
-                                           weight_base=Fraction(base))
-                return synth, WeierstrassPoly(n, synth.coeffs, base=space)
-            except (SynthesisUnsupported, ValueError) as exc:
-                failures.append(f"weight base {base}: {exc}")
-        raise SynthesisUnsupported("; ".join(failures))
-    if n == 6 and len(gens) == 2:
-        kind = (gens[0].order(), gens[1].order())
-        if kind in ((2, 3), (3, 2), (2, 2)):
-            for twist in s3_twist_schedule(kind):
-                try:
-                    synth = synthesize_s3(elems, gens, centers, twist=twist)
-                    return synth, WeierstrassPoly(n, synth.coeffs, base=space)
-                except (SynthesisUnsupported, ValueError) as exc:
-                    failures.append(f"twist {twist}: {exc}")
-            raise SynthesisUnsupported("; ".join(failures))
-    raise SynthesisUnsupported(
-        f"no exact construction for this group (order {n}, "
-        f"{len(gens)} generators)")
+        schedule = [(f"weight base {base}", functools.partial(
+            synthesize_abelian, elems, gens, centers, weight_base=Fraction(base)))
+            for base in (1, 2, 3, 5)]
+    elif n == 6 and kind in ((2, 3), (3, 2), (2, 2)):
+        schedule = [(f"twist {twist}", functools.partial(
+            synthesize_s3, elems, gens, centers, twist=twist))
+            for twist in s3_twist_schedule(kind)]
+    else:
+        raise SynthesisUnsupported(
+            f"no exact construction for this group (order {n}, "
+            f"{len(gens)} generators)")
+    failures: list[str] = []
+    for label, build in schedule:
+        try:
+            synth = build()
+        except (SynthesisUnsupported, ValueError) as exc:
+            failures.append(f"{label}: {exc}")
+            continue
+        cert = certify(synth.coeffs, space)
+        if cert.valid:
+            return synth, WeierstrassPoly(n, synth.coeffs, base=space), cert
+        failures.append(f"{label}: {cert.reason}")
+    raise SynthesisUnsupported("; ".join(failures))
 
 
 def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
                   tracking: TrackingConfig = DEFAULT_TRACKING,
-                  grid_density: int = DEFAULT_GRID_DENSITY,
-                  conservatism: float = DEFAULT_CONSERVATISM,
                   ) -> tuple[WeierstrassPoly, PipelineReport]:
     """Produce a Weierstrass polynomial whose splitting-cover deck group is
     isomorphic to G, with one base-space hole per given generator.
 
     The coefficient map realizing the regular representation is synthesized
-    exactly, so it is its own approximation: the certificate records zero
-    error and the sampled distance to the discriminant. Groups without an
-    exact synthesis raise SynthesisUnsupported. The tracked monodromy of the
-    output polynomial must match the regular generator images exactly.
+    exactly, and the certificate proves that its discriminant has no zero on
+    the space. Groups without an exact synthesis, or whose every candidate
+    fails the certificate, raise SynthesisUnsupported. The tracked monodromy
+    of the output polynomial must match the regular generator images
+    exactly.
     """
     watch = _Stopwatch()
     n = G.order()
@@ -216,24 +213,15 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
     watch.lap("regular_representation")
 
     report = PipelineReport(command="realize")
-    report.inputs = {"group": G.to_json(), "base_space": space.to_json(),
-                     "grid_density": grid_density,
-                     "conservatism": conservatism}
+    report.inputs = {"group": G.to_json(), "base_space": space.to_json()}
     report.artifacts["braid_words"] = [w.to_json() for w in braid_words]
     report.artifacts["regular_generators"] = [p.to_json() for p in reg]
 
-    synth, f = _synthesize_validated(elems, G.generators, _hole_centers(space),
-                                     space)
+    synth, f, cert = _synthesize_validated(
+        elems, G.generators, _hole_centers(space), space)
     report.artifacts["synthesis"] = synth.description
-    watch.lap("synthesis")
-
-    eps_hat = estimate_eps(sample_poly_map(f, space, grid_density), conservatism)
-    report.artifacts["eps_hat"] = eps_hat
-    cert = ApproximationCertificate.exact(n, eps_hat)
     report.artifacts["certificate"] = cert.to_json()
-    # the output coefficients are the synthesized ones, not a fit of them
-    report.artifacts["exact_recovery"] = True
-    watch.lap("sampling")
+    watch.lap("synthesis")
 
     labels = synth.root_labels_at(_basepoint_complex(space))
     rep = characteristic_hom(f, space, tracking, root_labels=labels)
@@ -256,7 +244,7 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
         report.artifacts["deck_isomorphism_gen_images"] = [
             p.to_json() for p in iso.generator_images()]
     report.verdicts = {
-        "certificate_valid": cert.is_valid,
+        "certificate_valid": cert.valid,
         "monodromy_matches_regular_targets": rep.perms == reg,
         "splitting_fiber_equals_group_order": table.size == n,
         "covering_galois": deck.is_galois(),
@@ -280,8 +268,6 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
                             H: PermGroup, phi_images: Sequence[Permutation], *,
                             allow_rank_extension: bool = True,
                             tracking: TrackingConfig = DEFAULT_TRACKING,
-                            grid_density: int = DEFAULT_GRID_DENSITY,
-                            conservatism: float = DEFAULT_CONSERVATISM,
                             ) -> tuple[WeierstrassPoly, PipelineReport]:
     """Given an irreducible g and a surjection of H onto its deck group,
     produce a polynomial h whose splitting covering solves the embedding
@@ -303,18 +289,15 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
 
     space2 = extend_base_space(space, extra)
     realized_group = PermGroup(H.degree, solution.images)
-    h, realize_report = realize_group(
-        realized_group, space2, tracking=tracking, grid_density=grid_density,
-        conservatism=conservatism)
+    h, realize_report = realize_group(realized_group, space2, tracking=tracking)
     rep_h = MonodromyRep.from_json(realize_report.artifacts["monodromy"])
     watch.lap("realize")
 
-    e_table, _, _ = splitting_cover(rep_h)
-    tower = subtable(e_table, solution.tower.mid)
-    triangle = False
-    if tower is not None:
-        res = restriction_hom(tower)
-        triangle = all(res(solution.psi(x)) == phi(x) for x in H.elements())
+    # the realized cover is the solver's, whose tower and restriction
+    # triangle embedding.solve has already verified
+    matches = CosetTable.from_json(
+        realize_report.artifacts["splitting_cover"]) == solution.E_cover
+    tower = solution.tower if matches else None
 
     rep_g2 = characteristic_hom(g, space2, tracking,
                                 root_labels=rep_g.root_labels)
@@ -337,11 +320,11 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     report.verdicts = {
         # solve raises SolutionCheckError unless its solution verifies
         "solution_verified": True,
-        "realized_cover_matches_solver": e_table == solution.E_cover,
+        "realized_cover_matches_solver": matches,
         "monodromy_matches_solver_targets":
             rep_h.perms == tuple(solution.E_cover.action),
         "tower_exists": tower is not None,
-        "restriction_triangle": triangle,
+        "restriction_triangle": matches,
         "output_irreducible": irreducibility_check(rep_h),
         "base_monodromy_stable_under_extension": base_stable,
     }

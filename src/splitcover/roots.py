@@ -1,5 +1,5 @@
-"""Numeric roots of monic fibers: simultaneous root solving, discriminants
-and root gaps, for one fiber or a stack of them.
+"""Numeric roots of monic fibers: simultaneous root solving and root gaps,
+for one fiber or a stack of them.
 
 A fiber is given by the low-order coefficients (a_0, ..., a_{n-1}) of the
 monic polynomial z^n + a_{n-1} z^{n-1} + ... + a_0. A stack is an (N, n)
@@ -13,12 +13,7 @@ import numpy as np
 
 
 class _FiberError(RuntimeError):
-    """A root solve failed; row is the index of the first failing fiber in a
-    stacked solve (0 for a single fiber)."""
-
-    def __init__(self, message: str, row: int = 0):
-        super().__init__(message)
-        self.row = row
+    """A root solve failed."""
 
 
 class MultipleRootError(_FiberError):
@@ -31,9 +26,9 @@ class RootFindingError(_FiberError):
 
 # Stacks are worked in blocks of at most 128 fibers, fewer at high degree, so
 # that no temporary of a block (the solver's (rows, n, n) root differences and
-# (n + 1, rows, n) coefficient stacks, the (rows, 2n - 1, 2n - 1) Sylvester
-# matrices) holds more than about this many entries. Larger blocks solve a
-# grid faster but raise the process's peak memory.
+# (n + 1, rows, n) coefficient stacks) holds more than about this many
+# entries. Larger blocks solve a stack faster but raise the process's peak
+# memory.
 _BLOCK_ENTRIES = 4096
 
 
@@ -108,33 +103,6 @@ def _block_gaps(rows: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
-def discriminant_at(coeffs):
-    """Discriminant of the monic polynomial with the given low-order
-    coefficients, or of each row of a stack of them.
-
-    Computed as (-1)^(n(n-1)/2) Res(f, f') via the Sylvester determinant, so
-    it equals the product of squared root differences. Returns a complex for
-    one fiber and an (N,) array for N stacked fibers.
-    """
-    rows, single = _fiber_rows(coeffs)
-    n = rows.shape[1]
-    out = np.ones(rows.shape[0], dtype=complex)
-    if n > 1:
-        size = 2 * n - 1
-        sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-        starts, block = _block_starts(rows.shape[0], size * size)
-        for start in starts:
-            p = _monic_rows(rows[start:start + block])
-            dp = _derivative_rows(p)
-            m = np.zeros((p.shape[0], size, size), dtype=complex)
-            for row in range(n - 1):
-                m[:, row, row:row + n + 1] = p
-            for row in range(n):
-                m[:, n - 1 + row, row:row + n] = dp
-            out[start:start + p.shape[0]] = sign * np.linalg.det(m)
-    return complex(out[0]) if single else out
-
-
 def roots_at(coeffs, max_iterations: int = 1200,
              gap_rtol: float = 1e-7) -> np.ndarray:
     """All roots of a monic polynomial, or of each row of a stack of them,
@@ -145,8 +113,8 @@ def roots_at(coeffs, max_iterations: int = 1200,
     stacked fibers return an (N, n) array. Rows are solved in blocks, each
     row exactly as it would be alone. Raises RootFindingError when a fiber
     does not converge or leaves a large residual, and MultipleRootError when
-    its computed roots are too close to separate reliably; the error's row
-    is the first failing fiber.
+    its computed roots are too close to separate reliably; the error
+    describes the first failing fiber.
     """
     rows, single = _fiber_rows(coeffs)
     out = np.empty_like(rows)
@@ -154,11 +122,11 @@ def roots_at(coeffs, max_iterations: int = 1200,
     starts, block = _block_starts(rows.shape[0], (n + 1) * n)
     for start in starts:
         out[start:start + block] = _solve_block(
-            rows[start:start + block], start, max_iterations, gap_rtol)
+            rows[start:start + block], max_iterations, gap_rtol)
     return out[0] if single else out
 
 
-def _solve_block(rows: np.ndarray, first_row: int, max_iterations: int,
+def _solve_block(rows: np.ndarray, max_iterations: int,
                  gap_rtol: float) -> np.ndarray:
     count, n = rows.shape
     if n == 1:
@@ -193,13 +161,11 @@ def _solve_block(rows: np.ndarray, first_row: int, max_iterations: int,
     failed[todo] = True
     if failed.any():
         k = int(failed.argmax())
-        row = first_row + k
         if k in todo:
-            raise RootFindingError(
-                "simultaneous iteration failed to converge", row)
+            raise RootFindingError("simultaneous iteration failed to converge")
         if bad_residual[k]:
-            raise RootFindingError(f"residual {residual[k]:.2e} too large", row)
-        raise MultipleRootError(f"root gap {gap[k]:.2e} below tolerance", row)
+            raise RootFindingError(f"residual {residual[k]:.2e} too large")
+        raise MultipleRootError(f"root gap {gap[k]:.2e} below tolerance")
     return roots
 
 

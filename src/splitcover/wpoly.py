@@ -21,7 +21,6 @@ from .permgroup import json_int
 from .roots import (
     MultipleRootError,
     RootFindingError,
-    discriminant_at,
     min_gap,
     roots_at,
 )
@@ -179,37 +178,6 @@ class BivariatePolyQi:
             out = out + GaussianRational(c.re * scale, c.im * scale)
         return out
 
-    def eval_points(self, points: Sequence[tuple]) -> np.ndarray:
-        """Exact values at rational points, each rounded once to complex.
-
-        Every entry equals complex(self.eval_exact(u, v)) bit for bit: the
-        value is summed in integers over one common denominator (the lcm of
-        the coefficient denominators times the point's denominators raised
-        to the top degrees) and rounded by int/int true division, which is
-        how a Fraction converts to float.
-        """
-        out = np.zeros(len(points), dtype=complex)
-        if not self.terms:
-            return out
-        den = math.lcm(*(x.denominator for c in self.terms.values()
-                         for x in (c.re, c.im)))
-        terms = [(du, dv, c.re.numerator * (den // c.re.denominator),
-                  c.im.numerator * (den // c.im.denominator))
-                 for (du, dv), c in self.terms.items()]
-        top_u = max(du for du, _ in self.terms)
-        top_v = max(dv for _, dv in self.terms)
-        for k, (u, v) in enumerate(points):
-            u, v = _frac(u), _frac(v)
-            pow_u, pow_v = _scaled_powers(u, top_u), _scaled_powers(v, top_v)
-            re = im = 0
-            for du, dv, c_re, c_im in terms:
-                m = pow_u[du] * pow_v[dv]
-                re += c_re * m
-                im += c_im * m
-            scale = den * u.denominator ** top_u * v.denominator ** top_v
-            out[k] = complex(re / scale, im / scale)
-        return out
-
     def eval_complex(self, u: float, v: float) -> complex:
         out = 0j
         for (du, dv), c in self.terms.items():
@@ -239,15 +207,6 @@ class BivariatePolyQi:
             terms[(json_int(du), json_int(dv))] = GaussianRational(
                 _frac((ren, red)), _frac((imn, imd)))
         return cls(terms)
-
-
-def _scaled_powers(x: Fraction, top: int) -> list[int]:
-    """Numerators of x^0..x^top over the common denominator den(x)^top."""
-    nums, dens = [1], [1]
-    for _ in range(top):
-        nums.append(nums[-1] * x.numerator)
-        dens.append(dens[-1] * x.denominator)
-    return [nums[a] * dens[top - a] for a in range(top + 1)]
 
 
 def _json_frac(x: Fraction) -> list:
@@ -337,11 +296,6 @@ class BaseSpace:
             return False
         return all(_segment_dist2(p, q, h.center) >= h.radius ** 2
                    for h in self.holes)
-
-    def bounding_box(self):
-        cx, cy = self.outer.center
-        r = self.outer.radius
-        return (cx - r, cx + r, cy - r, cy + r)
 
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(),
@@ -468,20 +422,16 @@ def generator_loops(space: BaseSpace) -> tuple[LoopPath, ...]:
     return space._loops
 
 
-VALIDATION_DENSITY = 15
-
-
 class WeierstrassPoly:
     """Monic polynomial in z whose coefficients are maps on a base space.
 
-    When a base space is attached, construction samples a grid of
-    VALIDATION_DENSITY x VALIDATION_DENSITY points over it and requires every
-    fiber to have distinct roots, which is the defining property of these
-    polynomials.
+    The base space, when attached, is the domain of eval_exact. Whether every
+    fiber over it has distinct roots, the defining property of these
+    polynomials, is decided by the certify module.
     """
 
     def __init__(self, degree: int, coeffs: Sequence[BivariatePolyQi],
-                 base: Optional[BaseSpace] = None, validate: bool = True):
+                 base: Optional[BaseSpace] = None):
         if degree < 1:
             raise ValueError("degree must be at least 1")
         if len(coeffs) != degree:
@@ -496,32 +446,12 @@ class WeierstrassPoly:
             for p in self.coeffs)
         self._top_u = max((du for p in self.coeffs for du, _ in p.terms), default=0)
         self._top_v = max((dv for p in self.coeffs for _, dv in p.terms), default=0)
-        if base is not None and validate:
-            self._validate_on_grid()
-
-    def _validate_on_grid(self):
-        grid = sample_grid(self.base, VALIDATION_DENSITY)
-        try:
-            roots_at(self.eval_points(grid))
-        except (MultipleRootError, RootFindingError) as exc:
-            u, v = grid[exc.row]
-            raise ValueError(
-                f"repeated roots over ({float(u):.3f}, {float(v):.3f}): "
-                f"not a Weierstrass polynomial on this space") from exc
 
     def eval_exact(self, u, v) -> list[GaussianRational]:
         u, v = _frac(u), _frac(v)
         if self.base is not None and not self.base.contains(u, v):
             raise ValueError(f"point ({u}, {v}) is outside the base space")
         return [c.eval_exact(u, v) for c in self.coeffs]
-
-    def eval_points(self, points: Sequence[tuple]) -> np.ndarray:
-        """Exactly evaluated coefficients at rational points, rounded once:
-        an (N, degree) array whose row k is the fiber over points[k]."""
-        out = np.empty((len(points), self.degree), dtype=complex)
-        for j, c in enumerate(self.coeffs):
-            out[:, j] = c.eval_points(points)
-        return out
 
     def eval_complex_points(self, points: Sequence[tuple]) -> np.ndarray:
         """Float coefficients at float points (u, v): an (N, degree) array
@@ -555,45 +485,9 @@ class WeierstrassPoly:
         return {"degree": self.degree, "coeffs": [c.to_json() for c in self.coeffs]}
 
     @classmethod
-    def from_json(cls, data: Mapping, base: Optional[BaseSpace] = None,
-                  validate: bool = False) -> "WeierstrassPoly":
+    def from_json(cls, data: Mapping,
+                  base: Optional[BaseSpace] = None) -> "WeierstrassPoly":
         return cls(json_int(data["degree"]),
                    [BivariatePolyQi.from_json(c) for c in data["coeffs"]],
-                   base=base, validate=validate)
+                   base=base)
 
-
-def sample_grid(space: BaseSpace, density: int) -> list[tuple[Fraction, Fraction]]:
-    """Rational tensor grid over the bounding box, filtered to the space.
-
-    Membership is decided exactly as BaseSpace.contains decides it, in
-    integers: every coordinate, centre and radius is scaled by one common
-    denominator.
-    """
-    if density < 2:
-        raise ValueError("grid density must be at least 2")
-    x0, x1, y0, y1 = space.bounding_box()
-    discs = (space.outer,) + space.holes
-    den = math.lcm(*(q.denominator for d in discs for q in (*d.center, d.radius)))
-    scale = den * (density - 1)
-
-    def scaled(lo: Fraction, hi: Fraction) -> list[int]:
-        # k-th coordinate lo + (hi - lo) k / (density - 1), times scale
-        first, stride = int(lo * scale), int((hi - lo) * den)
-        return [first + stride * k for k in range(density)]
-
-    def disc(d: Disc) -> tuple[int, int, int]:
-        """Scaled centre and squared radius."""
-        return (int(d.center[0] * scale), int(d.center[1] * scale),
-                int(d.radius * scale) ** 2)
-
-    ox, oy, outer_r2 = disc(space.outer)
-    holes = [disc(h) for h in space.holes]
-    us = [x0 + (x1 - x0) * Fraction(i, density - 1) for i in range(density)]
-    vs = [y0 + (y1 - y0) * Fraction(j, density - 1) for j in range(density)]
-    pts = []
-    for u, su in zip(us, scaled(x0, x1)):
-        for v, sv in zip(vs, scaled(y0, y1)):
-            if (su - ox) ** 2 + (sv - oy) ** 2 <= outer_r2 and all(
-                    (su - cx) ** 2 + (sv - cy) ** 2 >= r2 for cx, cy, r2 in holes):
-                pts.append((u, v))
-    return pts

@@ -109,13 +109,12 @@ def test_input_errors(tmp_path, capsys):
 
 def test_config_file_controls_tracking(z2_artifact, tmp_path, capsys):
     _, group, _, _ = z2_artifact
-    cfg = write_json(tmp_path / "cfg.json",
-                     {"tracking": {"initial_step": 0.005}, "grid_density": 21})
+    cfg = write_json(tmp_path / "cfg.json", {"tracking": {"initial_step": 0.005}})
     code = main(["realize", group, "--config", str(cfg), "--seed", "7"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"]["inputs"]["seed"] == 7
-    assert payload["report"]["inputs"]["grid_density"] == 21
+    assert set(payload["report"]["inputs"]) == {"group", "base_space", "seed"}
 
 
 def test_cli_seed_recorded_and_deterministic(z2_artifact, capsys):
@@ -155,14 +154,17 @@ def test_zero_denominator_is_input_error(re_den, outer_r, tmp_path, capsys):
     ["monodromy", "f.json"],
     ["verify-tower", "h.json", "g.json", "--group", "h.json", "--phi", "p.json",
      "--psi", "q.json"],
+    ["realize", "g.json"],
+    ["embed", "f.json", "--group", "h.json", "--phi", "p.json"],
 ])
-def test_grid_flag_only_on_realize_and_embed(argv):
+def test_grid_flag_is_refused(argv):
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv + ["--grid", "21"])
 
 
 @pytest.mark.parametrize("config", [
-    {"max_degree": 3, "denominator_bound": 7, "grid_density": 21},
+    {"max_degree": 3, "denominator_bound": 7, "grid_density": 21,
+     "conservatism": 0.5},
     {"grid_densty": 21},
 ], ids=["removed_keys", "misspelt_key"])
 def test_unknown_config_key_is_input_error(config, z2_artifact, tmp_path, capsys):
@@ -172,7 +174,7 @@ def test_unknown_config_key_is_input_error(config, z2_artifact, tmp_path, capsys
     assert main(["realize", group, "--config", cfg, "-o", str(out)]) == 4
     err = capsys.readouterr().err
     assert "input error" in err and "unknown config key(s)" in err
-    for key in set(config) - {"grid_density"}:
+    for key in config:
         assert key in err
     assert "Traceback" not in err
     assert not out.exists()
@@ -199,22 +201,10 @@ def test_embed_self_check_failure_exits_2(z2_artifact, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("config", [
-    {"conservatism": [1]},
-    {"conservatism": None},
-    {"conservatism": True},
-    {"conservatism": "0.5"},
-    {"grid_density": [41]},
-    {"grid_density": {"n": 41}},
-    {"grid_density": 7.9},
-    {"grid_density": "9"},
-    {"grid_density": None},
     {"tracking": {"initial_step": True}},
     {"tracking": {"max_newton_iters": True}},
     {"tracking": {"initial_step": float("nan")}},
-], ids=["conservatism_list", "conservatism_null", "conservatism_bool",
-        "conservatism_string", "grid_list", "grid_object", "grid_float",
-        "grid_string", "grid_null", "initial_step_bool",
-        "max_newton_iters_bool", "initial_step_nan"])
+], ids=["initial_step_bool", "max_newton_iters_bool", "initial_step_nan"])
 def test_non_numeric_config_value_is_input_error(config, z2_artifact, tmp_path,
                                                  capsys):
     _, group, _, _ = z2_artifact
@@ -265,8 +255,7 @@ FUZZ_INPUTS = {
                    "coeffs": [[[1, 0, -1, 1, 0, 1], [0, 1, 0, 1, -1, 1]], []]},
     "base_space": default_base_space(1).to_json(),
     "config": {"tracking": {"initial_step": 0.02, "min_step": 1e-08,
-                            "safety_factor": 0.4, "max_newton_iters": 30},
-               "grid_density": 11, "conservatism": 0.5},
+                            "safety_factor": 0.4, "max_newton_iters": 30}},
 }
 
 

@@ -209,6 +209,26 @@ def test_restriction_hom_checks_the_cayley_graph_edges(monkeypatch):
     assert len(calls) <= 50
 
 
+def test_quotient_check_conjugates_by_generators_only(monkeypatch):
+    from splitcover import freecover, permgroup
+
+    tower = subtable(z_table(12), z_table(2))
+    # deck groups first, so that only the check's own products are counted
+    deck_group(tower.top)
+    deck_group(tower.mid)
+    calls = []
+    real = permgroup.compose
+    counting = lambda p, q: calls.append(1) or real(p, q)  # noqa: E731
+    monkeypatch.setattr(permgroup, "compose", counting)
+    monkeypatch.setattr(freecover, "compose", counting)
+    report = tower_quotient_check(tower)
+    assert report.fiber_decks_normal and report.all_verified()
+    # one generator of Z12 among the 12 its deck group lists: the reduction
+    # closes it (12), the 6 fiber decks are conjugated by it (12) and the
+    # restriction map takes 36; conjugating by all 12 decks would be 144
+    assert len(calls) <= 64
+
+
 def test_deck_group_is_kept_on_its_table():
     t = z_table(3)
     assert deck_group(t) is deck_group(t)

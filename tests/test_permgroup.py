@@ -44,6 +44,14 @@ def test_identity_and_validation():
         Permutation(())
 
 
+@pytest.mark.parametrize("images", [(True, 2), (2, True)])
+def test_bool_images_are_rejected(images):
+    # True == 1 and hashes like it, so the identity of degree 2 would keep
+    # True in its images and write it to JSON as true
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
 def test_compose_identity_and_involution():
     q = perm((1, 2, 3), n=3)
     assert compose(identity(3), q) == q

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -93,7 +94,10 @@ def test_realize_z2(realized_z2):
     assert report.verdicts["monodromy_matches_regular_targets"]
     assert report.artifacts["monodromy"]["perms"] == [[2, 1]]
     assert report.artifacts["deck_order"] == 2
-    assert report.artifacts["exact_recovery"]
+    # z^2 - w has D(w) = 4w, with its one zero in the hole
+    assert report.artifacts["certificate"] == {
+        "discriminant_degree": 1, "zeros_in_outer_disc": 1,
+        "zeros_per_hole": [1], "valid": True}
 
 
 def test_realize_z2_matches_square_root_oracle(realized_z2):
@@ -105,14 +109,38 @@ def test_realize_z2_matches_square_root_oracle(realized_z2):
     assert rep.perms == (rep_perm,)
 
 
-@pytest.mark.parametrize("group, eps_hat", [
-    (closure((perm((1, 2), n=3), perm((1, 2, 3), n=3))), 3.7291712453400896e-08),
-    (closure((perm(tuple(range(1, 13)), n=12),)), 2.1542438521925838e-14),
-], ids=["S3", "Z12"])
-def test_realize_eps_hat_is_pinned(group, eps_hat):
-    # values of the per-point sampling the stacked kernels replaced
-    _, report = realize_group(group)
-    assert report.artifacts["eps_hat"] == pytest.approx(eps_hat, rel=1e-12)
+def test_realize_skips_a_candidate_the_certificate_rejects(monkeypatch):
+    from splitcover import pipeline
+
+    seen = []
+    real = pipeline.certify
+
+    def reject_first(coeffs, space):
+        seen.append(coeffs)
+        cert = real(coeffs, space)
+        if len(seen) == 1:
+            return replace(cert, reason="rejected for the test")
+        return cert
+
+    monkeypatch.setattr(pipeline, "certify", reject_first)
+    poly, report = realize_group(V4)
+    # weight base 1 is rejected here, weight base 2 for the two zeros of its
+    # discriminant in the space, and weight base 3 is realized
+    assert len(seen) == 3 and seen[0] != seen[2]
+    assert poly.coeffs == seen[2]
+    assert report.all_passed()
+
+
+def test_realize_reports_every_rejected_candidate(monkeypatch):
+    from splitcover import pipeline
+
+    real = pipeline.certify
+    monkeypatch.setattr(pipeline, "certify", lambda coeffs, space: replace(
+        real(coeffs, space), reason="rejected for the test"))
+    with pytest.raises(SynthesisUnsupported) as info:
+        realize_group(Z2)
+    assert str(info.value) == "; ".join(
+        f"weight base {b}: rejected for the test" for b in (1, 2, 3, 5))
 
 
 def test_realize_requires_matching_holes():
@@ -216,12 +244,13 @@ def test_splitting_cover_is_built_once(command, realized_z2, monkeypatch):
 
 
 @pytest.mark.parametrize("H, phi_extra, decks, loops",
-                         [(Z4, 0, 4, 1), (V4, 1, 5, 3)], ids=["Z4", "V4"])
+                         [(Z4, 0, 3, 1), (V4, 1, 4, 3)], ids=["Z4", "V4"])
 def test_embed_computes_deck_groups_and_loops_once(H, phi_extra, decks, loops,
                                                     realized_z2, monkeypatch):
-    # deck groups: F, the solver's E, the realization's splitting cover, the
-    # realized E and for V4 the extended mid covering; loops: one per hole of
-    # the base space and of the extended one
+    # deck groups: F, the solver's E, the realization's splitting cover and
+    # for V4 the extended mid covering; the realized cover equals the
+    # solver's, whose tower is reused; loops: one per hole of the base space
+    # and of the extended one
     from splitcover import freecover, wpoly
 
     poly, space, _ = realized_z2

@@ -1,4 +1,3 @@
-import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,8 @@ from splitcover.synthesis import (
     synthesize_abelian,
     synthesize_s3,
 )
-from splitcover.wpoly import GaussianRational, discriminant_at, roots_at
+from splitcover.certify import certify
+from splitcover.wpoly import GaussianRational, default_base_space, roots_at
 
 
 def qi(re, im=0):
@@ -202,23 +202,21 @@ def test_s3_synthesis_two_transpositions():
     gens = g.generators
     assert gens[0].order() == 2 and gens[1].order() == 2
     res = synthesize_s3(g.elements(), gens, [qi(-2), qi(2)])
-    # discriminant must be nonzero between and around the holes
-    for w0 in (0j, -8j, 5 + 0j, 1.5 + 0.5j):
-        coeff_vals = [complex(c.eval_exact(Fraction(w0.real), Fraction(w0.imag)))
-                      for c in res.coeffs]
-        assert abs(discriminant_at(coeff_vals)) > 1e-6
+    # the discriminant has no zero on the space: five in each hole
+    cert = certify(res.coeffs, default_base_space(2))
+    assert cert.valid
+    assert (cert.zeros_in_outer_disc, cert.zeros_per_hole) == (10, (5, 5))
 
 
 def test_s3_branch_points_inside_holes_only():
     g = s3_regular()
     res = synthesize_s3(g.elements(), g.generators, [qi(-2), qi(2)])
-    # along a dense circle of radius 4 around each hole center and along the
-    # segment between the holes, fibers stay separable
-    for center in (-2, 2):
-        for k in range(64):
-            w0 = center + 1.5 * cmath.exp(2j * cmath.pi * k / 64)
-            coeff_vals = [c.eval_complex(w0.real, w0.imag) for c in res.coeffs]
-            assert abs(discriminant_at(coeff_vals)) > 1e-9
+    # every zero of the discriminant lies in a hole, none on the space or
+    # outside the outer disc
+    cert = certify(res.coeffs, default_base_space(2))
+    assert cert.valid
+    assert cert.zeros_in_outer_disc == cert.discriminant_degree == 13
+    assert cert.zeros_per_hole == (3, 10)
 
 
 def test_s3_rejects_bad_shapes():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from splitcover.certify import certify, discriminant
 from splitcover.wpoly import (
     RootFindingError,
     BaseSpace,
@@ -16,12 +17,10 @@ from splitcover.wpoly import (
     MultipleRootError,
     WeierstrassPoly,
     default_base_space,
-    discriminant_at,
     extend_base_space,
     generator_loops,
     min_gap,
     roots_at,
-    sample_grid,
     validate_loop,
     winding_number,
 )
@@ -178,33 +177,42 @@ def test_generator_loops_requires_sorted_holes():
         generator_loops(x)
 
 
+def _constant_forms(low):
+    """w-forms of constant coefficients a_0, ..., a_{n-1}."""
+    return [[qi(Fraction(c.real), Fraction(c.imag))] if c else []
+            for c in map(complex, low)]
+
+
 def test_discriminant_quadratic_and_cubic():
-    # z^2 - 1: discriminant 4; z^2: discriminant 0
-    assert abs(discriminant_at([-1, 0]) - 4) < 1e-12
-    assert abs(discriminant_at([0, 0])) < 1e-12
+    # z^2 - 1: discriminant 4; z^2: discriminant 0 everywhere
+    assert discriminant(_constant_forms([-1, 0])) == [qi(4)]
+    assert discriminant(_constant_forms([0, 0])) == []
     # z^3 - 1: -4 p^3 - 27 q^2 with p = 0, q = -1
-    assert abs(discriminant_at([-1, 0, 0]) - (-27)) < 1e-10
+    assert discriminant(_constant_forms([-1, 0, 0])) == [qi(-27)]
     # degree 1 has no discriminant locus
-    assert discriminant_at([5 + 1j]) == 1.0 + 0j
+    assert discriminant(_constant_forms([5 + 1j])) == [qi(1)]
 
 
 def test_discriminant_matches_root_products():
+    # the exact discriminant of a fiber with Gaussian integer roots is the
+    # product of its squared root differences
     rng = random.Random(4)
     for _ in range(25):
         n = rng.randint(2, 6)
-        roots = []
-        while len(roots) < n:
-            cand = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            if all(abs(cand - r) > 0.2 for r in roots):
-                roots.append(cand)
+        roots = [complex(rng.randint(-3, 3), rng.randint(-3, 3))
+                 for _ in range(n)]
         coeffs = np.poly(np.array(roots))
-        low = [complex(coeffs[n - j]) for j in range(n)]
-        expected = 1.0 + 0j
+        low = [complex(round(coeffs[n - j].real), round(coeffs[n - j].imag))
+               for j in range(n)]
+        expected = 1
         for i in range(n):
             for j in range(i + 1, n):
                 expected *= (roots[i] - roots[j]) ** 2
-        got = discriminant_at(low)
-        assert abs(got - expected) < 1e-7 * max(1.0, abs(expected))
+        got = discriminant(_constant_forms(low))
+        if expected == 0:
+            assert got == []
+        else:
+            assert got == [qi(Fraction(expected.real), Fraction(expected.imag))]
 
 
 def test_roots_at_simple_cases():
@@ -254,11 +262,13 @@ def test_weierstrass_poly_eval_and_membership():
 
 
 def test_weierstrass_poly_rejects_singular_family():
-    # z^2 - u has a double root along the whole line u = 0 inside the space
+    # z^2 - u has a double root along the whole line u = 0 inside the space;
+    # it is not a polynomial in w, so it is not certified
     x = default_base_space(1)
     a0 = BivariatePolyQi({(1, 0): qi(-1)})
-    with pytest.raises(ValueError):
-        WeierstrassPoly(2, [a0, BivariatePolyQi.zero()], base=x)
+    cert = certify([a0, BivariatePolyQi.zero()], x)
+    assert not cert.valid
+    assert cert.reason == "a coefficient is not a polynomial in w = u + iv"
 
 
 def test_weierstrass_constant_coefficients():
@@ -269,49 +279,6 @@ def test_weierstrass_constant_coefficients():
     assert vals[0] == qi(-1)
 
 
-def test_sample_grid_respects_space():
-    x = default_base_space(1)
-    pts = sample_grid(x, 21)
-    assert all(x.contains(u, v) for u, v in pts)
-    assert not any(u * u + v * v < 1 for u, v in pts)
-    assert len(pts) > 200
-
-
-def _grid_by_contains(space, density):
-    """The reference: every bounding-box grid point BaseSpace.contains keeps."""
-    x0, x1, y0, y1 = space.bounding_box()
-    pts = []
-    for i in range(density):
-        u = x0 + (x1 - x0) * Fraction(i, density - 1)
-        for j in range(density):
-            v = y0 + (y1 - y0) * Fraction(j, density - 1)
-            if space.contains(u, v):
-                pts.append((u, v))
-    return pts
-
-
-OFF_LATTICE_SPACE = BaseSpace(
-    Disc((Fraction(1, 3), Fraction(-2, 7)), Fraction(19, 2)),
-    (Disc((Fraction(-7, 3), Fraction(1, 5)), Fraction(5, 4)),
-     Disc((Fraction(10, 3), Fraction(-3, 2)), Fraction(2, 3))),
-    (Fraction(1, 3), Fraction(-15, 2)))
-
-
-@pytest.mark.parametrize("space", [default_base_space(m) for m in range(4)]
-                         + [OFF_LATTICE_SPACE],
-                         ids=["m0", "m1", "m2", "m3", "off-lattice"])
-def test_sample_grid_matches_contains(space):
-    for density in (2, 15, 41):
-        assert sample_grid(space, density) == _grid_by_contains(space, density)
-
-
-def test_sample_grid_keeps_boundary_points():
-    # on the 41-grid of radius-10 spaces, (6, 8) lies on the outer circle and
-    # (-1, 0) on the unit hole's circle; both belong to the closed space
-    pts = sample_grid(default_base_space(1), 41)
-    assert (Fraction(6), Fraction(8)) in pts and (Fraction(-1), Fraction(0)) in pts
-
-
 def test_eval_complex_points_is_bit_identical_to_eval_complex():
     coeffs = [BivariatePolyQi({(0, 0): qi(Fraction(1, 3), Fraction(-2, 7)),
                                (2, 1): qi(Fraction(5, 11)),
@@ -319,7 +286,7 @@ def test_eval_complex_points_is_bit_identical_to_eval_complex():
                                (4, 0): qi(0, Fraction(7, 5))}),
               BivariatePolyQi.zero(),
               BivariatePolyQi.from_w_powers([qi(2), qi(-1, 3), qi(0, 1), qi(1)])]
-    f = WeierstrassPoly(3, coeffs, validate=False)
+    f = WeierstrassPoly(3, coeffs)
     rng = random.Random(7)
     points = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(200)]
     points += [(0.0, -0.0), (-0.0, 2.5), (np.float64(1.25), np.float64(-3.5))]
@@ -340,40 +307,7 @@ def test_base_space_json_round_trip():
     assert BaseSpace.from_json(x.to_json()) == x
 
 
-# -- whole-grid kernels --
-
-def _exact_complex(poly, points):
-    return np.array([complex(poly.eval_exact(u, v)) for u, v in points],
-                    dtype=complex)
-
-
-@pytest.mark.parametrize("terms", [
-    {(0, 0): qi(Fraction(1, 3), Fraction(-2, 7)), (2, 1): qi(Fraction(5, 11)),
-     (1, 3): qi(Fraction(-3, 4), Fraction(1, 9)), (4, 0): qi(0, Fraction(7, 5))},
-    {(1, 1): qi(0, Fraction(-2, 3))},  # a purely imaginary coefficient
-    {},  # the zero polynomial
-], ids=["mixed", "imaginary", "zero"])
-def test_eval_points_is_bit_identical_to_eval_exact(terms):
-    # a 15-grid has steps of 10/7, so its points are not dyadic
-    grid = sample_grid(default_base_space(2), 15)
-    assert any(u.denominator == 7 for u, _ in grid)
-    poly = BivariatePolyQi(terms)
-    got = poly.eval_points(grid)
-    assert got.tobytes() == _exact_complex(poly, grid).tobytes()
-
-
-def test_weierstrass_eval_points_stacks_coefficients():
-    x = default_base_space(1)
-    coeffs = [BivariatePolyQi({(1, 0): qi(Fraction(-1, 3)), (0, 1): qi(0, -1)}),
-              BivariatePolyQi.zero(),
-              BivariatePolyQi.constant(qi(Fraction(2, 5), 1))]
-    f = WeierstrassPoly(3, coeffs, base=x, validate=False)
-    grid = sample_grid(x, 9)
-    got = f.eval_points(grid)
-    assert got.shape == (len(grid), 3)
-    for j, c in enumerate(coeffs):
-        assert got[:, j].tobytes() == _exact_complex(c, grid).tobytes()
-
+# -- stacked kernels --
 
 def _random_monic_rows(seed, count):
     rng = np.random.default_rng(seed)
@@ -393,37 +327,16 @@ def test_stacked_roots_match_per_row_solves(seed):
         assert np.abs(rebuilt - row).max() < 1e-8 * (1 + np.abs(row).max())
 
 
-def test_stacked_roots_report_the_first_double_root_row():
-    rows = _random_monic_rows(5, 300)[:, :2]
-    rows[200] = [1, -2]  # (z - 1)^2
-    rows[250] = [0, 0]  # z^2
-    with pytest.raises(MultipleRootError) as info:
-        roots_at(rows)
-    assert info.value.row == 200
-    with pytest.raises(MultipleRootError) as info:
-        roots_at(rows[195:205])
-    assert info.value.row == 5
-
-
 def test_validation_names_the_first_bad_grid_point():
-    # z^2 - (w - 10i/7)(w - 10/7): double roots over the grid points
-    # (0, 10/7) and (10/7, 0) of the 15-grid; the first in grid order is named
+    # z^2 - (w - 10i/7)(w - 10/7) has double roots over (0, 10/7) and
+    # (10/7, 0); both branch points lie in the space
     x = default_base_space(1)
     a, b = qi(0, Fraction(10, 7)), qi(Fraction(10, 7))
     a0 = BivariatePolyQi.from_w_powers([-(a * b), a + b, qi(-1)])
-    with pytest.raises(ValueError, match=r"over \(0\.000, 1\.429\)"):
-        WeierstrassPoly(2, [a0, BivariatePolyQi.zero()], base=x)
-
-
-@pytest.mark.parametrize("seed", [0, 3])
-def test_stacked_discriminants_match_per_row(seed):
-    rows = _random_monic_rows(seed, 300)
-    stacked = discriminant_at(rows)
-    assert stacked.shape == (300,)
-    for row, got in zip(rows, stacked):
-        want = discriminant_at(row)
-        assert abs(got - want) <= 1e-12 * abs(want)
-    assert np.array_equal(discriminant_at(rows[:, :1]), np.ones(300))
+    cert = certify([a0, BivariatePolyQi.zero()], x)
+    assert (cert.discriminant_degree, cert.zeros_in_outer_disc,
+            cert.zeros_per_hole) == (2, 2, (0,))
+    assert cert.reason == "2 zero(s) of the discriminant lie in the space"
 
 
 def test_min_gap_single_and_stacked():
