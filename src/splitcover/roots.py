@@ -13,7 +13,12 @@ import numpy as np
 
 
 class _FiberError(RuntimeError):
-    """A root solve failed."""
+    """A root solve failed; row is the index of the first failing fiber in a
+    stacked solve (0 for a single fiber)."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 class MultipleRootError(_FiberError):
@@ -113,8 +118,8 @@ def roots_at(coeffs, max_iterations: int = 1200,
     stacked fibers return an (N, n) array. Rows are solved in blocks, each
     row exactly as it would be alone. Raises RootFindingError when a fiber
     does not converge or leaves a large residual, and MultipleRootError when
-    its computed roots are too close to separate reliably; the error
-    describes the first failing fiber.
+    its computed roots are too close to separate reliably; the error's row
+    is the first failing fiber.
     """
     rows, single = _fiber_rows(coeffs)
     out = np.empty_like(rows)
@@ -122,11 +127,11 @@ def roots_at(coeffs, max_iterations: int = 1200,
     starts, block = _block_starts(rows.shape[0], (n + 1) * n)
     for start in starts:
         out[start:start + block] = _solve_block(
-            rows[start:start + block], max_iterations, gap_rtol)
+            rows[start:start + block], start, max_iterations, gap_rtol)
     return out[0] if single else out
 
 
-def _solve_block(rows: np.ndarray, max_iterations: int,
+def _solve_block(rows: np.ndarray, first_row: int, max_iterations: int,
                  gap_rtol: float) -> np.ndarray:
     count, n = rows.shape
     if n == 1:
@@ -161,11 +166,13 @@ def _solve_block(rows: np.ndarray, max_iterations: int,
     failed[todo] = True
     if failed.any():
         k = int(failed.argmax())
+        row = first_row + k
         if k in todo:
-            raise RootFindingError("simultaneous iteration failed to converge")
+            raise RootFindingError(
+                "simultaneous iteration failed to converge", row)
         if bad_residual[k]:
-            raise RootFindingError(f"residual {residual[k]:.2e} too large")
-        raise MultipleRootError(f"root gap {gap[k]:.2e} below tolerance")
+            raise RootFindingError(f"residual {residual[k]:.2e} too large", row)
+        raise MultipleRootError(f"root gap {gap[k]:.2e} below tolerance", row)
     return roots
 
 

@@ -297,6 +297,11 @@ class BaseSpace:
         return all(_segment_dist2(p, q, h.center) >= h.radius ** 2
                    for h in self.holes)
 
+    def bounding_box(self):
+        cx, cy = self.outer.center
+        r = self.outer.radius
+        return (cx - r, cx + r, cy - r, cy + r)
+
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(),
                 "holes": [h.to_json() for h in self.holes],
@@ -491,3 +496,40 @@ class WeierstrassPoly:
                    [BivariatePolyQi.from_json(c) for c in data["coeffs"]],
                    base=base)
 
+
+
+def sample_grid(space: BaseSpace, density: int) -> list[tuple[Fraction, Fraction]]:
+    """Rational tensor grid over the bounding box, filtered to the space.
+
+    Membership is decided exactly as BaseSpace.contains decides it, in
+    integers: every coordinate, centre and radius is scaled by one common
+    denominator.
+    """
+    if density < 2:
+        raise ValueError("grid density must be at least 2")
+    x0, x1, y0, y1 = space.bounding_box()
+    discs = (space.outer,) + space.holes
+    den = math.lcm(*(q.denominator for d in discs for q in (*d.center, d.radius)))
+    scale = den * (density - 1)
+
+    def scaled(lo: Fraction, hi: Fraction) -> list[int]:
+        # k-th coordinate lo + (hi - lo) k / (density - 1), times scale
+        first, stride = int(lo * scale), int((hi - lo) * den)
+        return [first + stride * k for k in range(density)]
+
+    def disc(d: Disc) -> tuple[int, int, int]:
+        """Scaled centre and squared radius."""
+        return (int(d.center[0] * scale), int(d.center[1] * scale),
+                int(d.radius * scale) ** 2)
+
+    ox, oy, outer_r2 = disc(space.outer)
+    holes = [disc(h) for h in space.holes]
+    us = [x0 + (x1 - x0) * Fraction(i, density - 1) for i in range(density)]
+    vs = [y0 + (y1 - y0) * Fraction(j, density - 1) for j in range(density)]
+    pts = []
+    for u, su in zip(us, scaled(x0, x1)):
+        for v, sv in zip(vs, scaled(y0, y1)):
+            if (su - ox) ** 2 + (sv - oy) ** 2 <= outer_r2 and all(
+                    (su - cx) ** 2 + (sv - cy) ** 2 >= r2 for cx, cy, r2 in holes):
+                pts.append((u, v))
+    return pts

@@ -11,7 +11,11 @@ from splitcover.wpoly import (
     BivariatePolyQi,
     Disc,
     GaussianRational,
+    MultipleRootError,
+    WeierstrassPoly,
     default_base_space,
+    roots_at,
+    sample_grid,
 )
 
 
@@ -121,3 +125,27 @@ def test_certificate_rejects_a_v4_candidate_with_branch_points_in_the_space():
     on_space = [z for z in zeros if abs(z) <= 10
                 and all(abs(z - complex(c)) >= 1 for c in centers)]
     assert len(on_space) == 2
+
+
+def _grid_fibers(coeffs, space, density):
+    f = WeierstrassPoly(len(coeffs), coeffs, base=space)
+    grid = sample_grid(space, density)
+    return grid, np.array([[complex(c) for c in f.eval_exact(u, v)]
+                           for u, v in grid])
+
+
+def test_grid_sampling_agrees_with_the_certificate():
+    # a numeric oracle: the fibers of a certified map separate at every point
+    # of a grid, and a rejected map whose branch points (0, 10/7) and
+    # (10/7, 0) are 15-grid points has a double root at the first of them
+    space = default_base_space(1)
+    good = square_root_family([qi(0), qi(-1)])
+    assert certify(good, space).valid
+    roots_at(_grid_fibers(good, space, 15)[1])
+    a, b = qi(0, Fraction(10, 7)), qi(Fraction(10, 7))
+    bad = square_root_family([-(a * b), a + b, qi(-1)])
+    assert not certify(bad, space).valid
+    grid, fibers = _grid_fibers(bad, space, 15)
+    with pytest.raises(MultipleRootError) as info:
+        roots_at(fibers)
+    assert grid[info.value.row] == (0, Fraction(10, 7))

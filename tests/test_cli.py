@@ -200,11 +200,25 @@ def test_embed_self_check_failure_exits_2(z2_artifact, tmp_path, capsys,
     assert not embed_out.exists()
 
 
+# the removed keys conservatism and grid_density stay input errors whatever
+# their value
 @pytest.mark.parametrize("config", [
+    {"conservatism": [1]},
+    {"conservatism": None},
+    {"conservatism": True},
+    {"conservatism": "0.5"},
+    {"grid_density": [41]},
+    {"grid_density": {"n": 41}},
+    {"grid_density": 7.9},
+    {"grid_density": "9"},
+    {"grid_density": None},
     {"tracking": {"initial_step": True}},
     {"tracking": {"max_newton_iters": True}},
     {"tracking": {"initial_step": float("nan")}},
-], ids=["initial_step_bool", "max_newton_iters_bool", "initial_step_nan"])
+], ids=["conservatism_list", "conservatism_null", "conservatism_bool",
+        "conservatism_string", "grid_list", "grid_object", "grid_float",
+        "grid_string", "grid_null", "initial_step_bool",
+        "max_newton_iters_bool", "initial_step_nan"])
 def test_non_numeric_config_value_is_input_error(config, z2_artifact, tmp_path,
                                                  capsys):
     _, group, _, _ = z2_artifact

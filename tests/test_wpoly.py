@@ -21,6 +21,7 @@ from splitcover.wpoly import (
     generator_loops,
     min_gap,
     roots_at,
+    sample_grid,
     validate_loop,
     winding_number,
 )
@@ -279,6 +280,49 @@ def test_weierstrass_constant_coefficients():
     assert vals[0] == qi(-1)
 
 
+def test_sample_grid_respects_space():
+    x = default_base_space(1)
+    pts = sample_grid(x, 21)
+    assert all(x.contains(u, v) for u, v in pts)
+    assert not any(u * u + v * v < 1 for u, v in pts)
+    assert len(pts) > 200
+
+
+def _grid_by_contains(space, density):
+    """The reference: every bounding-box grid point BaseSpace.contains keeps."""
+    x0, x1, y0, y1 = space.bounding_box()
+    pts = []
+    for i in range(density):
+        u = x0 + (x1 - x0) * Fraction(i, density - 1)
+        for j in range(density):
+            v = y0 + (y1 - y0) * Fraction(j, density - 1)
+            if space.contains(u, v):
+                pts.append((u, v))
+    return pts
+
+
+OFF_LATTICE_SPACE = BaseSpace(
+    Disc((Fraction(1, 3), Fraction(-2, 7)), Fraction(19, 2)),
+    (Disc((Fraction(-7, 3), Fraction(1, 5)), Fraction(5, 4)),
+     Disc((Fraction(10, 3), Fraction(-3, 2)), Fraction(2, 3))),
+    (Fraction(1, 3), Fraction(-15, 2)))
+
+
+@pytest.mark.parametrize("space", [default_base_space(m) for m in range(4)]
+                         + [OFF_LATTICE_SPACE],
+                         ids=["m0", "m1", "m2", "m3", "off-lattice"])
+def test_sample_grid_matches_contains(space):
+    for density in (2, 15, 41):
+        assert sample_grid(space, density) == _grid_by_contains(space, density)
+
+
+def test_sample_grid_keeps_boundary_points():
+    # on the 41-grid of radius-10 spaces, (6, 8) lies on the outer circle and
+    # (-1, 0) on the unit hole's circle; both belong to the closed space
+    pts = sample_grid(default_base_space(1), 41)
+    assert (Fraction(6), Fraction(8)) in pts and (Fraction(-1), Fraction(0)) in pts
+
+
 def test_eval_complex_points_is_bit_identical_to_eval_complex():
     coeffs = [BivariatePolyQi({(0, 0): qi(Fraction(1, 3), Fraction(-2, 7)),
                                (2, 1): qi(Fraction(5, 11)),
@@ -325,6 +369,18 @@ def test_stacked_roots_match_per_row_solves(seed):
         assert np.abs(got - roots_at(row)).max() <= 1e-12
         rebuilt = np.poly(got)[1:][::-1]
         assert np.abs(rebuilt - row).max() < 1e-8 * (1 + np.abs(row).max())
+
+
+def test_stacked_roots_report_the_first_double_root_row():
+    rows = _random_monic_rows(5, 300)[:, :2]
+    rows[200] = [1, -2]  # (z - 1)^2
+    rows[250] = [0, 0]  # z^2
+    with pytest.raises(MultipleRootError) as info:
+        roots_at(rows)
+    assert info.value.row == 200
+    with pytest.raises(MultipleRootError) as info:
+        roots_at(rows[195:205])
+    assert info.value.row == 5
 
 
 def test_validation_names_the_first_bad_grid_point():
