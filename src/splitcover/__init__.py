@@ -38,6 +38,7 @@ from .monodromy import (
     track_loop,
 )
 from .permgroup import (
+    ElementIndex,
     GroupHom,
     PermGroup,
     Permutation,

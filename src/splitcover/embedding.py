@@ -24,9 +24,6 @@ from .permgroup import (
     GroupHom,
     PermGroup,
     Permutation,
-    closure,
-    compose,
-    greedy_generators,
     inverse,
 )
 
@@ -111,21 +108,29 @@ def cayley_deck_labeling(images: Sequence[Permutation]) -> GroupHom:
 
 def _deck_labeling(source: PermGroup, table: CosetTable, elems: tuple) -> GroupHom:
     """cayley_deck_labeling on ``source``, the group whose generating images
-    cayley_table turned into ``table`` and ``elems``."""
-    index = {e: i + 1 for i, e in enumerate(elems)}
-    mapping = {
-        h: Permutation(tuple(index[compose(inverse(h), e)] for e in elems))
-        for h in elems
-    }
-    return GroupHom(source, deck_group(table).group, mapping)
+    cayley_table turned into ``table`` and ``elems``.
+
+    Left translation by h^-1 is the deck transformation sending the
+    basepoint, the coset of the identity, to the coset of h^-1, and a deck
+    transformation is pinned by its basepoint image."""
+    coset = {e: i + 1 for i, e in enumerate(elems)}
+    index = source.index()
+    inv = index.inverses
+    deck = deck_group(table)
+    mapping = {h: deck.from_basepoint_image(
+        coset[index.elements[inv[index.position[h]]]]) for h in elems}
+    return GroupHom(source, deck.group, mapping)
 
 
 def _first_generating_assignment(fibers, H: PermGroup):
-    order = H.order()
-    degree = H.degree
-    for assignment in itertools.product(*fibers):
-        if closure(assignment, degree=degree).order() == order:
-            return assignment
+    """The first assignment, in itertools.product order over the fibers,
+    whose elements generate H."""
+    index = H.index()
+    order = len(index.elements)
+    for assignment in itertools.product(
+            *[[index.position[h] for h in fiber] for fiber in fibers]):
+        if len(index.generated(assignment)) == order:
+            return tuple(index.elements[k] for k in assignment)
     return None
 
 
@@ -154,7 +159,9 @@ def solve(instance: EmbeddingInstance,
             raise NoSolutionError(
                 "no preimage assignment generates H and rank extension is disabled")
         kernel = phi.kernel_elements()
-        kernel_gens = greedy_generators(kernel, H.degree, len(kernel))
+        index = H.index()
+        kernel_gens = [index.elements[k] for k in index.reduce(
+            [index.position[p] for p in kernel], len(kernel))]
         extra = len(kernel_gens)
         fibers = fibers + [(k,) for k in kernel_gens]
         assignment = _first_generating_assignment(fibers, H)

@@ -19,7 +19,6 @@ from .permgroup import (
     centralizer_in_sym,
     closure,
     compose,
-    greedy_generators,
     inverse,
     json_int,
 )
@@ -121,12 +120,11 @@ def cayley_table(images: Sequence[Permutation]):
     if not images:
         e = Permutation.identity(1)
         return CosetTable(0, 1, ()), (e,)
-    group = closure(tuple(images))
-    elems = group.elements()
-    index = {e: i + 1 for i, e in enumerate(elems)}
+    index = closure(tuple(images)).index()
     action = tuple(
-        Permutation(tuple(index[compose(e, g)] for e in elems)) for g in images)
-    return CosetTable(len(images), len(elems), action), elems
+        Permutation(tuple([k + 1 for k in index.column(index.position[g])]))
+        for g in images)
+    return CosetTable(len(images), len(index.elements), action), index.elements
 
 
 def is_normal(table: CosetTable) -> bool:
@@ -209,19 +207,20 @@ def subtable(big: CosetTable, small: CosetTable) -> Optional[Tower]:
     """
     if big.rank != small.rank:
         raise ValueError("tables must have equal rank")
+    moves = [(p.images, q.images) for p, q in zip(big.action, small.action)]
+    moves += [(inverse(p).images, inverse(q).images)
+              for p, q in zip(big.action, small.action)]
     proj = [0] * (big.size + 1)
     proj[1] = 1
     frontier = [1]
     for c in frontier:
-        for i in range(big.rank):
-            for up, down in ((big.action[i], small.action[i]),
-                             (inverse(big.action[i]), inverse(small.action[i]))):
-                c2, target = up(c), down(proj[c])
-                if proj[c2] == 0:
-                    proj[c2] = target
-                    frontier.append(c2)
-                elif proj[c2] != target:
-                    return None
+        for up, down in moves:
+            c2, target = up[c - 1], down[proj[c] - 1]
+            if proj[c2] == 0:
+                proj[c2] = target
+                frontier.append(c2)
+            elif proj[c2] != target:
+                return None
     return Tower(big, small, tuple(proj[1:]))
 
 
@@ -247,7 +246,7 @@ def restriction_hom(tower: Tower) -> GroupHom:
         raise ValueError("restriction requires both coverings to be Galois")
     mapping = {}
     for lam in deck_top.group.elements():
-        mu = deck_mid.from_basepoint_image(tower.projection[lam(1) - 1])
+        mu = deck_mid.from_basepoint_image(tower.projection[lam.images[0] - 1])
         if mu is None:
             raise ValueError("projection image misses the mid deck group")
         mapping[lam] = mu
@@ -286,16 +285,18 @@ def tower_quotient_check(tower: Tower) -> TowerQuotientReport:
     if not deck_top.is_galois():
         raise ValueError("top covering must be Galois over the base")
     proj = tower.projection
-    tops = deck_top.group.elements()
-    fiber = tuple(lam for lam in tops
-                  if all(proj[lam(c) - 1] == proj[c - 1]
-                         for c in range(1, tower.top.size + 1)))
+    index = deck_top.group.index()
+    tops = index.elements
+    in_fiber = [k for k, lam in enumerate(tops)
+                if all(proj[v - 1] == p for v, p in zip(lam.images, proj))]
+    fiber = tuple(tops[k] for k in in_fiber)
     fiber_set = frozenset(fiber)
     # closed under conjugation by a generating set means normal; a deck
     # group lists every element as a generator, so pick a few first
-    gens = greedy_generators(deck_top.group.generators, tower.top.size, len(tops))
-    normal = all(compose(compose(inverse(lam), k), lam) in fiber_set
-                 for lam in gens for k in fiber)
+    gens = index.reduce(index.position[g] for g in deck_top.group.generators)
+    inv, product, members = index.inverses, index.product, set(in_fiber)
+    normal = all(product(product(inv[lam], k), lam) in members
+                 for lam in gens for k in in_fiber)
     deck_mid = deck_group(tower.mid)
     f_galois = deck_mid.is_galois()
     part1 = (f_galois == normal)

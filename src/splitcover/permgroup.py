@@ -58,7 +58,9 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        if n < 1:
+            raise ValueError("permutation degree must be at least 1")
+        return cls._unsafe(tuple(range(1, n + 1)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -146,11 +148,116 @@ def conjugate(p: Permutation, by: Permutation) -> Permutation:
     return compose(compose(by, p), inverse(by))
 
 
+class ElementIndex:
+    """Integer labels for the elements of a finite permutation group, with
+    products found by lookup instead of built as permutations.
+
+    A base is a list of points whose images pin every element (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4): the product
+    a·b is the element whose base images are b(a(x)) for x in the base, found
+    in one dictionary. A group acting freely, such as every deck group, needs
+    one base point. Memory is linear in the order: besides the elements, their
+    positions and base images, the index keeps the inverses and the
+    right-multiplication columns asked for, which callers ask for only for
+    generators.
+
+    Lookups are exact only on a set closed under products: ``PermGroup``
+    builds an index only for an element set it has shown to be the group its
+    generators generate, or that is one by construction.
+    """
+
+    def __init__(self, elements: tuple, position: Optional[dict] = None,
+                 columns: Optional[dict] = None):
+        self.elements = elements
+        self.position = position if position is not None else {
+            p: i for i, p in enumerate(elements)}
+        self._images = images = [p.images for p in elements]
+        # points in turn, each kept when its images split more elements apart
+        keys = [()] * len(elements)
+        base, distinct = [], 1
+        for x in range(elements[0].degree):
+            if distinct == len(keys):
+                break
+            extended = [k + (img[x],) for k, img in zip(keys, images)]
+            count = len(set(extended))
+            if count > distinct:
+                base.append(x)
+                keys, distinct = extended, count
+        self.base = tuple(base)
+        # a one-point base keys by the image itself, the common case
+        self._point = base[0] if len(base) == 1 else None
+        self._by_base = {(k[0] if self._point is not None else k): i
+                         for i, k in enumerate(keys)}
+        self._columns = columns or {}
+        self._inverses = None
+        self.identity = self._lookup(lambda x: x + 1)
+
+    def _lookup(self, image_of) -> int:
+        """The element sending each base point x to image_of(x)."""
+        if self._point is not None:
+            return self._by_base[image_of(self._point)]
+        return self._by_base[tuple([image_of(x) for x in self.base])]
+
+    def product(self, a: int, b: int) -> int:
+        """Index of elements[a]·elements[b]: apply a, then b."""
+        ia, ib = self._images[a], self._images[b]
+        if self._point is not None:
+            return self._by_base[ib[ia[self._point] - 1]]
+        return self._by_base[tuple([ib[ia[x] - 1] for x in self.base])]
+
+    def column(self, g: int) -> list:
+        """Right multiplication by elements[g] as a list of indices, kept."""
+        col = self._columns.get(g)
+        if col is None:
+            col = self._columns[g] = [self.product(a, g)
+                                      for a in range(len(self.elements))]
+        return col
+
+    @property
+    def inverses(self) -> list:
+        """Index of the inverse of each element, computed once."""
+        if self._inverses is None:
+            self._inverses = [self._lookup(lambda x: img.index(x + 1) + 1)
+                              for img in self._images]
+        return self._inverses
+
+    def generated(self, gens: Sequence[int]) -> list:
+        """Indices of the subgroup generated by ``gens``, breadth first from
+        the identity."""
+        reached = [self.identity]
+        seen = {self.identity}
+        for a in reached:
+            for g in gens:
+                b = self.product(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    reached.append(b)
+        return reached
+
+    def reduce(self, candidates: Iterable[int], order: Optional[int] = None) -> tuple:
+        """Candidates kept in turn when they lie outside the subgroup
+        generated by those kept before, until that subgroup has ``order``
+        elements (the whole group by default)."""
+        if order is None:
+            order = len(self.elements)
+        kept: list[int] = []
+        have = {self.identity}
+        for g in candidates:
+            if len(have) == order:
+                break
+            if g not in have:
+                kept.append(g)
+                have = set(self.generated(kept))
+        return tuple(kept)
+
+
 class PermGroup:
     """Finitely generated subgroup of a symmetric group.
 
     The element set is materialized lazily by breadth-first products of the
-    generators and cached; enumeration order is deterministic.
+    generators and cached together with its ``ElementIndex``; enumeration
+    order is deterministic. Elements passed as ``_elements`` must list the
+    group the generators generate; ``index`` checks that they do.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation] = (),
@@ -165,11 +272,35 @@ class PermGroup:
         self.generators = tuple(generators)
         self.limit = limit
         self._elements = _elements
+        self._index: Optional[ElementIndex] = None
 
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = _bfs_closure(self.degree, self.generators, self.limit)
+            elements, position, columns = _bfs_closure(
+                self.degree, self.generators, self.limit)
+            self._index = ElementIndex(elements, position, columns)
+            self._elements = elements
         return self._elements
+
+    def index(self) -> "ElementIndex":
+        """The element index, built once and kept on the group.
+
+        Elements given to the constructor are first shown to be the group
+        its generators generate, by closing the generators within that many
+        elements; ValueError otherwise.
+        """
+        if self._index is None:
+            given = self.elements()
+            try:
+                generated = _bfs_closure(self.degree, self.generators, len(given))[1]
+            except ClosureLimitError:
+                raise ValueError("generators leave its elements") from None
+            if not generated.keys() <= set(given):
+                raise ValueError("generators leave its elements")
+            if len(generated) != len(given):
+                raise ValueError("generators do not generate its elements")
+            self._index = ElementIndex(given)
+        return self._index
 
     def element_set(self) -> frozenset:
         return frozenset(self.elements())
@@ -217,20 +348,26 @@ class PermGroup:
                    tuple(Permutation.from_json(g) for g in data["generators"]))
 
 
-def _bfs_closure(degree: int, generators: Sequence[Permutation], limit: int) -> tuple:
+def _bfs_closure(degree: int, generators: Sequence[Permutation], limit: int):
+    """Elements of the generated group, breadth first from the identity, with
+    their positions and the right-multiplication column of each generator."""
     e = Permutation.identity(degree)
     elements = [e]
-    index = {e}
+    position = {e: 0}
+    columns = [[] for _ in generators]
     for g in elements:
-        for h in generators:
+        for h, col in zip(generators, columns):
             f = compose(g, h)
-            if f not in index:
+            k = position.get(f)
+            if k is None:
                 if len(elements) >= limit:
                     raise ClosureLimitError(
                         f"closure exceeds limit {limit} (degree {degree})")
-                index.add(f)
+                k = position[f] = len(elements)
                 elements.append(f)
-    return tuple(elements)
+            col.append(k)
+    return (tuple(elements), position,
+            {position[h]: col for h, col in zip(generators, columns)})
 
 
 def closure(generators: Sequence[Permutation], degree: Optional[int] = None,
@@ -250,30 +387,39 @@ def centralizer_in_sym(G: PermGroup) -> PermGroup:
     transitive G; an intransitive G raises ValueError.
 
     Candidates are determined by the image of point 1 and are extended
-    equivariantly along a spanning tree, so only n candidates are tried.
+    equivariantly along a spanning tree, so only n candidates are tried. The
+    result acts freely, so its index needs at most one base point.
     """
     n = G.degree
-    order, parent = _spanning_tree(n, G.generators)
+    gens = [g.images for g in G.generators]
+    order, parent = _spanning_tree(n, gens)
+    tree = [(x,) + parent[x] for x in order[1:]]
     found = []
     for b in range(1, n + 1):
         s = [0] * (n + 1)
         s[1] = b
-        for x in order[1:]:
-            prev, g = parent[x]
-            s[x] = g(s[prev])
-        if sorted(s[1:]) != list(range(1, n + 1)):
+        for x, prev, g in tree:
+            s[x] = g[s[prev] - 1]
+        images = s[1:]
+        if len(set(images)) != n:
             continue
-        if all(s[g(x)] == g(s[x]) for g in G.generators for x in range(1, n + 1)):
-            found.append(Permutation._unsafe(tuple(s[1:])))
-    return PermGroup(n, tuple(found), _elements=tuple(found))
+        # s commutes with g when s(g(x)) == g(s(x)) for every point x
+        if all([s[v] for v in g] == [g[v - 1] for v in images] for g in gens):
+            found.append(Permutation._unsafe(tuple(images)))
+    group = PermGroup(n, tuple(found), _elements=tuple(found))
+    # the centralizer is a group, listed whole, so its index needs no proof
+    group._index = ElementIndex(group._elements)
+    return group
 
 
-def _spanning_tree(n: int, generators: Sequence[Permutation]):
+def _spanning_tree(n: int, generators: Sequence[tuple]):
+    """BFS from point 1 along generator image tuples: the points in order and
+    each point's (predecessor, generator images)."""
     order = [1]
     parent: dict = {1: None}
     for x in order:
         for g in generators:
-            y = g(x)
+            y = g[x - 1]
             if y not in parent:
                 parent[y] = (x, g)
                 order.append(y)
@@ -301,30 +447,33 @@ class GroupHom:
         """f(a·g) == f(a)·f(g) on every edge of the Cayley graph of a reduced
         generating set, walked from the identity, which must reach the whole
         source: |G|·r products prove a homomorphism (Holt, Eick and O'Brien,
-        Handbook of Computational Group Theory, 2005)."""
+        Handbook of Computational Group Theory, 2005). Products are lookups
+        in the element index of each group."""
         source, f = self.source, self.mapping
         els = source.elements()
         if set(f) != set(els):
             raise ValueError("mapping does not cover the source group")
-        tset = self.target.element_set()
+        target = self.target.index()
         for v in f.values():
-            if v not in tset:
+            if v not in target.position:
                 raise ValueError(f"image {v!r} is not in the target group")
         e = Permutation.identity(source.degree)
         if f.get(e) != Permutation.identity(self.target.degree):
             raise ValueError("the identity is not mapped to the identity")
         try:
-            edges = [(g, f[g]) for g in
-                     greedy_generators(source.generators, source.degree, len(els))]
-        except (ClosureLimitError, KeyError):
-            raise ValueError("source generators leave its elements") from None
-        reached, seen = [e], {e}
+            index = source.index()
+        except ValueError as exc:
+            raise ValueError(f"source {exc}") from None
+        image = [target.position[f[a]] for a in els]
+        gens = index.reduce(index.position[g] for g in source.generators)
+        edges = [(g, index.column(g), image[g]) for g in gens]
+        reached, seen = [index.identity], {index.identity}
         for a in reached:
-            fa = f[a]
-            for g, fg in edges:
-                b = compose(a, g)
-                if f.get(b) != compose(fa, fg):
-                    raise ValueError(f"not multiplicative at {a!r}, {g!r}")
+            fa = image[a]
+            for g, col, fg in edges:
+                b = col[a]
+                if image[b] != target.product(fa, fg):
+                    raise ValueError(f"not multiplicative at {els[a]!r}, {els[g]!r}")
                 if b not in seen:
                     seen.add(b)
                     reached.append(b)
@@ -399,21 +548,6 @@ def _close_hom(source: PermGroup, target_degree: int, gen_pairs) -> Optional[dic
     return mapping
 
 
-def greedy_generators(candidates: Iterable[Permutation], degree: int,
-                      order: int) -> tuple:
-    """Candidates kept in turn when they lie outside the group generated by
-    those kept before, until that group has the given order."""
-    gens: list[Permutation] = []
-    have = {Permutation.identity(degree)}
-    for g in candidates:
-        if len(have) == order:
-            break
-        if g not in have:
-            gens.append(g)
-            have = set(_bfs_closure(degree, gens, order))
-    return tuple(gens)
-
-
 def isomorphic_as_groups(G: PermGroup, H: PermGroup,
                          limit: int = DEFAULT_ISO_LIMIT) -> Optional[GroupHom]:
     """Search for a group isomorphism G -> H; None if the groups differ.
@@ -430,7 +564,9 @@ def isomorphic_as_groups(G: PermGroup, H: PermGroup,
     h_orders = sorted(p.order() for p in H.elements())
     if g_orders != h_orders:
         return None
-    gens = greedy_generators(G.generators, G.degree, G.order())
+    index = G.index()
+    gens = tuple(index.elements[k] for k in
+                 index.reduce(index.position[g] for g in G.generators))
     if not gens:
         e = Permutation.identity(H.degree)
         return GroupHom(G, H, {Permutation.identity(G.degree): e})
@@ -438,9 +574,8 @@ def isomorphic_as_groups(G: PermGroup, H: PermGroup,
     for p in H.elements():
         by_order.setdefault(p.order(), []).append(p)
     candidates = [by_order.get(g.order(), []) for g in gens]
-    src = PermGroup(G.degree, gens, _elements=G.elements())
     for images in itertools.product(*candidates):
-        mapping = _close_hom(src, H.degree, zip(gens, images))
+        mapping = _close_hom(G, H.degree, zip(gens, images))
         if mapping is None:
             continue
         if len(set(mapping.values())) == H.order():

@@ -180,6 +180,14 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace
     raise SynthesisUnsupported("; ".join(failures))
 
 
+def _check_order(G: PermGroup) -> int:
+    """The order of G, or ValueError when realize cannot take it."""
+    n = G.order()
+    if n > ORDER_LIMIT:
+        raise ValueError(f"group order {n} exceeds the limit {ORDER_LIMIT}")
+    return n
+
+
 def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
                   tracking: TrackingConfig = DEFAULT_TRACKING,
                   ) -> tuple[WeierstrassPoly, PipelineReport]:
@@ -194,9 +202,7 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
     exactly.
     """
     watch = _Stopwatch()
-    n = G.order()
-    if n > ORDER_LIMIT:
-        raise ValueError(f"group order {n} exceeds the limit {ORDER_LIMIT}")
+    n = _check_order(G)
     m = len(G.generators)
     if space is None:
         space = default_base_space(m)
@@ -272,8 +278,10 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     """Given an irreducible g and a surjection of H onto its deck group,
     produce a polynomial h whose splitting covering solves the embedding
     problem over g, verified at the coset-table level and by exact
-    monodromy match."""
+    monodromy match. An H that realize cannot take is refused before any
+    tracking."""
     watch = _Stopwatch()
+    _check_order(H)
     rep_g = characteristic_hom(g, space, tracking)
     if not irreducibility_check(rep_g):
         raise IrreducibilityFailureError(
@@ -299,8 +307,9 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
         realize_report.artifacts["splitting_cover"]) == solution.E_cover
     tower = solution.tower if matches else None
 
-    rep_g2 = characteristic_hom(g, space2, tracking,
-                                root_labels=rep_g.root_labels)
+    # with no hole added the space is the same and so is the monodromy
+    rep_g2 = rep_g if extra == 0 else characteristic_hom(
+        g, space2, tracking, root_labels=rep_g.root_labels)
     base_stable = (rep_g2.perms[:space.rank] == rep_g.perms and
                    all(p.is_identity() for p in rep_g2.perms[space.rank:]))
     watch.lap("tower_verification")

@@ -350,3 +350,64 @@ def test_cli_fuzz_mutated_inputs_exit_cleanly(tmp_path, capsys):
             # never truncated or read as a bool
             if op == "swap" and type(node) is int:
                 assert code == 4, (target, doc, code, err)
+
+
+# -- seeded fuzzing of the discrete inputs of embed and verify-tower --
+
+def _discrete_fuzz_inputs():
+    """Z4 over the Z2 covering: H, phi onto the deck group of F and psi onto
+    the deck group of the solver's covering, as embed and verify-tower read
+    them."""
+    from splitcover import embedding
+    from splitcover.freecover import cayley_table, deck_group
+    from splitcover.permgroup import GroupHom
+
+    z4 = closure((perm((1, 2, 3, 4), n=4),))
+    f_table = cayley_table((perm((1, 2), n=2),))[0]
+    phi = GroupHom.from_generator_images(
+        z4, deck_group(f_table).group, (perm((1, 2), n=2),))
+    solution = embedding.solve(embedding.EmbeddingInstance(1, f_table, z4, phi))
+    docs = {"H": z4.to_json(), "phi": {"gen_images": [[2, 1]]},
+            "psi": {"gen_images": solution.psi.to_json()["gen_images"]}}
+    return docs, f_table, deck_group(solution.E_cover).group
+
+
+def test_discrete_fuzz_mutated_inputs_fail_cleanly(tmp_path):
+    # main maps ValueError to exit 4 and the solver's two errors to exit 2;
+    # a KeyError or IndexError would reach the command line as a traceback
+    from splitcover import cli, embedding
+    from splitcover.freecover import deck_group
+    from splitcover.permgroup import GroupHom
+
+    docs, f_table, e_deck = _discrete_fuzz_inputs()
+
+    def attempt(inputs):
+        paths = {name: write_json(tmp_path / f"{name}.json", doc)
+                 for name, doc in inputs.items()}
+        try:
+            H = cli._load_group(paths["H"])
+            phi_images = cli._load_images(paths["phi"], "phi")
+            psi_images = cli._load_images(paths["psi"], "psi")
+        except cli.InputError:
+            return "parse"
+        try:
+            phi = GroupHom.from_generator_images(
+                H, deck_group(f_table).group, phi_images)
+            GroupHom.from_generator_images(H, e_deck, psi_images)
+            embedding.solve(embedding.EmbeddingInstance(1, f_table, H, phi))
+        except (ValueError, embedding.NoSolutionError,
+                embedding.SolutionCheckError):
+            return "refused"
+        return "solved"
+
+    assert attempt(docs) == "solved"
+    outcomes = set()
+    for target in sorted(docs):
+        rng = random.Random(f"discrete-fuzz-{target}")
+        for _ in range(40):
+            doc, _, _ = _mutate(docs[target], rng)
+            try:
+                outcomes.add(attempt(dict(docs, **{target: doc})))
+            except Exception as exc:
+                pytest.fail(f"{target} {doc!r} raised {exc!r}")
+    assert outcomes == {"parse", "refused"}

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from splitcover.embedding import (
@@ -14,6 +16,7 @@ from splitcover.permgroup import (
     Permutation,
     closure,
     compose,
+    inverse,
 )
 
 
@@ -76,6 +79,59 @@ def test_cayley_deck_labeling_is_isomorphism():
         # the construction check accepts the labeling's mapping
         assert isinstance(GroupHom(labeling.source, labeling.target,
                                    labeling.mapping), GroupHom)
+
+
+def left_translation_labeling(source, table, elems):
+    """Oracle for _deck_labeling: h acts on the cosets, labeled by elems, by
+    left translation by h^-1, built from |H|^2 products."""
+    index = {e: i + 1 for i, e in enumerate(elems)}
+    return {h: Permutation(tuple(index[compose(inverse(h), e)] for e in elems))
+            for h in elems}
+
+
+def test_deck_labeling_equals_left_translation():
+    from catalog import CATALOG
+    from splitcover.embedding import _deck_labeling
+
+    for H in CATALOG.values():
+        # the covering of H from a generating tuple other than H's own
+        gens = tuple(reversed(H.generators)) + (H.elements()[-1],)
+        table, elems = cayley_table(gens)
+        psi = _deck_labeling(H, table, elems)
+        assert psi.mapping == left_translation_labeling(H, table, elems)
+        assert psi.source is H and psi.is_bijective()
+
+
+def test_index_generation_equals_closure_on_criterion_2_fibers(monkeypatch):
+    # every assignment the solver tries on the criterion-2 instances:
+    # generation by the BFS on H's index against the order of its closure
+    from catalog import CATALOG
+    from test_acceptance import _surjections_up_to_automorphism
+    from splitcover import embedding
+
+    real = embedding._first_generating_assignment
+    tried = []
+
+    def checked(fibers, H):
+        index = H.index()
+        for assignment in itertools.product(*fibers):
+            by_index = len(index.generated([index.position[h] for h in assignment]))
+            assert by_index == closure(assignment, degree=H.degree).order()
+            tried.append(by_index == H.order())
+        return real(fibers, H)
+
+    monkeypatch.setattr(embedding, "_first_generating_assignment", checked)
+    for G in CATALOG.values():
+        f_table, _ = cayley_table(G.generators)
+        labeling = cayley_deck_labeling(G.generators)
+        for H in CATALOG.values():
+            if H.order() > 16:
+                continue
+            for images_in_g in _surjections_up_to_automorphism(H, G):
+                phi = GroupHom.from_generator_images(
+                    H, labeling.target, tuple(labeling(p) for p in images_in_g))
+                solve(EmbeddingInstance(f_table.rank, f_table, H, phi))
+    assert True in tried and False in tried
 
 
 def test_solve_identity_case():

@@ -306,3 +306,32 @@ def test_json_round_trip():
     assert CosetTable.from_json(t.to_json()) == t
     tw = subtable(t, t)
     assert Tower.from_json(tw.to_json()) == tw
+
+
+@pytest.mark.parametrize("top, mid", [
+    (lambda: z_table(12), lambda: z_table(6)),
+    (lambda: cayley_table(S3_GENS)[0],
+     lambda: stabilizer_table(closure(S3_GENS),
+                              [p for p in closure(S3_GENS).elements()
+                               if p.order() in (1, 3)], S3_GENS)),
+    (lambda: cayley_table(S3_GENS)[0], lambda: CosetTable(2, 3, S3_GENS)),
+], ids=["Z12/Z6", "S3/Z2", "S3/non-Galois"])
+def test_tower_check_and_restriction_make_no_products_once_decks_exist(
+        monkeypatch, top, mid):
+    from splitcover import freecover, permgroup
+
+    tower = subtable(top(), mid())
+    deck_group(tower.top)
+    deck_group(tower.mid)
+    calls = []
+    real = permgroup.compose
+    counting = lambda p, q: calls.append(1) or real(p, q)  # noqa: E731
+    monkeypatch.setattr(permgroup, "compose", counting)
+    monkeypatch.setattr(freecover, "compose", counting)
+    report = tower_quotient_check(tower)
+    assert report.part1_holds and report.all_verified()
+    if report.f_galois:
+        res = restriction_hom(tower)
+        assert res.is_surjective()
+    # every product is a lookup in the deck groups' element indices
+    assert calls == []

@@ -328,3 +328,110 @@ def test_json_round_trip():
     assert g2.element_set() == g.element_set()
     p = perm((1, 3, 2), n=4)
     assert Permutation.from_json(p.to_json()) == p
+
+
+def index_groups():
+    """Every catalog group and the deck group of its regular covering."""
+    from catalog import CATALOG
+    from splitcover.freecover import cayley_table, deck_group
+
+    for name, group in CATALOG.items():
+        yield name, group
+        yield f"deck {name}", deck_group(cayley_table(group.generators)[0]).group
+
+
+def test_index_products_equal_compose_on_catalog_and_deck_groups():
+    for name, group in index_groups():
+        index = group.index()
+        els = index.elements
+        assert els == group.elements()
+        assert els[index.identity] == identity(group.degree)
+        if name.startswith("deck"):
+            # a deck group acts freely: one base point pins every element
+            assert len(index.base) == 1
+        for a, p in enumerate(els):
+            assert index.position[p] == a
+            assert els[index.inverses[a]] == inverse(p)
+            for b, q in enumerate(els):
+                assert els[index.product(a, b)] == compose(p, q), (name, p, q)
+        for g in group.generators[:3]:
+            k = index.position[g]
+            assert [els[c] for c in index.column(k)] == [compose(p, g) for p in els]
+
+
+def test_index_products_equal_compose_on_s7():
+    # 5040 elements on 7 points need a base of 6; all 5040^2 pairs would
+    # take minutes, so every element against each generator, every inverse
+    # and a seeded sample of pairs
+    s7 = closure((perm((1, 2), n=7), perm((1, 2, 3, 4, 5, 6, 7), n=7)))
+    index = s7.index()
+    els = index.elements
+    assert len(els) == 5040 and len(index.base) == 6
+    for g in s7.generators:
+        col = index.column(index.position[g])
+        assert all(els[c] == compose(p, g) for p, c in zip(els, col))
+    assert all(els[i] == inverse(p) for p, i in zip(els, index.inverses))
+    rng = random.Random(7)
+    for _ in range(3000):
+        a, b = rng.randrange(5040), rng.randrange(5040)
+        assert els[index.product(a, b)] == compose(els[a], els[b])
+
+
+def test_index_generation_and_reduction_match_closure():
+    from catalog import CATALOG
+
+    rng = random.Random(14)
+    for group in CATALOG.values():
+        index = group.index()
+        els = index.elements
+        for _ in range(30):
+            picks = [rng.randrange(len(els)) for _ in range(rng.randint(1, 3))]
+            expected = closure(tuple(els[k] for k in picks), degree=group.degree)
+            reached = index.generated(picks)
+            assert len(reached) == len(set(reached)) == expected.order()
+            assert {els[k] for k in reached} == expected.element_set()
+            kept = index.reduce(picks, expected.order())
+            assert set(kept) <= set(picks)
+            assert closure(tuple(els[k] for k in kept),
+                           degree=group.degree).order() == expected.order()
+
+
+@pytest.mark.parametrize("generators, elements, message", [
+    ((perm((1, 3), (2, 4), n=4),), (perm((1, 2, 3, 4), n=4),),
+     "generators do not generate its elements"),
+    ((perm((1, 2, 3, 4), n=4),), (perm((1, 3), (2, 4), n=4),),
+     "generators leave its elements"),
+], ids=["generate_too_little", "leave_the_elements"])
+def test_index_of_given_elements_requires_the_generated_group(
+        generators, elements, message):
+    # lookups by base images are exact only on a group, so an index is
+    # built only over the group the generators generate
+    els = closure(elements).elements()
+    with pytest.raises(ValueError, match=message):
+        PermGroup(4, generators, _elements=els).index()
+    z4 = closure((perm((1, 2, 3, 4), n=4),))
+    shuffled = tuple(reversed(z4.elements()))
+    index = PermGroup(4, z4.generators, _elements=shuffled).index()
+    assert index.elements == shuffled
+    assert shuffled[index.identity] == identity(4)
+
+
+def test_group_and_index_are_freed_together():
+    # no reference cycle: reference counting alone frees the group, its
+    # index and, for a deck group, the table holding both
+    import gc
+    import weakref
+    from splitcover.freecover import cayley_table, deck_group
+
+    g = closure((perm((1, 2), n=3), perm((1, 2, 3), n=3)))
+    t = cayley_table(g.generators)[0]
+    d = deck_group(t)
+    refs = [weakref.ref(x) for x in (g, g.index(), t, d, d.group, d.group.index())]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del g, t, d
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()

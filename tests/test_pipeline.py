@@ -243,26 +243,48 @@ def test_splitting_cover_is_built_once(command, realized_z2, monkeypatch):
     assert calls == ["cayley_table", "centralizer_in_sym"]
 
 
-@pytest.mark.parametrize("H, phi_extra, decks, loops",
-                         [(Z4, 0, 3, 1), (V4, 1, 4, 3)], ids=["Z4", "V4"])
+@pytest.mark.parametrize("H, phi_extra, decks, loops, g_tracks",
+                         [(Z4, 0, 3, 1, 1), (V4, 1, 4, 3, 2)], ids=["Z4", "V4"])
 def test_embed_computes_deck_groups_and_loops_once(H, phi_extra, decks, loops,
-                                                    realized_z2, monkeypatch):
+                                                    g_tracks, realized_z2,
+                                                    monkeypatch):
     # deck groups: F, the solver's E, the realization's splitting cover and
     # for V4 the extended mid covering; the realized cover equals the
     # solver's, whose tower is reused; loops: one per hole of the base space
-    # and of the extended one
-    from splitcover import freecover, wpoly
+    # and of the extended one; g is tracked again only over the extended space
+    from splitcover import freecover, pipeline, wpoly
 
     poly, space, _ = realized_z2
     space = BaseSpace.from_json(space.to_json())
     calls = count_calls(monkeypatch, (freecover, "centralizer_in_sym"),
                         (wpoly, "validate_loop"))
+    real = pipeline.characteristic_hom
+    tracked = []
+    monkeypatch.setattr(pipeline, "characteristic_hom",
+                        lambda f, *args, **kwargs:
+                        tracked.append(f) or real(f, *args, **kwargs))
     s = Permutation((2, 1))
     _, report = solve_semitop_embedding(
         poly, space, H, (s,) + (Permutation.identity(2),) * phi_extra)
     assert report.all_passed()
+    assert report.verdicts["base_monodromy_stable_under_extension"]
     assert calls.count("centralizer_in_sym") == decks
     assert calls.count("validate_loop") == loops
+    assert sum(f is poly for f in tracked) == g_tracks
+
+
+def test_embed_refuses_a_group_realize_cannot_take_before_tracking(
+        realized_z2, monkeypatch):
+    from splitcover import pipeline
+
+    def no_tracking(*args, **kwargs):
+        raise AssertionError("tracked before the order check")
+
+    monkeypatch.setattr(pipeline, "characteristic_hom", no_tracking)
+    poly, space, _ = realized_z2
+    s5 = closure((perm((1, 2), n=5), perm((1, 2, 3, 4, 5), n=5)))
+    with pytest.raises(ValueError, match="exceeds the limit 24"):
+        solve_semitop_embedding(poly, space, s5, (Permutation((2, 1)),) * 2)
 
 
 def test_run_verify_tower_z4_over_z2(realized_z2, monkeypatch):
