@@ -74,9 +74,11 @@ def _schema(path: str, data, key: str):
 def _load_group(path: str) -> PermGroup:
     data = _load_json(path)
     try:
-        return PermGroup.from_json(
-            {"degree": _schema(path, data, "degree"),
-             "generators": _schema(path, data, "generators")})
+        degree = _schema(path, data, "degree")
+        generators = _schema(path, data, "generators")
+        if not isinstance(generators, list):
+            raise ValueError("generators must be a JSON list")
+        return PermGroup.from_json({"degree": degree, "generators": generators})
     except (ValueError, TypeError, KeyError) as exc:
         raise InputError(f"{path}: bad group: {exc}") from exc
 
@@ -116,6 +118,8 @@ def _load_images(path: str, label: str) -> tuple[Permutation, ...]:
     data = _load_json(path)
     if isinstance(data, dict):
         data = _schema(path, data, "gen_images")
+    if not isinstance(data, list):
+        raise InputError(f"{path}: bad {label} images: expected a JSON list")
     try:
         return tuple(Permutation.from_json(p) for p in data)
     except (ValueError, TypeError) as exc:

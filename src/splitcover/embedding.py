@@ -102,7 +102,7 @@ def cayley_deck_labeling(images: Sequence[Permutation]) -> GroupHom:
     """Isomorphism from the group generated by ``images`` onto the deck group
     of its regular covering: h acts on cosets by left translation by h^-1."""
     table, elems = cayley_table(images)
-    source = PermGroup(elems[0].degree, tuple(images), _elements=elems)
+    source = PermGroup(elems[0].degree, tuple(images))
     return _deck_labeling(source, table, elems)
 
 
@@ -168,7 +168,7 @@ def solve(instance: EmbeddingInstance,
         if assignment is None:
             raise NoSolutionError("rank extension failed to generate H")
 
-    table, elems = cayley_table(assignment)
+    table, elems = cayley_table(assignment, H.degree)
     psi = _deck_labeling(H, table, elems)
 
     tower = subtable(table, extend_table(F, extra))

@@ -109,16 +109,17 @@ def act(table: CosetTable, word: FreeWord, coset: int) -> int:
     return c
 
 
-def cayley_table(images: Sequence[Permutation]):
+def cayley_table(images: Sequence[Permutation], degree: Optional[int] = None):
     """Regular covering for the right-multiplication action of the image group.
 
     Returns the coset table together with the group elements in coset order
     (coset 1 is the identity), so callers can label cosets by elements. The
     table is also the coset table of the kernel of the homomorphism sending
-    xi to images[i].
+    xi to images[i]. With no images the group is trivial, its identity of
+    ``degree`` points (1 by default).
     """
     if not images:
-        e = Permutation.identity(1)
+        e = Permutation.identity(1 if degree is None else degree)
         return CosetTable(0, 1, ()), (e,)
     index = closure(tuple(images)).index()
     action = tuple(

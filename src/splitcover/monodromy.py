@@ -356,9 +356,7 @@ def splitting_cover(rep: MonodromyRep) -> tuple[CosetTable, DeckGroup, tuple]:
     """Regular covering whose fiber is the monodromy image group, with its
     deck group and the group's elements in coset order (as permutations of
     the roots); the fiber size always equals the deck group order."""
-    table, elems = cayley_table(rep.perms)
-    if not rep.perms:
-        elems = (Permutation.identity(rep.degree),)
+    table, elems = cayley_table(rep.perms, rep.degree)
     return table, deck_group(table), elems
 
 
@@ -377,7 +375,7 @@ def deck_action_on_roots(rep: MonodromyRep, deck: DeckGroup,
     homomorphism under left-to-right composition. The flag reports
     injectivity, which holds for every regular action.
     """
-    target = PermGroup(rep.degree, rep.perms, _elements=tuple(elems))
+    target = PermGroup(rep.degree, rep.perms)
     mapping = {lam: inverse(elems[lam(1) - 1]) for lam in deck.group.elements()}
     hom = GroupHom(deck.group, target, mapping)
     return hom, hom.is_injective()

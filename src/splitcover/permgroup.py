@@ -162,8 +162,7 @@ class ElementIndex:
     generators.
 
     Lookups are exact only on a set closed under products: ``PermGroup``
-    builds an index only for an element set it has shown to be the group its
-    generators generate, or that is one by construction.
+    indexes the group its generators generate.
     """
 
     def __init__(self, elements: tuple, position: Optional[dict] = None,
@@ -184,25 +183,18 @@ class ElementIndex:
                 base.append(x)
                 keys, distinct = extended, count
         self.base = tuple(base)
-        # a one-point base keys by the image itself, the common case
-        self._point = base[0] if len(base) == 1 else None
-        self._by_base = {(k[0] if self._point is not None else k): i
-                         for i, k in enumerate(keys)}
+        self._by_base = {k: i for i, k in enumerate(keys)}
         self._columns = columns or {}
         self._inverses = None
         self.identity = self._lookup(lambda x: x + 1)
 
     def _lookup(self, image_of) -> int:
         """The element sending each base point x to image_of(x)."""
-        if self._point is not None:
-            return self._by_base[image_of(self._point)]
         return self._by_base[tuple([image_of(x) for x in self.base])]
 
     def product(self, a: int, b: int) -> int:
         """Index of elements[a]·elements[b]: apply a, then b."""
         ia, ib = self._images[a], self._images[b]
-        if self._point is not None:
-            return self._by_base[ib[ia[self._point] - 1]]
         return self._by_base[tuple([ib[ia[x] - 1] for x in self.base])]
 
     def column(self, g: int) -> list:
@@ -256,8 +248,9 @@ class PermGroup:
 
     The element set is materialized lazily by breadth-first products of the
     generators and cached together with its ``ElementIndex``; enumeration
-    order is deterministic. Elements passed as ``_elements`` must list the
-    group the generators generate; ``index`` checks that they do.
+    order is deterministic. Elements passed as ``_elements`` are enumerated
+    as given, while the index always lists the group the generators
+    generate, so a homomorphism check compares the two.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation] = (),
@@ -276,30 +269,14 @@ class PermGroup:
 
     def elements(self) -> tuple:
         if self._elements is None:
-            elements, position, columns = _bfs_closure(
-                self.degree, self.generators, self.limit)
-            self._index = ElementIndex(elements, position, columns)
-            self._elements = elements
+            self._elements = self.index().elements
         return self._elements
 
     def index(self) -> "ElementIndex":
-        """The element index, built once and kept on the group.
-
-        Elements given to the constructor are first shown to be the group
-        its generators generate, by closing the generators within that many
-        elements; ValueError otherwise.
-        """
+        """The element index of the generated group, built once and kept."""
         if self._index is None:
-            given = self.elements()
-            try:
-                generated = _bfs_closure(self.degree, self.generators, len(given))[1]
-            except ClosureLimitError:
-                raise ValueError("generators leave its elements") from None
-            if not generated.keys() <= set(given):
-                raise ValueError("generators leave its elements")
-            if len(generated) != len(given):
-                raise ValueError("generators do not generate its elements")
-            self._index = ElementIndex(given)
+            self._index = ElementIndex(
+                *_bfs_closure(self.degree, self.generators, self.limit))
         return self._index
 
     def element_set(self) -> frozenset:
@@ -406,9 +383,9 @@ def centralizer_in_sym(G: PermGroup) -> PermGroup:
         # s commutes with g when s(g(x)) == g(s(x)) for every point x
         if all([s[v] for v in g] == [g[v - 1] for v in images] for g in gens):
             found.append(Permutation._unsafe(tuple(images)))
-    group = PermGroup(n, tuple(found), _elements=tuple(found))
-    # the centralizer is a group, listed whole, so its index needs no proof
-    group._index = ElementIndex(group._elements)
+    group = PermGroup(n, tuple(found))
+    # the centralizer is a group listed whole by its generators
+    group._index = ElementIndex(tuple(found))
     return group
 
 
@@ -462,9 +439,11 @@ class GroupHom:
             raise ValueError("the identity is not mapped to the identity")
         try:
             index = source.index()
-        except ValueError as exc:
-            raise ValueError(f"source {exc}") from None
-        image = [target.position[f[a]] for a in els]
+        except ClosureLimitError:
+            raise ValueError("source generators leave its elements") from None
+        if any(p not in f for p in index.elements):
+            raise ValueError("source generators leave its elements")
+        image = [target.position[f[a]] for a in index.elements]
         gens = index.reduce(index.position[g] for g in source.generators)
         edges = [(g, index.column(g), image[g]) for g in gens]
         reached, seen = [index.identity], {index.identity}
@@ -473,7 +452,8 @@ class GroupHom:
             for g, col, fg in edges:
                 b = col[a]
                 if image[b] != target.product(fa, fg):
-                    raise ValueError(f"not multiplicative at {els[a]!r}, {els[g]!r}")
+                    raise ValueError("not multiplicative at "
+                                     f"{index.elements[a]!r}, {index.elements[g]!r}")
                 if b not in seen:
                     seen.add(b)
                     reached.append(b)

@@ -152,7 +152,7 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace
     twists; the first candidate whose polynomial is certified Weierstrass on
     the space is returned with that polynomial and its certificate."""
     n = len(elems)
-    group = PermGroup(elems[0].degree, tuple(gens), _elements=tuple(elems))
+    group = PermGroup(elems[0].degree, tuple(gens))
     kind = (gens[0].order(), gens[1].order()) if len(gens) == 2 else None
     if group.is_abelian():
         schedule = [(f"weight base {base}", functools.partial(

@@ -256,7 +256,7 @@ def synthesize_abelian(elems: Sequence[Permutation], gens: Sequence[Permutation]
     """Coefficient map with regular abelian monodromy: generator i acts by
     right translation around hole i. Roots are indexed by the given element
     enumeration, which fixes the labeling used downstream."""
-    group = PermGroup(elems[0].degree, tuple(gens), _elements=tuple(elems))
+    group = PermGroup(elems[0].degree, tuple(gens))
     if not group.is_abelian():
         raise SynthesisUnsupported("group is not abelian")
     if len(gens) != len(centers):
@@ -468,7 +468,7 @@ def synthesize_s3(elems: Sequence[Permutation], gens: Sequence[Permutation],
     """
     if len(elems) != 6 or len(gens) != 2 or len(centers) != 2:
         raise SynthesisUnsupported("S3 construction needs order 6 and two holes")
-    group = PermGroup(elems[0].degree, tuple(gens), _elements=tuple(elems))
+    group = PermGroup(elems[0].degree, tuple(gens))
     if group.is_abelian():
         raise SynthesisUnsupported("group of order 6 is cyclic, use the "
                                    "abelian construction")

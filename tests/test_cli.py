@@ -354,32 +354,44 @@ def test_cli_fuzz_mutated_inputs_exit_cleanly(tmp_path, capsys):
 
 # -- seeded fuzzing of the discrete inputs of embed and verify-tower --
 
-def _discrete_fuzz_inputs():
-    """Z4 over the Z2 covering: H, phi onto the deck group of F and psi onto
-    the deck group of the solver's covering, as embed and verify-tower read
-    them."""
+def _discrete_fuzz_inputs(instance):
+    """H, phi onto the deck group of F and psi onto the deck group of the
+    solver's covering, as embed and verify-tower read them: Z4 over the Z2
+    covering, or a trivial H on two points over the rank-0 covering."""
     from splitcover import embedding
     from splitcover.freecover import cayley_table, deck_group
     from splitcover.permgroup import GroupHom
 
-    z4 = closure((perm((1, 2, 3, 4), n=4),))
-    f_table = cayley_table((perm((1, 2), n=2),))[0]
-    phi = GroupHom.from_generator_images(
-        z4, deck_group(f_table).group, (perm((1, 2), n=2),))
-    solution = embedding.solve(embedding.EmbeddingInstance(1, f_table, z4, phi))
-    docs = {"H": z4.to_json(), "phi": {"gen_images": [[2, 1]]},
+    if instance == "z4_over_z2":
+        rank, H = 1, closure((perm((1, 2, 3, 4), n=4),))
+        f_table = cayley_table((perm((1, 2), n=2),))[0]
+        phi_images = (perm((1, 2), n=2),)
+    else:
+        rank, H = 0, closure((), degree=2)
+        f_table = cayley_table(())[0]
+        phi_images = ()
+    phi = GroupHom.from_generator_images(H, deck_group(f_table).group, phi_images)
+    solution = embedding.solve(embedding.EmbeddingInstance(rank, f_table, H, phi))
+    docs = {"H": H.to_json(),
+            "phi": {"gen_images": phi.to_json()["gen_images"]},
             "psi": {"gen_images": solution.psi.to_json()["gen_images"]}}
-    return docs, f_table, deck_group(solution.E_cover).group
+    return docs, rank, f_table, deck_group(solution.E_cover).group
 
 
-def test_discrete_fuzz_mutated_inputs_fail_cleanly(tmp_path):
+@pytest.mark.parametrize("instance, expected", [
+    ("z4_over_z2", {"parse", "refused"}),
+    # these documents hold one integer and empty lists, so every mutation
+    # breaks their schema and the loaders refuse it
+    ("trivial_over_rank_0", {"parse"}),
+])
+def test_discrete_fuzz_mutated_inputs_fail_cleanly(instance, expected, tmp_path):
     # main maps ValueError to exit 4 and the solver's two errors to exit 2;
     # a KeyError or IndexError would reach the command line as a traceback
     from splitcover import cli, embedding
     from splitcover.freecover import deck_group
     from splitcover.permgroup import GroupHom
 
-    docs, f_table, e_deck = _discrete_fuzz_inputs()
+    docs, rank, f_table, e_deck = _discrete_fuzz_inputs(instance)
 
     def attempt(inputs):
         paths = {name: write_json(tmp_path / f"{name}.json", doc)
@@ -394,7 +406,7 @@ def test_discrete_fuzz_mutated_inputs_fail_cleanly(tmp_path):
             phi = GroupHom.from_generator_images(
                 H, deck_group(f_table).group, phi_images)
             GroupHom.from_generator_images(H, e_deck, psi_images)
-            embedding.solve(embedding.EmbeddingInstance(1, f_table, H, phi))
+            embedding.solve(embedding.EmbeddingInstance(rank, f_table, H, phi))
         except (ValueError, embedding.NoSolutionError,
                 embedding.SolutionCheckError):
             return "refused"
@@ -410,4 +422,31 @@ def test_discrete_fuzz_mutated_inputs_fail_cleanly(tmp_path):
                 outcomes.add(attempt(dict(docs, **{target: doc})))
             except Exception as exc:
                 pytest.fail(f"{target} {doc!r} raised {exc!r}")
-    assert outcomes == {"parse", "refused"}
+    assert outcomes == expected
+
+
+def test_embed_trivial_group_on_two_points_over_the_realized_trivial_group(tmp_path):
+    # the empty preimage assignment generates H, whose identity moves none
+    # of H's two points; the covering built from it must be labeled by it
+    g = write_json(tmp_path / "g.json", {"degree": 1, "generators": []})
+    realized = tmp_path / "realized.json"
+    assert main(["realize", g, "-o", str(realized)]) == 0
+    h = write_json(tmp_path / "h.json", {"degree": 2, "generators": []})
+    phi = write_json(tmp_path / "phi.json", {"gen_images": []})
+    out = tmp_path / "embedded.json"
+    assert main(["embed", str(realized), "--group", h, "--phi", phi,
+                 "-o", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["verdicts"] and all(report["verdicts"].values())
+
+
+def test_an_object_in_place_of_a_list_is_input_error(tmp_path):
+    # iterating a JSON object reads its keys, so {} would pass as no elements
+    from splitcover import cli
+
+    group = write_json(tmp_path / "h.json", {"degree": 2, "generators": {}})
+    images = write_json(tmp_path / "phi.json", {"gen_images": {}})
+    with pytest.raises(cli.InputError, match="list"):
+        cli._load_group(group)
+    with pytest.raises(cli.InputError, match="list"):
+        cli._load_images(images, "phi")

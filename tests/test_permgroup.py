@@ -396,26 +396,6 @@ def test_index_generation_and_reduction_match_closure():
                            degree=group.degree).order() == expected.order()
 
 
-@pytest.mark.parametrize("generators, elements, message", [
-    ((perm((1, 3), (2, 4), n=4),), (perm((1, 2, 3, 4), n=4),),
-     "generators do not generate its elements"),
-    ((perm((1, 2, 3, 4), n=4),), (perm((1, 3), (2, 4), n=4),),
-     "generators leave its elements"),
-], ids=["generate_too_little", "leave_the_elements"])
-def test_index_of_given_elements_requires_the_generated_group(
-        generators, elements, message):
-    # lookups by base images are exact only on a group, so an index is
-    # built only over the group the generators generate
-    els = closure(elements).elements()
-    with pytest.raises(ValueError, match=message):
-        PermGroup(4, generators, _elements=els).index()
-    z4 = closure((perm((1, 2, 3, 4), n=4),))
-    shuffled = tuple(reversed(z4.elements()))
-    index = PermGroup(4, z4.generators, _elements=shuffled).index()
-    assert index.elements == shuffled
-    assert shuffled[index.identity] == identity(4)
-
-
 def test_group_and_index_are_freed_together():
     # no reference cycle: reference counting alone frees the group, its
     # index and, for a deck group, the table holding both
