@@ -101,14 +101,14 @@ def canonical_monodromy(table: CosetTable) -> tuple[Permutation, ...]:
 def cayley_deck_labeling(images: Sequence[Permutation]) -> GroupHom:
     """Isomorphism from the group generated by ``images`` onto the deck group
     of its regular covering: h acts on cosets by left translation by h^-1."""
-    table, elems = cayley_table(images)
-    source = PermGroup(elems[0].degree, tuple(images))
-    return _deck_labeling(source, table, elems)
+    table, group = cayley_table(images)
+    return _deck_labeling(group, table, group.elements())
 
 
 def _deck_labeling(source: PermGroup, table: CosetTable, elems: tuple) -> GroupHom:
     """cayley_deck_labeling on ``source``, the group whose generating images
-    cayley_table turned into ``table`` and ``elems``.
+    cayley_table turned into ``table``, with the elements of the image group
+    in coset order.
 
     Left translation by h^-1 is the deck transformation sending the
     basepoint, the coset of the identity, to the coset of h^-1, and a deck
@@ -168,8 +168,8 @@ def solve(instance: EmbeddingInstance,
         if assignment is None:
             raise NoSolutionError("rank extension failed to generate H")
 
-    table, elems = cayley_table(assignment, H.degree)
-    psi = _deck_labeling(H, table, elems)
+    table, group = cayley_table(assignment, H.degree)
+    psi = _deck_labeling(H, table, group.elements())
 
     tower = subtable(table, extend_table(F, extra))
     if tower is None:

@@ -18,7 +18,6 @@ from .permgroup import (
     Permutation,
     centralizer_in_sym,
     closure,
-    compose,
     inverse,
     json_int,
 )
@@ -112,20 +111,21 @@ def act(table: CosetTable, word: FreeWord, coset: int) -> int:
 def cayley_table(images: Sequence[Permutation], degree: Optional[int] = None):
     """Regular covering for the right-multiplication action of the image group.
 
-    Returns the coset table together with the group elements in coset order
-    (coset 1 is the identity), so callers can label cosets by elements. The
-    table is also the coset table of the kernel of the homomorphism sending
-    xi to images[i]. With no images the group is trivial, its identity of
-    ``degree`` points (1 by default).
+    Returns the coset table together with the image group, generated by the
+    images, whose ``elements()`` are in coset order (coset 1 is the
+    identity), so callers can label cosets by elements. The table is also
+    the coset table of the kernel of the homomorphism sending xi to
+    images[i]. With no images the group is trivial, on ``degree`` points (1
+    by default).
     """
     if not images:
-        e = Permutation.identity(1 if degree is None else degree)
-        return CosetTable(0, 1, ()), (e,)
-    index = closure(tuple(images)).index()
+        return CosetTable(0, 1, ()), closure((), 1 if degree is None else degree)
+    group = closure(tuple(images))
+    index = group.index()
     action = tuple(
         Permutation(tuple([k + 1 for k in index.column(index.position[g])]))
         for g in images)
-    return CosetTable(len(images), len(index.elements), action), index.elements
+    return CosetTable(len(images), len(index.elements), action), group
 
 
 def is_normal(table: CosetTable) -> bool:
@@ -325,22 +325,29 @@ def stabilizer_table(group: PermGroup, subgroup_elements: Sequence[Permutation],
     """Action of chosen generators on the right cosets of a subgroup.
 
     The subgroup must actually be closed under products; cosets are numbered
-    with the subgroup itself as coset 1.
+    breadth first with the subgroup itself as coset 1. A coset is a set of
+    positions in the group's element index; an element or generator outside
+    the group raises ValueError.
     """
     gens = tuple(generators if generators is not None else group.generators)
-    sub = frozenset(subgroup_elements)
-    e = Permutation.identity(group.degree)
-    if e not in sub:
+    index = group.index()
+    try:
+        sub = frozenset([index.position[p] for p in subgroup_elements])
+        columns = [index.column(index.position[g]) for g in gens]
+    except KeyError:
+        raise ValueError("an element or generator lies outside the group") from None
+    if index.identity not in sub:
         raise ValueError("subgroup must contain the identity")
     cosets = [sub]
-    index = {sub: 1}
+    number = {sub: 1}
+    images: list[list[int]] = [[] for _ in gens]
     for cs in cosets:
-        for g in gens:
-            nxt = frozenset(compose(x, g) for x in cs)
-            if nxt not in index:
-                index[nxt] = len(cosets) + 1
+        for col, row in zip(columns, images):
+            nxt = frozenset([col[x] for x in cs])
+            k = number.get(nxt)
+            if k is None:
+                k = number[nxt] = len(cosets) + 1
                 cosets.append(nxt)
-    action = tuple(
-        Permutation(tuple(index[frozenset(compose(x, g) for x in cs)] for cs in cosets))
-        for g in gens)
-    return CosetTable(len(gens), len(cosets), action)
+            row.append(k)
+    return CosetTable(len(gens), len(cosets),
+                      tuple(Permutation(tuple(row)) for row in images))

@@ -68,6 +68,11 @@ class TrackingConfig:
                 raise ValueError(f"{name} must be a finite number, not {value!r}")
         if self.initial_step <= 0 or self.min_step <= 0:
             raise ValueError("step sizes must be positive")
+        # a step is a fraction of the loop's arclength: a longer one can
+        # cross the whole loop at once, and every refinement pass then
+        # agrees on the identity
+        if self.initial_step > 1:
+            raise ValueError("initial_step must be at most 1, the whole loop")
         if self.min_step >= self.initial_step:
             raise ValueError("min_step must be smaller than initial_step")
         if not 0 < self.safety_factor < 1:
@@ -352,12 +357,13 @@ def characteristic_hom(f: WeierstrassPoly, space: BaseSpace,
                         tuple(complex(z) for z in fiber))
 
 
-def splitting_cover(rep: MonodromyRep) -> tuple[CosetTable, DeckGroup, tuple]:
+def splitting_cover(rep: MonodromyRep) -> tuple[CosetTable, DeckGroup, PermGroup]:
     """Regular covering whose fiber is the monodromy image group, with its
-    deck group and the group's elements in coset order (as permutations of
-    the roots); the fiber size always equals the deck group order."""
-    table, elems = cayley_table(rep.perms, rep.degree)
-    return table, deck_group(table), elems
+    deck group and the image group, whose elements (permutations of the
+    roots) are in coset order; the fiber size always equals the deck group
+    order."""
+    table, group = cayley_table(rep.perms, rep.degree)
+    return table, deck_group(table), group
 
 
 def irreducibility_check(rep: MonodromyRep) -> bool:
@@ -365,17 +371,16 @@ def irreducibility_check(rep: MonodromyRep) -> bool:
     return PermGroup(rep.degree, rep.perms).is_transitive()
 
 
-def deck_action_on_roots(rep: MonodromyRep, deck: DeckGroup,
-                         elems: tuple) -> tuple[GroupHom, bool]:
+def deck_action_on_roots(deck: DeckGroup, group: PermGroup) -> tuple[GroupHom, bool]:
     """Action of the splitting cover's deck group on the root labels, given
-    the deck group and elements that splitting_cover(rep) returned.
+    the deck group and monodromy group that splitting_cover returned.
 
     The deck transformation moving the basepoint coset to the coset of group
     element g acts on labels by g^-1; inversion makes the assignment a
     homomorphism under left-to-right composition. The flag reports
     injectivity, which holds for every regular action.
     """
-    target = PermGroup(rep.degree, rep.perms)
+    elems = group.elements()
     mapping = {lam: inverse(elems[lam(1) - 1]) for lam in deck.group.elements()}
-    hom = GroupHom(deck.group, target, mapping)
+    hom = GroupHom(deck.group, group, mapping)
     return hom, hom.is_injective()

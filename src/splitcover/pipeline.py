@@ -175,7 +175,7 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace
             continue
         cert = certify(synth.coeffs, space)
         if cert.valid:
-            return synth, WeierstrassPoly(n, synth.coeffs, base=space), cert
+            return synth, WeierstrassPoly(n, synth.coeffs), cert
         failures.append(f"{label}: {cert.reason}")
     raise SynthesisUnsupported("; ".join(failures))
 
@@ -210,7 +210,7 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
         raise ValueError("one hole per generator required")
 
     # the regular representation: right translation of G on its elements
-    regular, elems = cayley_table(G.generators)
+    regular, regular_group = cayley_table(G.generators)
     reg = regular.action
     braid_words = tuple(lift_permutation(p) for p in reg)
     for word, p in zip(braid_words, reg):
@@ -224,7 +224,7 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
     report.artifacts["regular_generators"] = [p.to_json() for p in reg]
 
     synth, f, cert = _synthesize_validated(
-        elems, G.generators, _hole_centers(space), space)
+        regular_group.elements(), G.generators, _hole_centers(space), space)
     report.artifacts["synthesis"] = synth.description
     report.artifacts["certificate"] = cert.to_json()
     watch.lap("synthesis")
@@ -237,9 +237,9 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
             rep = _relabel_rep(rep, pi)
     watch.lap("tracking")
 
-    table, deck, cover_elems = splitting_cover(rep)
+    table, deck, monodromy_group = splitting_cover(rep)
     iso = isomorphic_as_groups(deck.group, G) if deck.group.order() <= 64 else None
-    _, faithful = deck_action_on_roots(rep, deck, cover_elems)
+    _, faithful = deck_action_on_roots(deck, monodromy_group)
     watch.lap("verification")
 
     report.artifacts["monodromy"] = rep.to_json()
@@ -351,8 +351,8 @@ def run_monodromy(f: WeierstrassPoly, space: BaseSpace,
     """Track a polynomial's monodromy and report the derived structure."""
     watch = _Stopwatch()
     rep = characteristic_hom(f, space, tracking)
-    table, deck, elems = splitting_cover(rep)
-    _, faithful = deck_action_on_roots(rep, deck, elems)
+    table, deck, monodromy_group = splitting_cover(rep)
+    _, faithful = deck_action_on_roots(deck, monodromy_group)
     watch.lap("monodromy")
     report = PipelineReport(command="monodromy")
     report.inputs = {"polynomial": f.to_json(), "base_space": space.to_json()}

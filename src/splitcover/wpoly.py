@@ -1,10 +1,10 @@
 """Weierstrass polynomials over a disc with holes.
 
 Coefficients are bivariate polynomials over the Gaussian rationals, evaluated
-exactly; the base space and generator loops are kept in rational coordinates
-so geometric predicates (containment, segment-disc intersection, winding
-numbers) are decided without floating error. Root finding is numerical, in
-the roots module.
+in floats along loops; the base space and generator loops are kept in
+rational coordinates so geometric predicates (containment, segment-disc
+intersection, winding numbers) are decided without floating error. Root
+finding is numerical, in the roots module.
 """
 
 from __future__ import annotations
@@ -164,20 +164,6 @@ class BivariatePolyQi:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def eval_exact(self, u: Fraction, v: Fraction) -> GaussianRational:
-        u, v = _frac(u), _frac(v)
-        pow_u: dict[int, Fraction] = {0: Fraction(1)}
-        pow_v: dict[int, Fraction] = {0: Fraction(1)}
-        out = QI_ZERO
-        for (du, dv), c in self.terms.items():
-            if du not in pow_u:
-                pow_u[du] = u ** du
-            if dv not in pow_v:
-                pow_v[dv] = v ** dv
-            scale = pow_u[du] * pow_v[dv]
-            out = out + GaussianRational(c.re * scale, c.im * scale)
-        return out
-
     def eval_complex(self, u: float, v: float) -> complex:
         out = 0j
         for (du, dv), c in self.terms.items():
@@ -296,11 +282,6 @@ class BaseSpace:
             return False
         return all(_segment_dist2(p, q, h.center) >= h.radius ** 2
                    for h in self.holes)
-
-    def bounding_box(self):
-        cx, cy = self.outer.center
-        r = self.outer.radius
-        return (cx - r, cx + r, cy - r, cy + r)
 
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(),
@@ -430,20 +411,17 @@ def generator_loops(space: BaseSpace) -> tuple[LoopPath, ...]:
 class WeierstrassPoly:
     """Monic polynomial in z whose coefficients are maps on a base space.
 
-    The base space, when attached, is the domain of eval_exact. Whether every
-    fiber over it has distinct roots, the defining property of these
-    polynomials, is decided by the certify module.
+    Whether every fiber over the space has distinct roots, the defining
+    property of these polynomials, is decided by the certify module.
     """
 
-    def __init__(self, degree: int, coeffs: Sequence[BivariatePolyQi],
-                 base: Optional[BaseSpace] = None):
+    def __init__(self, degree: int, coeffs: Sequence[BivariatePolyQi]):
         if degree < 1:
             raise ValueError("degree must be at least 1")
         if len(coeffs) != degree:
             raise ValueError("expected one coefficient per power 0..degree-1")
         self.degree = degree
         self.coeffs = tuple(coeffs)
-        self.base = base
         # (du, dv, complex coefficient) of every term, converted once for
         # eval_complex_points
         self._complex_terms = tuple(
@@ -451,12 +429,6 @@ class WeierstrassPoly:
             for p in self.coeffs)
         self._top_u = max((du for p in self.coeffs for du, _ in p.terms), default=0)
         self._top_v = max((dv for p in self.coeffs for _, dv in p.terms), default=0)
-
-    def eval_exact(self, u, v) -> list[GaussianRational]:
-        u, v = _frac(u), _frac(v)
-        if self.base is not None and not self.base.contains(u, v):
-            raise ValueError(f"point ({u}, {v}) is outside the base space")
-        return [c.eval_exact(u, v) for c in self.coeffs]
 
     def eval_complex_points(self, points: Sequence[tuple]) -> np.ndarray:
         """Float coefficients at float points (u, v): an (N, degree) array
@@ -490,46 +462,6 @@ class WeierstrassPoly:
         return {"degree": self.degree, "coeffs": [c.to_json() for c in self.coeffs]}
 
     @classmethod
-    def from_json(cls, data: Mapping,
-                  base: Optional[BaseSpace] = None) -> "WeierstrassPoly":
+    def from_json(cls, data: Mapping) -> "WeierstrassPoly":
         return cls(json_int(data["degree"]),
-                   [BivariatePolyQi.from_json(c) for c in data["coeffs"]],
-                   base=base)
-
-
-
-def sample_grid(space: BaseSpace, density: int) -> list[tuple[Fraction, Fraction]]:
-    """Rational tensor grid over the bounding box, filtered to the space.
-
-    Membership is decided exactly as BaseSpace.contains decides it, in
-    integers: every coordinate, centre and radius is scaled by one common
-    denominator.
-    """
-    if density < 2:
-        raise ValueError("grid density must be at least 2")
-    x0, x1, y0, y1 = space.bounding_box()
-    discs = (space.outer,) + space.holes
-    den = math.lcm(*(q.denominator for d in discs for q in (*d.center, d.radius)))
-    scale = den * (density - 1)
-
-    def scaled(lo: Fraction, hi: Fraction) -> list[int]:
-        # k-th coordinate lo + (hi - lo) k / (density - 1), times scale
-        first, stride = int(lo * scale), int((hi - lo) * den)
-        return [first + stride * k for k in range(density)]
-
-    def disc(d: Disc) -> tuple[int, int, int]:
-        """Scaled centre and squared radius."""
-        return (int(d.center[0] * scale), int(d.center[1] * scale),
-                int(d.radius * scale) ** 2)
-
-    ox, oy, outer_r2 = disc(space.outer)
-    holes = [disc(h) for h in space.holes]
-    us = [x0 + (x1 - x0) * Fraction(i, density - 1) for i in range(density)]
-    vs = [y0 + (y1 - y0) * Fraction(j, density - 1) for j in range(density)]
-    pts = []
-    for u, su in zip(us, scaled(x0, x1)):
-        for v, sv in zip(vs, scaled(y0, y1)):
-            if (su - ox) ** 2 + (sv - oy) ** 2 <= outer_r2 and all(
-                    (su - cx) ** 2 + (sv - cy) ** 2 >= r2 for cx, cy, r2 in holes):
-                pts.append((u, v))
-    return pts
+                   [BivariatePolyQi.from_json(c) for c in data["coeffs"]])

@@ -184,7 +184,7 @@ def _power_model(k):
     coeffs = [BivariatePolyQi({(1, 0): GaussianRational(Fraction(-1)),
                                (0, 1): GaussianRational(Fraction(0), Fraction(-1))})]
     coeffs += [BivariatePolyQi.zero()] * (k - 1)
-    return WeierstrassPoly(k, coeffs, base=x), x
+    return WeierstrassPoly(k, coeffs), x
 
 
 def test_criterion_4_monodromy_engine():

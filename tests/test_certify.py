@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import fiber_exact, sample_grid
 from splitcover.certify import certify, discriminant, w_form, zeros_in_disc
 from splitcover.freecover import cayley_table
 from splitcover.permgroup import Permutation, closure
@@ -15,7 +16,6 @@ from splitcover.wpoly import (
     WeierstrassPoly,
     default_base_space,
     roots_at,
-    sample_grid,
 )
 
 
@@ -111,7 +111,7 @@ def test_certificate_rejects_a_v4_candidate_with_branch_points_in_the_space():
     # the V4 synthesis at weight base 2 has two zeros of its discriminant
     # outside both holes, which a sampled grid can miss
     v4 = closure((Permutation((2, 1, 4, 3)), Permutation((3, 4, 1, 2))))
-    _, elems = cayley_table(v4.generators)
+    elems = cayley_table(v4.generators)[1].elements()
     space = default_base_space(2)
     centers = [qi(h.center[0], h.center[1]) for h in space.holes]
     synth = synthesize_abelian(elems, v4.generators, centers,
@@ -128,24 +128,27 @@ def test_certificate_rejects_a_v4_candidate_with_branch_points_in_the_space():
 
 
 def _grid_fibers(coeffs, space, density):
-    f = WeierstrassPoly(len(coeffs), coeffs, base=space)
+    f = WeierstrassPoly(len(coeffs), coeffs)
     grid = sample_grid(space, density)
-    return grid, np.array([[complex(c) for c in f.eval_exact(u, v)]
+    return grid, np.array([[complex(c) for c in fiber_exact(f, u, v, space)]
                            for u, v in grid])
 
 
 def test_grid_sampling_agrees_with_the_certificate():
     # a numeric oracle: the fibers of a certified map separate at every point
     # of a grid, and a rejected map whose branch points (0, 10/7) and
-    # (10/7, 0) are 15-grid points has a double root at the first of them
+    # (10/7, 0) are 15-grid points has a double root at the first of them,
+    # solving the grid fiber by fiber
     space = default_base_space(1)
     good = square_root_family([qi(0), qi(-1)])
     assert certify(good, space).valid
-    roots_at(_grid_fibers(good, space, 15)[1])
+    for fiber in _grid_fibers(good, space, 15)[1]:
+        roots_at(fiber)
     a, b = qi(0, Fraction(10, 7)), qi(Fraction(10, 7))
     bad = square_root_family([-(a * b), a + b, qi(-1)])
     assert not certify(bad, space).valid
     grid, fibers = _grid_fibers(bad, space, 15)
-    with pytest.raises(MultipleRootError) as info:
-        roots_at(fibers)
-    assert grid[info.value.row] == (0, Fraction(10, 7))
+    with pytest.raises(MultipleRootError):
+        for k, fiber in enumerate(fibers):
+            roots_at(fiber)
+    assert grid[k] == (0, Fraction(10, 7))

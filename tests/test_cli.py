@@ -1,11 +1,23 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from splitcover.cli import build_parser, main
 from splitcover.permgroup import Permutation, closure
-from splitcover.wpoly import default_base_space
+from splitcover.wpoly import (
+    BaseSpace,
+    BivariatePolyQi,
+    Disc,
+    GaussianRational,
+    WeierstrassPoly,
+    default_base_space,
+)
+
+
+def qi(re, im=0):
+    return GaussianRational(Fraction(re), Fraction(im))
 
 
 def perm(*cycles, n):
@@ -43,6 +55,25 @@ def test_monodromy_cli(z2_artifact, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["artifacts"]["irreducible"] is True
     assert report["artifacts"]["monodromy"]["perms"] == [[2, 1]]
+
+
+@pytest.mark.parametrize("step, space, w0", [
+    (4, default_base_space(1), 0),
+    (2, BaseSpace(Disc((0, 0), 10), (Disc((0, 8), Fraction(1, 10)),), (0, -8)), 8j),
+], ids=["step_4", "step_2_small_hole"])
+def test_initial_step_beyond_the_loop_is_input_error(step, space, w0, tmp_path,
+                                                     capsys):
+    # z^2 - (w - w0) with w0 in the hole has monodromy [[2, 1]]; a step
+    # longer than the loop let every refinement pass jump it at once and
+    # report the identity with exit 0
+    a0 = BivariatePolyQi.from_w_powers([qi(w0.real, w0.imag), qi(-1)])
+    f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
+    poly = write_json(tmp_path / "poly.json", {"polynomial": f.to_json(),
+                                               "base_space": space.to_json()})
+    cfg = write_json(tmp_path / "cfg.json", {"tracking": {"initial_step": step}})
+    assert main(["monodromy", poly, "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert "initial_step" in captured.err and captured.out == ""
 
 
 def test_embed_cli_and_verify_tower(z2_artifact, capsys):

@@ -81,6 +81,17 @@ def test_cayley_deck_labeling_is_isomorphism():
                                    labeling.mapping), GroupHom)
 
 
+def test_cayley_deck_labeling_closes_the_group_once(monkeypatch):
+    from splitcover import permgroup
+
+    calls = []
+    real = permgroup._bfs_closure
+    monkeypatch.setattr(permgroup, "_bfs_closure",
+                        lambda *args: calls.append(1) or real(*args))
+    labeling = cayley_deck_labeling(S3_GENS)
+    assert labeling.is_bijective() and len(calls) == 1
+
+
 def left_translation_labeling(source, table, elems):
     """Oracle for _deck_labeling: h acts on the cosets, labeled by elems, by
     left translation by h^-1, built from |H|^2 products."""
@@ -96,7 +107,8 @@ def test_deck_labeling_equals_left_translation():
     for H in CATALOG.values():
         # the covering of H from a generating tuple other than H's own
         gens = tuple(reversed(H.generators)) + (H.elements()[-1],)
-        table, elems = cayley_table(gens)
+        table, group = cayley_table(gens)
+        elems = group.elements()
         psi = _deck_labeling(H, table, elems)
         assert psi.mapping == left_translation_labeling(H, table, elems)
         assert psi.source is H and psi.is_bijective()

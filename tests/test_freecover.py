@@ -1,5 +1,6 @@
 import pytest
 
+from catalog import CATALOG, all_subgroups
 from splitcover.freecover import (
     CosetTable,
     FreeWord,
@@ -157,7 +158,7 @@ def test_restriction_z4_over_z2():
 
 def test_restriction_s3_over_a3_quotient():
     # S3-regular cover over the cosets of A3 (index 2)
-    e_table, elems = cayley_table(S3_GENS)
+    e_table, _ = cayley_table(S3_GENS)
     s3 = closure(S3_GENS)
     a3 = [p for p in s3.elements() if p.order() in (1, 3)]
     f_table = stabilizer_table(s3, a3, S3_GENS)
@@ -210,7 +211,7 @@ def test_restriction_hom_checks_the_cayley_graph_edges(monkeypatch):
 
 
 def test_quotient_check_conjugates_by_generators_only(monkeypatch):
-    from splitcover import freecover, permgroup
+    from splitcover import permgroup
 
     tower = subtable(z_table(12), z_table(2))
     # deck groups first, so that only the check's own products are counted
@@ -220,7 +221,6 @@ def test_quotient_check_conjugates_by_generators_only(monkeypatch):
     real = permgroup.compose
     counting = lambda p, q: calls.append(1) or real(p, q)  # noqa: E731
     monkeypatch.setattr(permgroup, "compose", counting)
-    monkeypatch.setattr(freecover, "compose", counting)
     report = tower_quotient_check(tower)
     assert report.fiber_decks_normal and report.all_verified()
     # one generator of Z12 among the 12 its deck group lists: the reduction
@@ -301,6 +301,38 @@ def test_stabilizer_table_trivial_subgroup_is_regular():
     assert is_normal(t)
 
 
+def _coset_action_by_products(sub, gens):
+    """Reference: cosets as sets of permutations, numbered breadth first and
+    multiplied out."""
+    sub = frozenset(sub)
+    cosets, number = [sub], {sub: 1}
+    for cs in cosets:
+        for g in gens:
+            nxt = frozenset(compose(x, g) for x in cs)
+            if nxt not in number:
+                number[nxt] = len(cosets) + 1
+                cosets.append(nxt)
+    return [tuple(number[frozenset(compose(x, g) for x in cs)] for cs in cosets)
+            for g in gens]
+
+
+def test_stabilizer_table_numbers_cosets_as_products_do():
+    for group in CATALOG.values():
+        for sub in all_subgroups(group):
+            table = stabilizer_table(group, sub)
+            assert [p.images for p in table.action] == \
+                _coset_action_by_products(sub, group.generators)
+
+
+def test_stabilizer_table_rejects_elements_outside_the_group():
+    a3 = closure((perm((1, 2, 3), n=3),))
+    # {e, (1 2)} is a subgroup of S3 but not of A3, and (1 2) no generator
+    with pytest.raises(ValueError):
+        stabilizer_table(a3, [perm(n=3), perm((1, 2), n=3)])
+    with pytest.raises(ValueError):
+        stabilizer_table(a3, [perm(n=3)], [perm((1, 2), n=3)])
+
+
 def test_json_round_trip():
     t, _ = cayley_table(S3_GENS)
     assert CosetTable.from_json(t.to_json()) == t
@@ -318,7 +350,7 @@ def test_json_round_trip():
 ], ids=["Z12/Z6", "S3/Z2", "S3/non-Galois"])
 def test_tower_check_and_restriction_make_no_products_once_decks_exist(
         monkeypatch, top, mid):
-    from splitcover import freecover, permgroup
+    from splitcover import permgroup
 
     tower = subtable(top(), mid())
     deck_group(tower.top)
@@ -327,7 +359,6 @@ def test_tower_check_and_restriction_make_no_products_once_decks_exist(
     real = permgroup.compose
     counting = lambda p, q: calls.append(1) or real(p, q)  # noqa: E731
     monkeypatch.setattr(permgroup, "compose", counting)
-    monkeypatch.setattr(freecover, "compose", counting)
     report = tower_quotient_check(tower)
     assert report.part1_holds and report.all_verified()
     if report.f_galois:

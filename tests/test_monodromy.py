@@ -50,7 +50,7 @@ def power_model(k):
     x = default_base_space(1)
     coeffs = [BivariatePolyQi({(1, 0): qi(-1), (0, 1): qi(0, -1)})]
     coeffs += [BivariatePolyQi.zero()] * (k - 1)
-    return WeierstrassPoly(k, coeffs, base=x), x
+    return WeierstrassPoly(k, coeffs), x
 
 
 def constant_model(n):
@@ -58,7 +58,7 @@ def constant_model(n):
     x = default_base_space(1)
     coeffs = [BivariatePolyQi.constant(qi(-1))] + \
         [BivariatePolyQi.zero()] * (n - 1)
-    return WeierstrassPoly(n, coeffs, base=x), x
+    return WeierstrassPoly(n, coeffs), x
 
 
 def square_loop(center, half):
@@ -72,6 +72,8 @@ def square_loop(center, half):
 def test_tracking_config_validation():
     with pytest.raises(ValueError):
         TrackingConfig(initial_step=-1)
+    with pytest.raises(ValueError):
+        TrackingConfig(initial_step=1.5)
     with pytest.raises(ValueError):
         TrackingConfig(min_step=1.0)
     with pytest.raises(ValueError):
@@ -129,7 +131,7 @@ def test_homomorphism_property_on_generator_pairs():
     a2 = BivariatePolyQi({(1, 0): qi(-4), (0, 1): qi(0, -4)})
     f = WeierstrassPoly(4, [BivariatePolyQi.constant(qi(16)),
                             BivariatePolyQi.zero(), a2,
-                            BivariatePolyQi.zero()], base=x)
+                            BivariatePolyQi.zero()])
     loops = generator_loops(x)
     from splitcover.monodromy import basepoint_fiber
     fiber = basepoint_fiber(f, x)
@@ -142,7 +144,7 @@ def test_homomorphism_property_on_generator_pairs():
 
 def test_characteristic_hom_identity_for_linear():
     x = default_base_space(1)
-    f = WeierstrassPoly(1, [BivariatePolyQi.constant(qi(7))], base=x)
+    f = WeierstrassPoly(1, [BivariatePolyQi.constant(qi(7))])
     rep = characteristic_hom(f, x)
     assert rep.degree == 1 and rep.perms[0].is_identity()
 
@@ -158,7 +160,7 @@ def test_characteristic_hom_nonvanishing_constant():
     # z^2 - c with c never vanishing on the disc: trivial monodromy
     x = default_base_space(1)
     a0 = BivariatePolyQi({(0, 0): qi(100), (1, 0): qi(-1)})
-    f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()], base=x)
+    f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
     rep = characteristic_hom(f, x)
     assert rep.perms[0].is_identity()
     assert not irreducibility_check(rep)
@@ -236,17 +238,31 @@ def test_irreducibility_matches_union_find():
 
 def test_deck_action_on_roots_faithful():
     rep = MonodromyRep(1, 2, (perm((1, 2), n=2),), (1 + 0j, -1 + 0j))
-    hom, faithful = deck_action_on_roots(rep, *splitting_cover(rep)[1:])
+    hom, faithful = deck_action_on_roots(*splitting_cover(rep)[1:])
     assert faithful
     images = {hom(lam) for lam in hom.source.elements()}
     assert images == {perm(n=2), perm((1, 2), n=2)}
+
+
+def test_splitting_cover_and_deck_action_close_the_group_once(monkeypatch):
+    from splitcover import permgroup
+
+    calls = []
+    real = permgroup._bfs_closure
+    monkeypatch.setattr(permgroup, "_bfs_closure",
+                        lambda *args: calls.append(1) or real(*args))
+    a, b = perm((1, 2), (3, 4), n=4), perm((1, 3), (2, 4), n=4)
+    rep = MonodromyRep(2, 4, (a, b), (0j, 1 + 0j, 2 + 0j, 3 + 0j))
+    _, deck, group = splitting_cover(rep)
+    deck_action_on_roots(deck, group)
+    assert len(calls) == 1
 
 
 def test_deck_action_regular_klein_faithful():
     a = perm((1, 2), (3, 4), n=4)
     b = perm((1, 3), (2, 4), n=4)
     rep = MonodromyRep(2, 4, (a, b), (0j, 1 + 0j, 2 + 0j, 3 + 0j))
-    hom, faithful = deck_action_on_roots(rep, *splitting_cover(rep)[1:])
+    hom, faithful = deck_action_on_roots(*splitting_cover(rep)[1:])
     assert faithful
     assert hom.is_bijective()
     assert {q for q in hom.mapping.values()} == set(closure((a, b)).elements())
@@ -298,8 +314,7 @@ def radical_family(n, c, exponents):
                         - (centre * w_coeffs[i] if i < len(w_coeffs) else QI_ZERO)
                         for i in range(len(w_coeffs) + 1)]
     a0 = BivariatePolyQi.from_w_powers([-a for a in w_coeffs])
-    return WeierstrassPoly(n, [a0] + [BivariatePolyQi.zero()] * (n - 1),
-                           base=x), x
+    return WeierstrassPoly(n, [a0] + [BivariatePolyQi.zero()] * (n - 1)), x
 
 
 def rotation(labels, k, n):

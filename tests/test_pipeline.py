@@ -54,9 +54,9 @@ def regular_images(group):
 
 def test_regular_representation_s3():
     s3 = closure((perm((1, 2), n=3), perm((1, 2, 3), n=3)))
-    table, elems = cayley_table(s3.generators)
+    table, group = cayley_table(s3.generators)
     images = table.action
-    assert len(elems) == 6
+    assert len(group.elements()) == 6
     assert all(p.degree == 6 for p in images)
     assert closure(images).order() == 6
     assert closure(images).is_regular()
@@ -195,7 +195,7 @@ def test_embed_klein_rank_extension(realized_z2):
 def test_embed_rejects_reducible_base():
     space = default_base_space(1)
     f = WeierstrassPoly(
-        2, [BivariatePolyQi.constant(qi(-1)), BivariatePolyQi.zero()], base=space)
+        2, [BivariatePolyQi.constant(qi(-1)), BivariatePolyQi.zero()])
     with pytest.raises(IrreducibilityFailureError):
         solve_semitop_embedding(f, space, Z2, (Permutation.identity(1),))
 
@@ -203,7 +203,7 @@ def test_embed_rejects_reducible_base():
 def test_run_monodromy_constant_coefficients():
     space = default_base_space(1)
     f = WeierstrassPoly(
-        2, [BivariatePolyQi.constant(qi(-1)), BivariatePolyQi.zero()], base=space)
+        2, [BivariatePolyQi.constant(qi(-1)), BivariatePolyQi.zero()])
     report = run_monodromy(f, space)
     assert report.artifacts["irreducible"] is False
     assert report.artifacts["deck_order"] == 1
