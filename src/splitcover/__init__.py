@@ -33,7 +33,6 @@ from .monodromy import (
     characteristic_hom,
     deck_action_on_roots,
     irreducibility_check,
-    refine_and_compare,
     splitting_cover,
     track_loop,
 )

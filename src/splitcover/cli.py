@@ -13,13 +13,7 @@ import sys
 from typing import Optional
 
 from .embedding import NoSolutionError, SolutionCheckError
-from .monodromy import (
-    FiberMatchError,
-    InstabilityError,
-    NewtonDivergenceError,
-    StepUnderflowError,
-    TrackingConfig,
-)
+from .monodromy import FiberMatchError, StepUnderflowError, TrackingConfig
 from .permgroup import ClosureLimitError, PermGroup, Permutation
 from .pipeline import (
     IrreducibilityFailureError,
@@ -43,8 +37,8 @@ EXIT_VERIFICATION = 2
 EXIT_NUMERICAL = 3
 EXIT_INPUT = 4
 
-_NUMERICAL_ERRORS = (StepUnderflowError, NewtonDivergenceError, InstabilityError,
-                     FiberMatchError, RootFindingError, MultipleRootError)
+_NUMERICAL_ERRORS = (StepUnderflowError, FiberMatchError, RootFindingError,
+                     MultipleRootError)
 
 
 class InputError(RuntimeError):
@@ -142,8 +136,17 @@ def _load_run_config(path: Optional[str]) -> dict:
     return data
 
 
+TRACKING_KEYS = ("initial_step", "min_step")
+
+
 def _tracking_from(config: dict) -> TrackingConfig:
     params = config.get("tracking", {})
+    if not isinstance(params, dict):
+        raise InputError("bad tracking config: expected a JSON object")
+    unknown = sorted(set(params) - set(TRACKING_KEYS))
+    if unknown:
+        raise InputError(f"bad tracking config: unknown key(s) {', '.join(unknown)}; "
+                         f"expected only {', '.join(TRACKING_KEYS)}")
     try:
         return TrackingConfig(**params)
     except (TypeError, ValueError) as exc:

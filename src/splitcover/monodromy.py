@@ -1,18 +1,28 @@
-"""Numerical continuation of Weierstrass polynomial root systems along loops.
+"""Certified continuation of Weierstrass polynomial root systems along loops.
 
-The tracker is an adaptive predictor-corrector: roots are predicted by their
-previous values and corrected by Newton iteration on the fiber polynomial. A
-step is accepted only when every root moved less than a fixed fraction of
-half the current minimal root gap, which makes nearest-neighbor matching of
-the final fiber unambiguous. It tracks a stack of rows, one per (loop, step
-refinement pass), each making the decisions it would make alone.
+A loop is a polyline with rational vertices. On each segment [a, b] every
+coefficient a_k(a + s (b - a)) is a polynomial in s, computed once per fiber
+with a bound on its float error (WeierstrassPoly.segment_polys). Around each
+tracked root r_j the tracker keeps a disc of radius R_j = 0.2 times the
+distance to the nearest other root, and accepts a step [s0, s0 + h] only
+when Rouche's theorem proves that every disc holds exactly one root for
+every s in the step: a lower bound of |f(., s0)| on each circle exceeds an
+upper bound of |f(., s) - f(., s0)| over the disc. The corrected roots at
+s0 + h must then keep their enclosures clear of every other root's disc, so
+each step continues the right root. The step grows as far as the proof
+allows, and the permutation is read from which start enclosure each end
+enclosure meets. All loops of a fiber are tracked in one stack of rows, and
+each row makes the decisions it would make alone.
+
+References: B. T. Smith, J. ACM 17 (1970), for the root enclosures; Beltran
+and Leykin, Exp. Math. 21 (2012), and Guillemot and Lairez, ISSAC 2024, for
+certified path tracking.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Mapping, Optional, Sequence
 
@@ -26,7 +36,6 @@ from .permgroup import (
     inverse,
     json_int,
 )
-from .roots import _block_gaps, _derivative_rows, _monic_rows, _polyval_rows
 from .wpoly import (
     BaseSpace,
     LoopPath,
@@ -38,15 +47,8 @@ from .wpoly import (
 
 
 class StepUnderflowError(RuntimeError):
-    """Step size collapsed; the loop runs too close to the discriminant locus."""
-
-
-class NewtonDivergenceError(RuntimeError):
-    """Corrector failed to converge even at the minimal step size."""
-
-
-class InstabilityError(RuntimeError):
-    """Step refinement changed the tracked permutation."""
+    """No step above min_step could be certified; the loop runs too close to
+    the discriminant locus."""
 
 
 class FiberMatchError(RuntimeError):
@@ -55,31 +57,24 @@ class FiberMatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrackingConfig:
+    """The first step and the smallest step the tracker may try, as
+    fractions of the loop's arclength."""
+
     initial_step: float = 1e-2
     min_step: float = 1e-8
-    safety_factor: float = 0.4
-    max_newton_iters: int = 30
 
     def __post_init__(self):
-        for name in ("initial_step", "min_step", "safety_factor"):
+        for name in ("initial_step", "min_step"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) \
                     or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, not {value!r}")
         if self.initial_step <= 0 or self.min_step <= 0:
             raise ValueError("step sizes must be positive")
-        # a step is a fraction of the loop's arclength: a longer one can
-        # cross the whole loop at once, and every refinement pass then
-        # agrees on the identity
         if self.initial_step > 1:
             raise ValueError("initial_step must be at most 1, the whole loop")
         if self.min_step >= self.initial_step:
             raise ValueError("min_step must be smaller than initial_step")
-        if not 0 < self.safety_factor < 1:
-            raise ValueError("safety_factor must lie in (0, 1)")
-        if isinstance(self.max_newton_iters, bool) or \
-                not isinstance(self.max_newton_iters, int) or self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be a positive integer")
 
 
 DEFAULT_TRACKING = TrackingConfig()
@@ -87,12 +82,15 @@ DEFAULT_TRACKING = TrackingConfig()
 
 @dataclass(frozen=True, eq=False)
 class MonodromyRep:
-    """Permutation of the basepoint fiber induced by each generator loop."""
+    """Permutation of the basepoint fiber induced by each generator loop.
+    tracking, when set, summarizes the certified tracking that produced it;
+    it is not part of the JSON form."""
 
     rank: int
     degree: int
     perms: tuple[Permutation, ...]
     root_labels: tuple[complex, ...]
+    tracking: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.perms) != self.rank:
@@ -119,150 +117,400 @@ class MonodromyRep:
                    tuple(complex(re, im) for re, im in data["root_labels"]))
 
 
-def _loop_points(loop: LoopPath) -> np.ndarray:
-    return np.array([complex(float(x), float(y)) for x, y in loop.vertices])
+# unit roundoff of IEEE double precision
+_UNIT = 2.0 ** -53
+# disc radius R_j as a fraction of the distance to the nearest other root
+_DISC = 0.2
+# the step widened so that it covers s1 - s0 despite the rounding of both
+_WIDEN = 1 + 4 * _UNIT
 
 
-def _arclength_position(points: np.ndarray):
-    """Point at arclength fraction t of the polyline. It works in Python
-    floats and complexes, which give numpy's scalar results bit for bit at a
-    fraction of their cost per call."""
-    seg = np.abs(np.diff(points))
-    total = float(seg.sum())
-    pts = points.tolist()
-    if total == 0:
-        return lambda t: pts[0]
-    seg, cum = seg.tolist(), [0.0] + np.cumsum(seg).tolist()
-    last = len(pts) - 2
-
-    def position(t: float) -> complex:
-        s = min(max(t, 0.0), 1.0) * total
-        k = min(bisect_right(cum, s) - 1, last)
-        if seg[k] == 0:
-            return pts[k]
-        frac = (s - cum[k]) / seg[k]
-        return pts[k] * (1 - frac) + pts[k + 1] * frac
-
-    return position
+def _gamma(k: int) -> float:
+    """Bound on |prod (1 + d_i) - 1| over k factors with |d_i| <= u (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1).
+    A complex product or quotient counts as 3 such factors; a complex sum,
+    a real operation, abs() (hypot) and exp as 1 or 2."""
+    return k * _UNIT / (1 - k * _UNIT)
 
 
-def _newton_rows(p: np.ndarray, guesses: np.ndarray, max_iters: int,
-                 spread: np.ndarray):
-    """Newton's method on row k of guesses for the polynomial p[k] (highest
-    coefficient first). Returns the corrected roots and which rows converged.
+def _taylor_table(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """For re-expanding a polynomial of degree top about a point x:
+    index[i, l] = l - i and binomial[i, l] = binom(l, i) for l >= i (0
+    below the diagonal), so that coefficient i about x is
+    sum_l c_l binomial[i, l] x^index[i, l]."""
+    i, l = np.indices((top + 1, top + 1))
+    binomial = np.array([[math.comb(b, a) if b >= a else 0 for b in range(top + 1)]
+                         for a in range(top + 1)], dtype=float)
+    return np.maximum(l - i, 0), binomial
 
-    A row converges when its largest step falls below 1e-13 (1 + max|z|); it
-    fails at a zero or non-finite derivative, a non-finite iterate or after
-    max_iters steps. It leaves the stack as soon as it converges or fails,
-    so it takes the steps it would take alone. spread is a (degree + 1, 2,
-    rows, degree) buffer that it fills with the coefficient columns.
+
+_TAYLOR = {}
+
+
+def _reexpansion(x: np.ndarray, top: int) -> np.ndarray:
+    """The matrices binom(l, i) x^(l - i) of _taylor_table for the points x,
+    on two new last axes (i, l). Each entry takes l - i - 1 products of x
+    and one by the binomial."""
+    if top not in _TAYLOR:
+        _TAYLOR[top] = _taylor_table(top)
+    index, binomial = _TAYLOR[top]
+    return _powers(x, top)[..., index] * binomial
+
+
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x^0 .. x^top along a new last axis; x^k = x^(k-1) * x, one rounding
+    per power."""
+    p = np.empty(x.shape + (top + 1,), dtype=x.dtype)
+    p[..., 0] = 1
+    if top:
+        p[..., 1:] = x[..., None]
+        np.cumprod(p[..., 1:], axis=-1, out=p[..., 1:])
+    return p
+
+
+def _monic_values(low: np.ndarray, z: np.ndarray):
+    """f and f' at z (rows, m) for the monic fibers whose low coefficients
+    a_0 .. a_{n-1} are the rows of low (rows, n)."""
+    n = low.shape[1]
+    pw = _powers(z, n)
+    p = (pw[..., :n] * low[:, None, :]).sum(axis=-1) + pw[..., n]
+    dp = (pw[..., :n - 1] * (low[:, None, 1:] * np.arange(1.0, n))).sum(axis=-1) \
+        + n * pw[..., n - 1]
+    return p, dp
+
+
+def _shift(c: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """Taylor shift in s: the coefficients in t of p(s0 + t), from those of
+    p(s) along axis 1 of c (low power first); row q shifts by s0[q].
+
+    Each result is a sum of terms c_l binom(l, i) s0^(l - i) that passes
+    through at most 2D + 1 roundings, so it is off by at most gamma_(2D+1)
+    times sum_l |c_l| binom(l, i) s0^(l - i); summed against h^i with
+    s0 + h <= 1, that is at most gamma_(2D+1) sum_l |c_l| (the widened step
+    exceeds 1 - s0 by a few units of roundoff at most, which the margins of
+    _track_rows absorb).
     """
-    count, n = guesses.shape
-    z = guesses.copy()
-    converged = np.zeros(count, dtype=bool)
-    # p and its derivative in one Horner pass over a (2, rows, n) stack; the
-    # derivative is led by a zero coefficient, which leaves its values as
-    # np.polyval computes them
-    spread[:, 0] = p.T[:, :, None]
-    spread[0, 1] = 0
-    spread[1:, 1] = _derivative_rows(p).T[:, :, None]
-    live, zl, both = np.arange(count), z, spread
+    return (_reexpansion(s0, c.shape[1] - 1)[:, :, :, None]
+            * c[:, None, :, :]).sum(axis=2)
+
+
+@dataclass
+class _Certificate:
+    """The certified data at one point of each row's loop.
+
+    roots are the centers r_j, rho the enclosure radii n |W_j| (each true
+    root lies within rho_j of r_j), R the disc radii, lower a lower bound of
+    |f(z, s0)| on each circle |z - r_j| = R_j (0 where the enclosures do not
+    prove one root per disc), growth[:, j, i - 1] the coefficient of h^i in
+    the bound of |f(z, s0 + h) - f(z, s0)| over disc j, floor the part of
+    that bound which does not shrink with h, and tangent dr_j/ds.
+    """
+
+    roots: np.ndarray
+    rho: np.ndarray
+    R: np.ndarray
+    lower: np.ndarray
+    growth: np.ndarray
+    floor: np.ndarray
+    tangent: np.ndarray
+
+    def take(self, keep) -> "_Certificate":
+        return _Certificate(*(getattr(self, k)[keep] for k in _CERT_FIELDS))
+
+    def put(self, where, other: "_Certificate"):
+        for k in _CERT_FIELDS:
+            getattr(self, k)[where] = getattr(other, k)
+
+    def ratio(self, h: np.ndarray) -> np.ndarray:
+        """max_j over the upper bound of |f(z, s) - f(z, s0)| for s in
+        [s0, s0 + h] and |z - r_j| <= R_j, divided by lower_j; the step is
+        certified when it is below 1. inf where nothing is proved."""
+        top = self.growth.shape[2]
+        grown = (self.growth * _powers(h, top)[:, None, 1:]).sum(axis=2)
+        ratio = ((self.floor + grown) * (1 + _gamma(2 * top + 4))
+                 / self.lower).max(axis=1)
+        return np.where(np.isnan(ratio), np.inf, ratio)
+
+
+_CERT_FIELDS = ("roots", "rho", "R", "lower", "growth", "floor", "tangent")
+
+
+def _certify(c: np.ndarray, ebar: np.ndarray, r: np.ndarray,
+             moving: int) -> _Certificate:
+    """The certificate at a point of each row: c (rows, D + 1, n) holds the
+    coefficients a_k(s0 + t) = sum_i c[:, i, k] t^i, ebar (rows, n) bounds
+    their error times |z|^k (see _track_rows), r (rows, n) the root
+    approximations, and moving is the highest power of z whose coefficient
+    varies in t anywhere on the loops (-1 for none).
+
+    Enclosure (Smith): all roots of f lie in the union of the discs
+    |z - r_j| <= n |W_j|, W_j = f(r_j) / prod_(k != j) (r_j - r_k), and a
+    component of m discs holds m roots; disjoint discs hold one root each.
+    f(r_j) is summed from a table of powers of r_j: each term a_k r_j^k
+    passes through at most 4n roundings, so |f(r_j)| is at most its
+    computed value plus gamma_(4n+2) sum |a_k| |r_j|^k plus
+    sum ebar_k |r_j|^k.
+
+    Lower bound on the circle: with d_jk = |r_j - r_k| and x = R_j / d_jk,
+    |f(z)| >= (R_j - rho_j) prod d_jk exp(-R_j |sum 1 / (r_j - r_k)|
+    - sum x^2 / (2 (1 - x))) prod (1 - rho_k / (d_jk - R_j)), from
+    log|1 + y| >= Re y - |y|^2 / (2 (1 - |y|)). It holds when rho_j < R_j
+    and rho_k < d_jk - R_j, which also makes the enclosures disjoint.
+
+    Growth: for each power t^i, i >= 1, the z-polynomial g_i is expanded
+    about r_j, b_m = sum_k g_ik binom(k, m) r_j^(k - m), and
+    sum_m |b_m| R_j^m bounds |g_i| on the disc. Each term of b_m passes
+    through at most 4n + 4 roundings, which adds gamma_(4n+4) times the
+    origin-centred majorant sum_k |g_ik| (|r_j| + R_j)^k; the coefficients'
+    own error adds sum_k ebar_k (|r_j| + R_j)^k, the floor.
+
+    Every bound is computed in floats and then moved by a gamma factor that
+    covers its own roundings and that of the move: distances by gamma_5 (a
+    subtraction, a hypot within one ulp, the move), a difference, quotient
+    or sum of two bounds by gamma_3, sums of at most 2n + 4 roundings by
+    gamma_(2n+8), a product of n - 1 distances by gamma_n, and the lower
+    bound as a whole, with numpy's exp within a few ulps, by
+    gamma_(4n+16). A difference 1 - y or R - rho of an upper bound y < 1 or
+    rho < R is exact or within one rounding of its value.
+    Called under np.errstate(all="ignore"): a row whose numbers overflow or
+    vanish gets lower 0 and is never accepted.
+    """
+    rows, top1, n = c.shape
+    eye, diagonal = _diagonals(n)
+    # the diagonal k = j drops out of every sum and minimum below as
+    # 1 / inf = 0, and out of the products as 1
+    diff = r[:, :, None] - r[:, None, :] + diagonal
+    dist = np.abs(diff) * (1 - _gamma(5))
+    R = _DISC * dist.min(axis=2)
+    absr = np.abs(r)
+    reach = absr + R
+    val, der = _monic_values(c[:, 0], r)
+    # |f| majorant and coefficient error at |r_j|, the floor at |r_j| + R_j
+    pw = _powers(np.stack((absr, reach)), n)
+    scale = (pw[0, :, :, :n] * np.abs(c[:, None, 0])).sum(axis=-1) + pw[0, :, :, n]
+    errs = (pw[..., :n] * ebar[:, None, :]).sum(axis=-1)
+    f_up = (np.abs(val) + _gamma(4 * n + 2) * scale + errs[0]) * (1 + _gamma(2 * n + 8))
+    dprod = np.prod(np.where(eye, 1.0, dist), axis=2) * (1 - _gamma(n))
+    rho = n * f_up / dprod * (1 + _gamma(4))
+
+    gap = (dist - R[:, :, None]) * (1 - _gamma(3))
+    x = R[:, :, None] / dist * (1 + _gamma(3))
+    quad = (x * x / (2 * (1 - x))).sum(axis=2)
+    pole = np.abs((1 / diff).sum(axis=2)) + _gamma(2 * n + 8) * (1 / dist).sum(axis=2)
+    arg = (R * pole + quad) * (1 + _gamma(n + 8))
+    shrink = np.prod(1 - rho[:, None, :] / gap * (1 + _gamma(3)), axis=2)
+    valid = (rho < R) & (rho[:, None, :] < gap).all(axis=2) & (R > 0)
+    lower = (R - rho) * dprod * np.exp(-arg) * shrink * (1 - _gamma(4 * n + 16))
+    lower = np.where(valid & (lower > 0), lower, 0.0)
+
+    floor = errs[1] * (1 + _gamma(2 * n + 8))
+    growth = np.zeros((rows, n, top1 - 1))
+    tangent = np.zeros_like(r)
+    if top1 > 1 and moving == 0:
+        # only a_0 varies: g_i is the constant c[:, i, 0], with no rounding
+        growth = np.abs(c[:, None, 1:, 0]) * np.ones((1, n, 1))
+        tangent = -c[:, 1, 0, None] / der
+    elif top1 > 1 and moving > 0:
+        g = c[:, None, 1:, :moving + 1]                   # (rows, 1, D, K + 1)
+        b = (_reexpansion(r, moving)[:, :, None] * g[:, :, :, None, :]).sum(axis=-1)
+        rp = _powers(np.stack((R, reach)), moving)[:, :, :, None, :]
+        growth = ((np.abs(b) * rp[0]).sum(axis=-1)
+                  + _gamma(4 * n + 4) * (np.abs(g) * rp[1]).sum(axis=-1)) \
+            * (1 + _gamma(2 * n + 8))
+        tangent = -b[:, :, 0, 0] / der
+    return _Certificate(r, rho, R, lower, growth, floor, tangent)
+
+
+def _chained(new: _Certificate, old_roots: np.ndarray,
+             old_R: np.ndarray) -> np.ndarray:
+    """Whether each new root's enclosure avoids every other root's old disc,
+    so that the root it holds is the continuation of its own."""
+    eye, _ = _diagonals(new.roots.shape[1])
+    dist = np.abs(new.roots[:, :, None] - old_roots[:, None, :]) * (1 - _gamma(5))
+    clear = dist > (new.rho[:, :, None] + old_R[:, None, :]) * (1 + _gamma(3))
+    return (clear | eye).all(axis=(1, 2))
+
+
+_DIAGONALS: dict = {}
+
+
+def _diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n identity as a mask, and the matrix with inf on its diagonal
+    and 0 elsewhere."""
+    if n not in _DIAGONALS:
+        eye = np.eye(n, dtype=bool)
+        _DIAGONALS[n] = (eye, np.where(eye, np.inf, 0.0))
+    return _DIAGONALS[n]
+
+
+def _newton(low: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One Newton step on each fiber from the tangent predictor's guess.
+    More steps do not pay: the certificate, not the corrector's
+    convergence, decides whether a step is accepted, and the radii it
+    proves are far below the discs either way."""
+    p, dp = _monic_values(low, z)
+    return z - p / dp
+
+
+@dataclass
+class _RowEnd:
+    """A row that completed its loop: the permutation and the end fiber, in
+    start order."""
+
+    perm: Permutation
+    roots: np.ndarray
+
+
+def _match(start: np.ndarray, start_rho: np.ndarray, end: np.ndarray,
+           end_rho: np.ndarray) -> Permutation:
+    """The permutation sending k to the start root whose enclosure the
+    enclosure of end root k meets. Each end enclosure holds one root of the
+    start fiber, which lies in every start enclosure it meets, so meeting
+    exactly one decides it."""
     with np.errstate(all="ignore"):
-        for _ in range(max_iters):
-            both_z = np.concatenate((zl, zl)).reshape(both.shape[1:])
-            val, der = _polyval_rows(both, both_z)
-            good = ((der != 0) & np.isfinite(der)).all(axis=1)
-            step = val / der
-            zl = zl - step
-            good &= np.isfinite(zl).all(axis=1)
-            hit = good & (np.abs(step).max(axis=1)
-                          < 1e-13 * (1.0 + np.abs(zl).max(axis=1)))
-            keep = good & ~hit
-            if not keep.all():
-                z[live[hit]] = zl[hit]
-                converged[live[hit]] = True
-                live, zl, both = live[keep], zl[keep], both[:, :, keep]
-                if not live.size:
-                    break
-    return z, converged
+        dist = np.abs(end[:, None] - start[None, :]) * (1 - _gamma(5))
+        apart = dist > (end_rho[:, None] + start_rho[None, :]) * (1 + _gamma(3))
+    meets = ~apart
+    match = meets.argmax(axis=1)
+    if not (meets.sum(axis=1) == 1).all() or len(set(match.tolist())) != len(end):
+        raise FiberMatchError(
+            "endpoint enclosures do not each meet exactly one start enclosure")
+    return Permutation(tuple(int(j) + 1 for j in match))
 
 
-def _track_rows(f: WeierstrassPoly, rows: Sequence[tuple[LoopPath, float]],
-                cfg: TrackingConfig, start: np.ndarray) -> list:
-    """Continue the start fiber along every row's loop, all rows in one
-    stack. A row is a loop and its initial step; the other settings come
-    from cfg.
+def _track_rows(f: WeierstrassPoly, loops: Sequence[LoopPath],
+                cfg: TrackingConfig, start: np.ndarray) -> tuple[list, dict]:
+    """Continue the start fiber along every loop, one row per loop, all rows
+    in one stack.
 
-    Returns, per row, the endpoint fiber (in start order) or the tracking
-    error the row raises. Each row keeps its own t, step and roots and makes
-    the accept, reject and step-size decisions it would make alone; the
-    corrector runs on the stack of unfinished rows. Once a row fails, the
-    rows after it stop: callers report the first failing row in row order,
-    so those results are never read and are left None.
+    Returns, per row, a _RowEnd or the tracking error the row raises, and
+    the tracking summary. Each row keeps its own segment, position s on it,
+    step h (a fraction of its loop's arclength) and certificate, and makes
+    the accept, reject and step-size decisions it would make alone. Once a
+    row fails, the rows after it stop: callers report the first failing row
+    in row order, so those results are never read and are left None.
+
+    Error terms: on each segment, the true coefficient a_k differs from the
+    computed polynomial by at most err_k (segment_polys) for every s, and
+    the Taylor shift of the computed polynomial is off by at most
+    gamma_(2D+1) N_k, N_k = sum_l |c_lk|. So ebar_k = 2 err_k + gamma_(3D+4)
+    N_k bounds both |f - f_computed| at a point and the error of the
+    computed difference f(., s) - f(., s0), times |z|^k.
     """
-    count, n = len(rows), len(start)
-    if n == 1:
-        return [start.copy() for _ in rows]
-    results: list = [None] * count
-    first_failed = count
-    # state of the unfinished rows; entry j tracks row[j]
-    row = np.arange(count)
-    positions = [_arclength_position(_loop_points(loop)) for loop, _ in rows]
-    initial = np.array([step for _, step in rows])
-    t, h = np.zeros(count), initial.copy()
-    roots = np.tile(start, (count, 1))
-    gap = np.full(count, min_gap(start))
-    # the corrector's coefficient columns, filled in place at every step
-    spread = np.empty((n + 1, 2, count, n), dtype=complex)
-    while row.size:
-        t_next = np.minimum(1.0, t + h)
-        points = [pos(s) for pos, s in zip(positions, t_next.tolist())]
-        coeffs = f.eval_complex_points([(x.real, x.imag) for x in points])
-        corrected, converged = _newton_rows(_monic_rows(coeffs), roots,
-                                            cfg.max_newton_iters, spread)
-        with np.errstate(all="ignore"):
-            new_gap = _block_gaps(corrected)
-            accept = (converged
-                      & (np.abs(corrected - roots).max(axis=1)
-                         < cfg.safety_factor * gap / 2)
-                      & (new_gap > 0))
-        roots[accept] = corrected[accept]
-        gap[accept] = new_gap[accept]
-        t = np.where(accept, t_next, t)
-        h = np.where(accept, np.minimum(initial, h * 1.4), h / 2)
-        under = ~accept & (h < cfg.min_step)
-        finished = t >= 1.0 - 1e-15
-        if not (under.any() or finished.any()):
-            continue
-        for j in np.flatnonzero(under).tolist():
-            if converged[j]:
+    count, n = len(loops), len(start)
+    summary = {"certified": True, "stack_steps": 0, "accepted_steps": 0,
+               "rejected_steps": 0, "steps_per_loop": [0] * count,
+               "min_disc_radius": None}
+    if n == 1 or not count:
+        return [_RowEnd(Permutation((1,)), start.copy()) for _ in loops], summary
+    segments = [seg for loop in loops
+                for seg in zip(loop.vertices, loop.vertices[1:])]
+    coeffs, err = f.segment_polys(segments)
+    top = coeffs.shape[1] - 1
+    with np.errstate(all="ignore"):
+        ebar = (2 * err + _gamma(3 * top + 4) * np.abs(coeffs).sum(axis=1)) \
+            * (1 + _gamma(top + 6))
+    # per segment: its loop's arclength over its own (inf when it has
+    # none), and the arclength fraction at which it starts
+    seg_len, scale, begin, first, last = [], [], [], [], []
+    for loop in loops:
+        pts = np.array([complex(float(x), float(y)) for x, y in loop.vertices])
+        lengths = np.abs(np.diff(pts))
+        total = float(lengths.sum())
+        first.append(len(seg_len))
+        last.append(len(seg_len) + len(lengths) - 1)
+        cum = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
+        for ell, c0 in zip(lengths.tolist(), cum.tolist()):
+            seg_len.append(ell / total if total else 0.0)
+            scale.append(total / ell if ell else np.inf)
+            begin.append(c0 / total if total else 0.0)
+    seg_len, scale, begin = np.array(seg_len), np.array(scale), np.array(begin)
+    last = np.array(last)
+
+    with np.errstate(all="ignore"):
+        results: list = [None] * count
+        first_failed = count
+        row = np.arange(count)
+        seg = np.array(first)
+        s = np.zeros(count)
+        h = np.full(count, cfg.initial_step)
+        # the highest power of z whose coefficient varies along some segment
+        varies = np.flatnonzero((coeffs[:, 1:] != 0).any(axis=(0, 1)))
+        moving = int(varies[-1]) if varies.size else -1
+        cert = _certify(coeffs[seg], ebar[seg], np.tile(start, (count, 1)), moving)
+        start_rho = cert.rho.copy()
+        # per row: the smallest disc radius met and where (arclength fraction)
+        smallest, where = cert.R.min(axis=1), np.zeros(count)
+        accepted, rejected = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+
+        while row.size:
+            summary["stack_steps"] += 1
+            s1 = np.minimum(1.0, s + h * scale[seg])
+            ratio = cert.ratio((s1 - s) * _WIDEN)
+            ok = np.zeros(row.size, dtype=bool)
+            idx = np.flatnonzero(ratio < 1)
+            if idx.size:
+                # where the step lands: the next segment's start, unless it ends
+                # the loop
+                turn = (s1[idx] == 1.0) & (seg[idx] < last[row[idx]])
+                seg1 = np.where(turn, seg[idx] + 1, seg[idx])
+                s1c = np.where(turn, 0.0, s1[idx])
+                c1 = _shift(coeffs[seg1], s1c)
+                guess = cert.roots[idx] + (s1 - s)[idx, None] * cert.tangent[idx]
+                new = _certify(c1, ebar[seg1], _newton(c1[:, 0], guess), moving)
+                good = (new.lower > 0).all(axis=1) & _chained(new, cert.roots[idx],
+                                                              cert.R[idx])
+                ok[idx[good]] = True
+                if good.all() and idx.size == row.size:
+                    cert = new
+                else:
+                    cert.put(idx[good], new.take(good))
+                seg[idx[good]], s[idx[good]] = seg1[good], s1c[good]
+            factor = np.where(ok, np.minimum(2.0, 0.8 / ratio),
+                              np.clip(0.8 / ratio, 0.25, 0.5))
+            h = np.minimum(1.0, h * factor)
+            accepted[row] += ok
+            rejected[row] += ~ok
+            finished = ok & (s == 1.0)
+            under = ~ok & (h < cfg.min_step)
+            t = begin[seg] + s * seg_len[seg]
+            radius = cert.R.min(axis=1)
+            lower = ok & (radius < smallest[row])
+            smallest[row[lower]], where[row[lower]] = radius[lower], t[lower]
+            for j in np.flatnonzero(under).tolist():
                 results[row[j]] = StepUnderflowError(
                     f"root gap collapsed near t={t[j]:.6f}; loop too close to "
                     f"the discriminant locus")
-            else:
-                results[row[j]] = NewtonDivergenceError(
-                    f"Newton corrector failed near t={t[j]:.6f}")
-            first_failed = min(first_failed, row[j])
-        for j in np.flatnonzero(finished).tolist():
-            results[row[j]] = roots[j].copy()
-        keep = ~under & ~finished & (row < first_failed)
-        row, t, h, roots, gap = row[keep], t[keep], h[keep], roots[keep], gap[keep]
-        initial = initial[keep]
-        positions = [pos for pos, k in zip(positions, keep) if k]
-        spread = np.empty((n + 1, 2, row.size, n), dtype=complex)
-    return results
+                first_failed = min(first_failed, row[j])
+            for j in np.flatnonzero(finished).tolist():
+                try:
+                    results[row[j]] = _RowEnd(
+                        _match(start, start_rho[row[j]], cert.roots[j], cert.rho[j]),
+                        cert.roots[j].copy())
+                except FiberMatchError as exc:
+                    results[row[j]] = exc
+                    first_failed = min(first_failed, row[j])
+            keep = ~under & ~finished & (row < first_failed)
+            if not keep.all():
+                row, seg, s, h = row[keep], seg[keep], s[keep], h[keep]
+                cert = cert.take(keep)
+    summary["accepted_steps"] = int(accepted.sum())
+    summary["rejected_steps"] = int(rejected.sum())
+    summary["steps_per_loop"] = accepted.tolist()
+    j = int(smallest.argmin())
+    summary["min_disc_radius"] = {"radius": float(smallest[j]), "loop": j + 1,
+                                  "t": float(where[j])}
+    return results, summary
 
 
-def _permutations(start: np.ndarray, results: list) -> list[Permutation]:
-    """The permutation of each tracked row, sending start label k to the
-    label whose position the k-th root reached; raises the first row's error,
-    in row order."""
+def _permutations(results: list) -> list[Permutation]:
+    """The permutation of each tracked row; raises the first row's error, in
+    row order."""
     perms = []
     for end in results:
         if isinstance(end, Exception):
             raise end
-        match = _nearest_labels(start, end, "endpoint roots and start labels")
-        perms.append(Permutation(tuple(int(j) + 1 for j in match)))
+        perms.append(end.perm)
     return perms
 
 
@@ -277,7 +525,8 @@ def _start_fiber(f: WeierstrassPoly, loop: LoopPath,
 def track_loop(f: WeierstrassPoly, loop: LoopPath,
                cfg: TrackingConfig = DEFAULT_TRACKING,
                start_roots: Optional[Sequence[complex]] = None) -> Permutation:
-    """Continuation of the fiber along a closed loop, as a fiber permutation.
+    """Certified continuation of the fiber along a closed loop, as a fiber
+    permutation.
 
     Returns the permutation sending start label k to the label whose position
     the k-th root reached. Loops sharing a basepoint fiber compose left to
@@ -285,8 +534,7 @@ def track_loop(f: WeierstrassPoly, loop: LoopPath,
     tracker.
     """
     start = _start_fiber(f, loop, start_roots)
-    return _permutations(start, _track_rows(f, [(loop, cfg.initial_step)], cfg,
-                                             start))[0]
+    return _permutations(_track_rows(f, [loop], cfg, start)[0])[0]
 
 
 def _nearest_labels(labels: np.ndarray, points: np.ndarray,
@@ -300,32 +548,6 @@ def _nearest_labels(labels: np.ndarray, points: np.ndarray,
         raise FiberMatchError(
             f"{what} do not match one to one within half a gap")
     return match
-
-
-def _refined(f: WeierstrassPoly, loops: Sequence[LoopPath],
-             cfg: TrackingConfig, start: np.ndarray) -> list[Permutation]:
-    """Track every loop at the given step, half of it and a quarter of it, all
-    3 * len(loops) rows in one stack; the three permutations of each loop
-    must agree. Errors are raised in (loop, pass) order."""
-    steps = [cfg.initial_step / k for k in (1, 2, 4)]
-    results = _track_rows(f, [(loop, h) for loop in loops for h in steps], cfg,
-                          start)
-    perms = []
-    for i in range(0, len(results), 3):
-        trio = _permutations(start, results[i:i + 3])
-        if trio[0] != trio[1] or trio[1] != trio[2]:
-            raise InstabilityError(
-                f"step refinement changed the tracked permutation: {trio!r}")
-        perms.append(trio[0])
-    return perms
-
-
-def refine_and_compare(f: WeierstrassPoly, loop: LoopPath,
-                       cfg: TrackingConfig = DEFAULT_TRACKING,
-                       start_roots: Optional[Sequence[complex]] = None) -> Permutation:
-    """Track at the given step, half of it, and a quarter of it; all three
-    permutations must agree. A three-row call of the stacked tracker."""
-    return _refined(f, [loop], cfg, _start_fiber(f, loop, start_roots))[0]
 
 
 def basepoint_fiber(f: WeierstrassPoly, space: BaseSpace,
@@ -347,14 +569,14 @@ def characteristic_hom(f: WeierstrassPoly, space: BaseSpace,
                        cfg: TrackingConfig = DEFAULT_TRACKING,
                        root_labels: Optional[Sequence[complex]] = None
                        ) -> MonodromyRep:
-    """Tracked permutation of the basepoint fiber for every generator loop,
-    each confirmed by step refinement as in refine_and_compare; all loops and
-    passes are tracked in one stack."""
+    """Certified permutation of the basepoint fiber for every generator
+    loop, all loops tracked in one stack; the tracking summary is kept on
+    the result."""
     loops = generator_loops(space)
     fiber = basepoint_fiber(f, space, root_labels)
-    perms = tuple(_refined(f, loops, cfg, fiber))
-    return MonodromyRep(len(loops), len(fiber), perms,
-                        tuple(complex(z) for z in fiber))
+    results, summary = _track_rows(f, loops, cfg, fiber)
+    return MonodromyRep(len(loops), len(fiber), tuple(_permutations(results)),
+                        tuple(complex(z) for z in fiber), summary)
 
 
 def splitting_cover(rep: MonodromyRep) -> tuple[CosetTable, DeckGroup, PermGroup]:

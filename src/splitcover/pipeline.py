@@ -2,8 +2,9 @@
 Weierstrass polynomial, and solve semi-topological embedding problems.
 
 Every pipeline run re-verifies its own output: the produced polynomial is
-tracked numerically around the generator loops and the resulting deck group
-is compared against the request. A run that cannot verify raises instead of
+tracked around the generator loops, each step certified, and the resulting
+deck group is compared against the request. Reports carry the tracker's
+summary as a "tracking" artifact. A run that cannot verify raises instead of
 returning silently wrong artifacts.
 """
 
@@ -138,7 +139,7 @@ def align_regular_labelings(src: Sequence[Permutation],
 def _relabel_rep(rep: MonodromyRep, pi: Permutation) -> MonodromyRep:
     perms = tuple(conjugate(p, pi) for p in rep.perms)
     labels = tuple(rep.root_labels[pi(a) - 1] for a in range(1, rep.degree + 1))
-    return MonodromyRep(rep.rank, rep.degree, perms, labels)
+    return MonodromyRep(rep.rank, rep.degree, perms, labels, rep.tracking)
 
 
 def _hole_centers(space: BaseSpace) -> list[GaussianRational]:
@@ -243,6 +244,7 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
     watch.lap("verification")
 
     report.artifacts["monodromy"] = rep.to_json()
+    report.artifacts["tracking"] = rep.tracking
     report.artifacts["polynomial"] = f.to_json()
     report.artifacts["splitting_cover"] = table.to_json()
     report.artifacts["deck_order"] = deck.group.order()
@@ -325,6 +327,9 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
         "extended_base_space": space2.to_json(),
         "realization": realize_report.to_json(),
         "tower": tower.to_json() if tower is not None else None,
+        # the realization's own tracking is in its nested report
+        "tracking": {"base": rep_g.tracking,
+                     "extended_base": rep_g2.tracking if extra else None},
     }
     report.verdicts = {
         # solve raises SolutionCheckError unless its solution verifies
@@ -358,6 +363,7 @@ def run_monodromy(f: WeierstrassPoly, space: BaseSpace,
     report.inputs = {"polynomial": f.to_json(), "base_space": space.to_json()}
     report.artifacts = {
         "monodromy": rep.to_json(),
+        "tracking": rep.tracking,
         "irreducible": irreducibility_check(rep),
         "splitting_cover": table.to_json(),
         "deck_order": deck.group.order(),
@@ -413,6 +419,7 @@ def run_verify_tower(h: WeierstrassPoly, g: WeierstrassPoly, space: BaseSpace,
     report.artifacts = {
         "monodromy_g": rep_g.to_json(), "monodromy_h": rep_h.to_json(),
         "tower": tower.to_json() if tower is not None else None,
+        "tracking": {"g": rep_g.tracking, "h": rep_h.tracking},
     }
     report.verdicts = verdicts
     report.timings = watch.marks

@@ -26,6 +26,10 @@ from .roots import (
 )
 
 
+# unit roundoff of IEEE double precision
+_UNIT = 2.0 ** -53
+
+
 class GeometryError(RuntimeError):
     """A requested geometric construction is infeasible."""
 
@@ -224,16 +228,52 @@ def _dist2(p, q) -> Fraction:
     return dx * dx + dy * dy
 
 
-def _segment_dist2(p, q, c) -> Fraction:
-    """Exact squared distance from point c to segment pq."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    length2 = dx * dx + dy * dy
-    if length2 == 0:
-        return _dist2(p, c)
-    t = ((c[0] - p[0]) * dx + (c[1] - p[1]) * dy) / length2
-    t = max(Fraction(0), min(Fraction(1), t))
-    ex, ey = p[0] + t * dx - c[0], p[1] + t * dy - c[1]
-    return ex * ex + ey * ey
+class _IntGeometry:
+    """A base space and a list of points, all scaled by one common
+    denominator to integers, so that every predicate below is decided
+    exactly with integer arithmetic and no division."""
+
+    def __init__(self, space: "BaseSpace", points: Sequence[tuple]):
+        discs = (space.outer,) + space.holes
+        fracs = [q for d in discs for q in (*d.center, d.radius)]
+        fracs += [q for p in points for q in p]
+        den = math.lcm(*(q.denominator for q in fracs))
+
+        def scale(q: Fraction) -> int:
+            return q.numerator * (den // q.denominator)
+
+        self.points = [(scale(x), scale(y)) for x, y in points]
+        # (center x, center y, squared radius) of each disc
+        self.outer = (scale(space.outer.center[0]), scale(space.outer.center[1]),
+                      scale(space.outer.radius) ** 2)
+        self.holes = [(scale(h.center[0]), scale(h.center[1]), scale(h.radius) ** 2)
+                      for h in space.holes]
+
+    def contains(self, i: int) -> bool:
+        x, y = self.points[i]
+        cx, cy, r2 = self.outer
+        if (x - cx) ** 2 + (y - cy) ** 2 > r2:
+            return False
+        return all((x - hx) ** 2 + (y - hy) ** 2 >= h2 for hx, hy, h2 in self.holes)
+
+    def crosses(self, i: int, j: int, hole: int) -> bool:
+        """Whether segment i-j comes closer than the radius to the center of
+        the hole: with d = q - p and e = c - p, the nearest point is p, q or
+        the foot of the perpendicular, where |e|^2 |d|^2 - (e.d)^2 < r^2 |d|^2
+        decides."""
+        (px, py), (qx, qy) = self.points[i], self.points[j]
+        cx, cy, r2 = self.holes[hole]
+        dx, dy, ex, ey = qx - px, qy - py, cx - px, cy - py
+        dot, len2 = ex * dx + ey * dy, dx * dx + dy * dy
+        if dot <= 0 or len2 == 0:
+            return ex * ex + ey * ey < r2
+        if dot >= len2:
+            return (cx - qx) ** 2 + (cy - qy) ** 2 < r2
+        return (ex * ex + ey * ey) * len2 - dot * dot < r2 * len2
+
+    def segment_inside(self, i: int, j: int) -> bool:
+        return (self.contains(i) and self.contains(j) and
+                not any(self.crosses(i, j, k) for k in range(len(self.holes))))
 
 
 @dataclass(frozen=True)
@@ -271,17 +311,12 @@ class BaseSpace:
         return len(self.holes)
 
     def contains(self, u, v) -> bool:
-        p = (_frac(u), _frac(v))
-        if _dist2(p, self.outer.center) > self.outer.radius ** 2:
-            return False
-        return all(_dist2(p, h.center) >= h.radius ** 2 for h in self.holes)
+        return _IntGeometry(self, [(_frac(u), _frac(v))]).contains(0)
 
     def segment_inside(self, p, q) -> bool:
         """Both endpoints in the space and the segment misses every open hole."""
-        if not (self.contains(*p) and self.contains(*q)):
-            return False
-        return all(_segment_dist2(p, q, h.center) >= h.radius ** 2
-                   for h in self.holes)
+        points = [(_frac(p[0]), _frac(p[1])), (_frac(q[0]), _frac(q[1]))]
+        return _IntGeometry(self, points).segment_inside(0, 1)
 
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(),
@@ -340,21 +375,30 @@ class LoopPath:
 
 def validate_loop(space: BaseSpace, loop: LoopPath):
     """Exact check that every vertex and segment stays inside the space."""
-    for p, q in zip(loop.vertices, loop.vertices[1:]):
-        if not space.contains(*p):
+    geo = _IntGeometry(space, loop.vertices)
+    verts = loop.vertices
+    for i in range(len(verts) - 1):
+        p, q = verts[i], verts[i + 1]
+        if not geo.contains(i):
             raise GeometryError(f"vertex {p} leaves the space")
-        if not space.segment_inside(p, q):
-            for h in space.holes:
-                if _segment_dist2(p, q, h.center) < h.radius ** 2:
+        if not geo.segment_inside(i, i + 1):
+            for k, h in enumerate(space.holes):
+                if geo.crosses(i, i + 1, k):
                     raise GeometryError(f"segment {p}-{q} crosses hole {h}")
             raise GeometryError(f"segment {p}-{q} leaves the outer disc")
 
 
 def winding_number(loop: LoopPath, point: tuple[Fraction, Fraction]) -> int:
-    """Exact winding number of the polyline around a point off the path."""
-    px, py = _frac(point[0]), _frac(point[1])
+    """Exact winding number of the polyline around a point off the path,
+    on integers: the loop and the point are scaled by one common
+    denominator, which keeps every comparison below."""
+    pts = list(loop.vertices) + [(_frac(point[0]), _frac(point[1]))]
+    den = math.lcm(*(q.denominator for p in pts for q in p))
+    scaled = [(x.numerator * (den // x.denominator),
+               y.numerator * (den // y.denominator)) for x, y in pts]
+    (px, py), verts = scaled[-1], scaled[:-1]
     total = 0
-    for (ax, ay), (bx, by) in zip(loop.vertices, loop.vertices[1:]):
+    for (ax, ay), (bx, by) in zip(verts, verts[1:]):
         if ay <= py < by:  # upward crossing
             if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
                 total += 1
@@ -429,6 +473,8 @@ class WeierstrassPoly:
             for p in self.coeffs)
         self._top_u = max((du for p in self.coeffs for du, _ in p.terms), default=0)
         self._top_v = max((dv for p in self.coeffs for _, dv in p.terms), default=0)
+        self._top = max((du + dv for p in self.coeffs for du, dv in p.terms),
+                        default=0)
 
     def eval_complex_points(self, points: Sequence[tuple]) -> np.ndarray:
         """Float coefficients at float points (u, v): an (N, degree) array
@@ -453,6 +499,68 @@ class WeierstrassPoly:
 
     def eval_complex(self, u: float, v: float) -> np.ndarray:
         return self.eval_complex_points(((u, v),))[0]
+
+    def segment_polys(self, segments: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients along straight segments with rational endpoints.
+
+        On segment (a, b), a_k(a + s (b - a)) is a polynomial in s of degree
+        at most D, the largest total degree of a term. Returns c of shape
+        (segments, D + 1, degree), with c[q, l, k] the float coefficient of
+        s^l in a_k on segment q, and err of shape (segments, degree) with
+        err[q, k] >= sum_l |c[q, l, k] - exact|, which bounds the error of
+        a_k anywhere on the segment, s in [0, 1].
+
+        The bound. Each coordinate of a and of b - a is rounded once from
+        its exact rational value. Every exact coefficient is then a sum of
+        terms, and along the computation below each term passes through at
+        most d = 4D + T + 6 roundings, T the most terms of one coefficient:
+        one per rounded input factor and two per step of a power of u or v
+        (3 per degree), one product and at most D sums in a convolution, the
+        rounding of the complex term coefficient and its product, T - 1 sums
+        over terms and D sums over powers of s. So the computed value is off
+        by at most gamma_d times the same computation on absolute values,
+        per real and imaginary part, and by the triangle inequality in modulus
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        sec. 3.1 and 3.6). That majorant, computed in floats from nonnegative
+        numbers, is low by at most a factor 1 + gamma_d, and gamma_d (1 +
+        gamma_d) <= gamma_2d. Underflow is not modelled: it needs terms
+        below 1e-290, which no coefficient of an input reaches without
+        vanishing.
+        """
+        count, top = len(segments), self._top
+        inputs = np.array([[float(a[0]), float(a[1]), float(b[0] - a[0]),
+                            float(b[1] - a[1])] for a, b in segments]).T
+        # row 0 computes the values, row 1 the same on absolute values
+        both = np.stack((inputs, np.abs(inputs))).reshape(2, 4, count, 1)
+
+        def powers(start, step, upto):
+            out = [np.ones((2, count, 1))]
+            for _ in range(upto):
+                prev = out[-1]
+                nxt = np.zeros((2, count, prev.shape[2] + 1))
+                nxt[:, :, :-1] = prev * start
+                nxt[:, :, 1:] += prev * step
+                out.append(nxt)
+            return out
+
+        pow_u = powers(both[:, 0], both[:, 2], self._top_u)
+        pow_v = powers(both[:, 1], both[:, 3], self._top_v)
+        monomials: dict = {}
+        coeffs = np.zeros((count, top + 1, self.degree), dtype=complex)
+        major = np.zeros((count, top + 1, self.degree))
+        for k, terms in enumerate(self._complex_terms):
+            for du, dv, c in terms:
+                mono = monomials.get((du, dv))
+                if mono is None:
+                    mono = np.zeros((2, count, du + dv + 1))
+                    for i in range(du + 1):
+                        mono[:, :, i:i + dv + 1] += pow_u[du][:, :, i:i + 1] * pow_v[dv]
+                    monomials[(du, dv)] = mono
+                coeffs[:, :du + dv + 1, k] += c * mono[0]
+                major[:, :du + dv + 1, k] += abs(c) * mono[1]
+        terms = max((len(t) for t in self._complex_terms), default=0)
+        d = 4 * top + terms + 6
+        return coeffs, 2 * d * _UNIT / (1 - 2 * d * _UNIT) * major.sum(axis=1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeierstrassPoly)

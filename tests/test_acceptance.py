@@ -29,7 +29,7 @@ from splitcover.freecover import (
 from splitcover.monodromy import (
     MonodromyRep,
     irreducibility_check,
-    refine_and_compare,
+    track_loop,
 )
 from splitcover.permgroup import (
     PermGroup,
@@ -192,7 +192,7 @@ def test_criterion_4_monodromy_engine():
     for k in range(2, 7):
         f, x = _power_model(k)
         loop = generator_loops(x)[0]
-        p = refine_and_compare(f, loop)
+        p = track_loop(f, loop)
         cycles = p.cycles()
         assert len(cycles) == 1 and len(cycles[0]) == k, k
         bp = x.basepoint
@@ -201,7 +201,7 @@ def test_criterion_4_monodromy_engine():
             (bp[0] - half, bp[1] - half), (bp[0] + half, bp[1] - half),
             (bp[0] + half, bp[1] + half), (bp[0] - half, bp[1] + half),
             (bp[0] - half, bp[1] - half)))
-        assert refine_and_compare(f, square).is_identity(), k
+        assert track_loop(f, square).is_identity(), k
     elapsed = time.time() - start
     assert elapsed < 30, f"criterion 4 exceeded 30s: {elapsed:.1f}"
     _report(4, "monodromy engine", "k-cycles and contractible loops, k=2..6",

@@ -76,6 +76,38 @@ def test_initial_step_beyond_the_loop_is_input_error(step, space, w0, tmp_path,
     assert "initial_step" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("space, w0", [
+    (default_base_space(1), 0),
+    (BaseSpace(Disc((0, 0), 10), (Disc((0, 8), Fraction(1, 10)),), (0, -8)), 8j),
+], ids=["one_hole", "small_hole"])
+def test_a_step_of_the_whole_loop_is_certified_or_cut(space, w0, tmp_path, capsys):
+    # the inputs above with initial_step 1: the first step may be as long
+    # as the loop, and only steps the Rouche test proves are taken
+    a0 = BivariatePolyQi.from_w_powers([qi(w0.real, w0.imag), qi(-1)])
+    f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
+    poly = write_json(tmp_path / "poly.json", {"polynomial": f.to_json(),
+                                               "base_space": space.to_json()})
+    cfg = write_json(tmp_path / "cfg.json", {"tracking": {"initial_step": 1}})
+    assert main(["monodromy", poly, "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["artifacts"]["monodromy"]["perms"] == [[2, 1]]
+    assert report["artifacts"]["tracking"]["certified"] is True
+
+
+@pytest.mark.parametrize("key, value", [("safety_factor", 0.4),
+                                        ("max_newton_iters", 30)])
+def test_a_deleted_tracking_key_is_input_error(key, value, z2_artifact, tmp_path,
+                                               capsys):
+    _, group, _, _ = z2_artifact
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"tracking": {"initial_step": 0.01, key: value}})
+    out = tmp_path / "out.json"
+    assert main(["realize", group, "--config", cfg, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "input error" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_embed_cli_and_verify_tower(z2_artifact, capsys):
     tmp, _, out, _ = z2_artifact
     h_group = write_json(tmp / "z4.json",
@@ -299,8 +331,7 @@ FUZZ_INPUTS = {
     "polynomial": {"degree": 2,
                    "coeffs": [[[1, 0, -1, 1, 0, 1], [0, 1, 0, 1, -1, 1]], []]},
     "base_space": default_base_space(1).to_json(),
-    "config": {"tracking": {"initial_step": 0.02, "min_step": 1e-08,
-                            "safety_factor": 0.4, "max_newton_iters": 30}},
+    "config": {"tracking": {"initial_step": 0.02, "min_step": 1e-08}},
 }
 
 

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from splitcover import monodromy
@@ -11,17 +12,16 @@ from splitcover.cli import main
 from splitcover.freecover import cayley_table, is_normal
 from splitcover.monodromy import (
     DEFAULT_TRACKING,
-    InstabilityError,
     MonodromyRep,
+    StepUnderflowError,
     TrackingConfig,
+    _certify,
     _permutations,
-    _refined,
     _track_rows,
     basepoint_fiber,
     characteristic_hom,
     deck_action_on_roots,
     irreducibility_check,
-    refine_and_compare,
     splitting_cover,
     track_loop,
 )
@@ -76,15 +76,15 @@ def test_tracking_config_validation():
         TrackingConfig(initial_step=1.5)
     with pytest.raises(ValueError):
         TrackingConfig(min_step=1.0)
-    with pytest.raises(ValueError):
-        TrackingConfig(safety_factor=1.5)
-    with pytest.raises(ValueError):
-        TrackingConfig(max_newton_iters=30.0)
     # bools, strings and non-finite values are never coerced
-    for bad in ({"max_newton_iters": True}, {"safety_factor": "0.4"},
+    for bad in ({"initial_step": True}, {"min_step": "1e-8"},
                 {"min_step": float("nan")}, {"initial_step": float("inf")}):
         with pytest.raises(ValueError):
             TrackingConfig(**bad)
+    # the knobs of the step-refinement tracker are gone
+    for gone in ("safety_factor", "max_newton_iters"):
+        with pytest.raises(TypeError, match=gone):
+            TrackingConfig(**{gone: 1})
 
 
 def test_constant_coefficients_yield_identity():
@@ -104,14 +104,14 @@ def test_square_root_continuation_oracle():
 def test_kth_root_continuation_is_k_cycle(k):
     f, x = power_model(k)
     loop = generator_loops(x)[0]
-    p = refine_and_compare(f, loop)
+    p = track_loop(f, loop)
     assert len(p.cycles()) == 1 and len(p.cycles()[0]) == k
 
 
 def test_contractible_loop_identity():
     f, x = power_model(3)
     loop = square_loop(x.basepoint, Fraction(1, 2))
-    assert refine_and_compare(f, loop).is_identity()
+    assert track_loop(f, loop).is_identity()
 
 
 def test_homomorphism_property_on_concatenation():
@@ -268,40 +268,6 @@ def test_deck_action_regular_klein_faithful():
     assert {q for q in hom.mapping.values()} == set(closure((a, b)).elements())
 
 
-def _swap_second_pass(real):
-    """A tracker whose half-step pass (every second of three rows) ends with
-    its roots in reverse order."""
-    def track(f, rows, cfg, start):
-        results = real(f, rows, cfg, start)
-        return [end[::-1] if i % 3 == 1 else end for i, end in enumerate(results)]
-    return track
-
-
-def test_refine_and_compare_detects_instability(monkeypatch):
-    f, x = power_model(4)
-    loop = generator_loops(x)[0]
-    coarse = TrackingConfig(initial_step=0.05)
-    # the passes agree on the unmodified tracker
-    assert refine_and_compare(f, loop, coarse) == track_loop(f, loop)
-    monkeypatch.setattr(monodromy, "_track_rows",
-                        _swap_second_pass(monodromy._track_rows))
-    with pytest.raises(InstabilityError, match="step refinement changed"):
-        refine_and_compare(f, loop, coarse)
-
-
-def test_instability_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
-    f, x = power_model(2)
-    path = tmp_path / "poly.json"
-    path.write_text(json.dumps({"polynomial": f.to_json(),
-                                "base_space": x.to_json()}))
-    monkeypatch.setattr(monodromy, "_track_rows",
-                        _swap_second_pass(monodromy._track_rows))
-    assert main(["monodromy", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "numerical instability: step refinement changed" in err
-    assert "Traceback" not in err
-
-
 def radical_family(n, c, exponents):
     """z^n - c * prod (w - x_i)^k_i over the default space with one hole per
     exponent, x_i the hole centres."""
@@ -325,18 +291,17 @@ def rotation(labels, k, n):
         min(range(n), key=lambda j: abs(z * turn - labels[j])) + 1 for z in labels))
 
 
-# the initial steps of the three refinement passes
-PASSES = tuple(DEFAULT_TRACKING.initial_step / k for k in (1, 2, 4))
-
-
 def assert_rows_match_alone(f, loops, fiber):
-    rows = [(loop, step) for loop in loops for step in PASSES]
-    stacked = _track_rows(f, rows, DEFAULT_TRACKING, fiber)
-    for row, end in zip(rows, stacked):
-        alone = _track_rows(f, [row], DEFAULT_TRACKING, fiber)[0]
-        assert end.tobytes() == alone.tobytes()
-        assert _permutations(fiber, [end]) == _permutations(fiber, [alone])
-    return _permutations(fiber, stacked)
+    """Tracks the loops in one stack and each alone: the end fibers agree
+    bit for bit, and so do the permutations and the steps taken."""
+    stacked, summary = _track_rows(f, loops, DEFAULT_TRACKING, fiber)
+    for i, (loop, end) in enumerate(zip(loops, stacked)):
+        alone, alone_summary = _track_rows(f, [loop], DEFAULT_TRACKING, fiber)
+        assert end.roots.tobytes() == alone[0].roots.tobytes()
+        assert end.perm == alone[0].perm
+        assert summary["steps_per_loop"][i] == alone_summary["steps_per_loop"][0]
+    assert summary["certified"]
+    return _permutations(stacked)
 
 
 @pytest.mark.parametrize("n, exponents", [
@@ -348,8 +313,12 @@ def test_stacked_rows_equal_rows_tracked_alone(n, exponents):
     fiber = basepoint_fiber(f, x)
     perms = assert_rows_match_alone(f, loops, fiber)
     expected = [rotation(fiber, k, n) for k in exponents]
-    assert perms == [p for p in expected for _ in PASSES]
-    assert characteristic_hom(f, x).perms == tuple(expected)
+    assert perms == expected
+    rep = characteristic_hom(f, x)
+    assert rep.perms == tuple(expected)
+    # certified steps grow: well under the 401 stack steps of three fixed
+    # refinement passes
+    assert rep.tracking["stack_steps"] <= 100
 
 
 def test_stacked_rows_equal_rows_tracked_alone_on_realized_s3():
@@ -360,8 +329,7 @@ def test_stacked_rows_equal_rows_tracked_alone_on_realized_s3():
     rep = MonodromyRep.from_json(report.artifacts["monodromy"])
     fiber = basepoint_fiber(poly, space, rep.root_labels)
     perms = assert_rows_match_alone(poly, generator_loops(space), fiber)
-    regular = cayley_table(gens)[0].action
-    assert perms == [p for p in regular for _ in PASSES]
+    assert perms == list(cayley_table(gens)[0].action)
 
 
 def test_stacked_track_raises_the_first_failing_row():
@@ -374,36 +342,81 @@ def test_stacked_track_raises_the_first_failing_row():
     late = LoopPath((b, (8, -8), (8, 8), (-8, -8), b))
     alone = {}
     for loop in (early, late):
-        with pytest.raises((monodromy.StepUnderflowError,
-                            monodromy.NewtonDivergenceError)) as exc:
+        with pytest.raises(StepUnderflowError) as exc:
             track_loop(f, loop, DEFAULT_TRACKING, fiber)
         alone[loop] = exc.value
-    assert str(alone[early]) != str(alone[late])
+    assert "t=0.4" in str(alone[early]) and "t=0.6" in str(alone[late])
     # the early row fails first but is second in row order
-    step = DEFAULT_TRACKING.initial_step
-    results = _track_rows(f, [(late, step), (early, step)], DEFAULT_TRACKING,
-                          fiber)
+    results, _ = _track_rows(f, [late, early], DEFAULT_TRACKING, fiber)
     assert [(type(r), str(r)) for r in results] == \
         [(type(alone[k]), str(alone[k])) for k in (late, early)]
     with pytest.raises(RuntimeError) as exc:
-        _permutations(fiber, results)
+        _permutations(results)
     assert exc.value is results[0]
     for order in ((late, early), (early, late)):
         with pytest.raises(RuntimeError) as exc:
-            _refined(f, list(order), DEFAULT_TRACKING, fiber)
+            _permutations(_track_rows(f, list(order), DEFAULT_TRACKING, fiber)[0])
         first = alone[order[0]]
         assert type(exc.value) is type(first) and str(exc.value) == str(first)
 
 
 def test_step_underflow_when_refinement_is_exhausted():
-    # with no room to halve, the first guarded rejection must surface as an
-    # explicit failure instead of a silently wrong permutation
-    from splitcover.monodromy import NewtonDivergenceError, StepUnderflowError
+    # with no room to shrink the step, the first rejected step must surface
+    # as an explicit failure instead of a silently wrong permutation
     f, x = power_model(2)
     loop = generator_loops(x)[0]
-    cfg = TrackingConfig(initial_step=0.5, min_step=0.4, safety_factor=0.01)
-    with pytest.raises((StepUnderflowError, NewtonDivergenceError)):
+    cfg = TrackingConfig(initial_step=0.5, min_step=0.4)
+    with pytest.raises(StepUnderflowError):
         track_loop(f, loop, cfg)
+
+
+def _segment_certificate(f, a, b):
+    """The certificate at the start a of the segment a-b, and the
+    coefficient table of the segment."""
+    coeffs, err = f.segment_polys([(a, b)])
+    ebar = 2 * err + 1e-15 * abs(coeffs).sum(axis=1)
+    start = monodromy.roots_at(f.eval_complex(float(a[0]), float(a[1])))
+    return _certify(coeffs, ebar, start[None], f.degree - 1), coeffs
+
+
+def test_a_step_across_the_branch_point_is_rejected():
+    # z^2 - w along (0, -8) -> (0, 8), through the branch point w = 0 at
+    # s = 0.5. Steps never leave a segment, so no step can sweep a whole
+    # loop; a step over the branch point must fail the Rouche test, however
+    # long, while a short one at the start passes
+    f, x = power_model(2)
+    cert, _ = _segment_certificate(f, x.basepoint, (0, 8))
+    assert (cert.lower > 0).all()
+    for h in (0.5, 0.75, 1.0):
+        assert cert.ratio(numpy.array([h]))[0] >= 1, h
+    assert cert.ratio(numpy.array([0.01]))[0] < 1
+    # the tracker, started on this segment, underflows before the branch point
+    loop = LoopPath((x.basepoint, (0, 8), x.basepoint))
+    with pytest.raises(StepUnderflowError, match="t=0.25"):
+        track_loop(f, loop, TrackingConfig(initial_step=1))
+
+
+def test_enclosures_contain_the_roots_of_seeded_fibers():
+    # the discs |z - r_j| <= rho_j around the solver's roots each hold one
+    # root of np.roots
+    from test_wpoly import _seeded_fibers
+    from splitcover.roots import MultipleRootError, RootFindingError
+    checked = 0
+    for c in _seeded_fibers():
+        c = numpy.asarray(c, dtype=complex)
+        n = len(c)
+        if n < 2:
+            continue
+        try:
+            r = monodromy.roots_at(c)
+        except (MultipleRootError, RootFindingError):
+            continue
+        cert = _certify(c[None, None], numpy.zeros((1, n)), r[None], -1)
+        reference = numpy.roots(numpy.concatenate(([1], c[::-1])))
+        inside = abs(reference[:, None] - r[None, :]) <= cert.rho[0][None, :]
+        assert (inside.sum(axis=1) == 1).all() and (inside.sum(axis=0) == 1).all()
+        checked += 1
+    assert checked > 390
 
 
 def test_monodromy_rep_json_round_trip():

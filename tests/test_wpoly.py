@@ -270,18 +270,53 @@ def _seeded_fibers():
     return fibers + [[-1, 0], [1, 0], [2, -1, -2], [0, 0], [1, -2]]
 
 
-def test_roots_at_output_is_pinned():
-    # the solver's roots and error messages, bit for bit; pinned with numpy
-    # 2.4 on an x86-64 CPU with AVX-512, whose vectorised float kernels
-    # another build or CPU may round differently
+def _roots_digest(fibers):
     digest = hashlib.sha256()
-    for c in _seeded_fibers():
+    for c in fibers:
         try:
             digest.update(roots_at(c).tobytes())
         except (MultipleRootError, RootFindingError) as exc:
             digest.update(f"{type(exc).__name__}: {exc}".encode())
-    assert digest.hexdigest() == (
-        "c05f4c6773e11d2be9ff03c6eb52d3f6300939a04369fa0c1cc1f7600459e72b")
+    return digest.hexdigest()
+
+
+# the seeded fibers on which a residual bound blind to the size of the
+# roots, 1e-10 (1 + max|a_k|), raised RootFindingError: 43 of the fibers
+# scaled by 10^3 with degree 4 to 12 and one with degree 3
+SIZE_BLIND_FAILURES = frozenset((
+    7, 21, 28, 35, 42, 56, 63, 70, 77, 91, 105, 112, 119, 126, 140, 147, 154,
+    161, 175, 189, 196, 203, 210, 224, 231, 238, 245, 259, 266, 273, 280, 287,
+    294, 308, 315, 322, 329, 343, 357, 364, 371, 378, 392, 399))
+
+
+def test_roots_at_output_is_pinned():
+    # the solver's roots and error messages, bit for bit; pinned with numpy
+    # 2.4 on an x86-64 CPU with AVX-512, whose vectorised float kernels
+    # another build or CPU may round differently
+    assert _roots_digest(_seeded_fibers()) == (
+        "50d09e8fad7c351fc6f4a9e4fcada7992086cf23cf87533cc7f731d13338a58c")
+
+
+def test_roots_at_output_is_pinned_where_the_size_blind_bound_passed():
+    # the other 391 fibers, pinned before the residual bound took the size
+    # of the roots into account: that change left them bit for bit
+    fibers = [c for k, c in enumerate(_seeded_fibers())
+              if k not in SIZE_BLIND_FAILURES]
+    assert len(fibers) == 391
+    assert _roots_digest(fibers) == (
+        "c80a1027c1bb54ebd0242be07999e82050ab0f5b6e2e6a7212af73bab589116f")
+
+
+def test_roots_at_solves_a_fiber_scaled_by_a_thousand():
+    # the residual of large roots reaches the evaluation's roundoff floor,
+    # eps sum |a_k| |z|^k, far above 1e-10 (1 + max|a_k|)
+    rng = np.random.default_rng(6)
+    c = (rng.normal(size=6) + 1j * rng.normal(size=6)) * 1e3
+    roots = roots_at(c)
+    reference = np.roots(np.concatenate(([1], c[::-1])))
+    scale = np.abs(reference).max()
+    assert all(np.abs(reference - z).min() < 1e-13 * scale for z in roots)
+    assert len(set(np.abs(reference[:, None] - roots).argmin(axis=0))) == 6
 
 
 def test_weierstrass_poly_eval_and_membership():
