@@ -136,17 +136,8 @@ def _load_run_config(path: Optional[str]) -> dict:
     return data
 
 
-TRACKING_KEYS = ("initial_step", "min_step")
-
-
 def _tracking_from(config: dict) -> TrackingConfig:
     params = config.get("tracking", {})
-    if not isinstance(params, dict):
-        raise InputError("bad tracking config: expected a JSON object")
-    unknown = sorted(set(params) - set(TRACKING_KEYS))
-    if unknown:
-        raise InputError(f"bad tracking config: unknown key(s) {', '.join(unknown)}; "
-                         f"expected only {', '.join(TRACKING_KEYS)}")
     try:
         return TrackingConfig(**params)
     except (TypeError, ValueError) as exc:

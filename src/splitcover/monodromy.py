@@ -1,30 +1,22 @@
 """Certified continuation of Weierstrass polynomial root systems along loops.
 
-A loop is a polyline with rational vertices. On each segment [a, b] every
-coefficient a_k(a + s (b - a)) is a polynomial in s, computed once per fiber
-with a bound on its float error (WeierstrassPoly.segment_polys). Around each
-tracked root r_j the tracker keeps a disc of radius R_j = 0.2 times the
-distance to the nearest other root, and accepts a step [s0, s0 + h] only
-when Rouche's theorem proves that every disc holds exactly one root for
-every s in the step: a lower bound of |f(., s0)| on each circle exceeds an
-upper bound of |f(., s) - f(., s0)| over the disc. The corrected roots at
-s0 + h must then keep their enclosures clear of every other root's disc, so
-each step continues the right root. The step grows as far as the proof
-allows, and the permutation is read from which start enclosure each end
-enclosure meets. All loops of a fiber are tracked in one stack of rows, and
-each row makes the decisions it would make alone.
-
+On a loop segment [a, b] each coefficient a_k(a + s (b - a)) is a polynomial
+in s with a bound on its float error. A step [s0, s0 + h] is taken only when
+Rouche's theorem proves it on discs of radius R_j = 0.2 times the distance
+from root r_j to the nearest other one, so each disc holds one root all
+along the step; steps grow as far as the proof allows. All loops of a fiber
+are tracked in one stack, each row making the decisions it would alone.
 References: B. T. Smith, J. ACM 17 (1970), for the root enclosures; Beltran
-and Leykin, Exp. Math. 21 (2012), and Guillemot and Lairez, ISSAC 2024, for
-certified path tracking.
+and Leykin, Exp. Math. 21 (2012), and Guillemot and Lairez, ISSAC 2024.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +28,7 @@ from .permgroup import (
     inverse,
     json_int,
 )
+from .roots import gamma
 from .wpoly import (
     BaseSpace,
     LoopPath,
@@ -57,8 +50,7 @@ class FiberMatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrackingConfig:
-    """The first step and the smallest step the tracker may try, as
-    fractions of the loop's arclength."""
+    """The first and the smallest step, as fractions of a loop's arclength."""
 
     initial_step: float = 1e-2
     min_step: float = 1e-8
@@ -82,9 +74,8 @@ DEFAULT_TRACKING = TrackingConfig()
 
 @dataclass(frozen=True, eq=False)
 class MonodromyRep:
-    """Permutation of the basepoint fiber induced by each generator loop.
-    tracking, when set, summarizes the certified tracking that produced it;
-    it is not part of the JSON form."""
+    """Permutation of the basepoint fiber induced by each generator loop;
+    tracking summarizes the tracking that produced it, outside the JSON."""
 
     rank: int
     degree: int
@@ -117,49 +108,22 @@ class MonodromyRep:
                    tuple(complex(re, im) for re, im in data["root_labels"]))
 
 
-# unit roundoff of IEEE double precision
-_UNIT = 2.0 ** -53
 # disc radius R_j as a fraction of the distance to the nearest other root
 _DISC = 0.2
 # the step widened so that it covers s1 - s0 despite the rounding of both
-_WIDEN = 1 + 4 * _UNIT
+_WIDEN = 1 + gamma(4)
 
 
-def _gamma(k: int) -> float:
-    """Bound on |prod (1 + d_i) - 1| over k factors with |d_i| <= u (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1).
-    A complex product or quotient counts as 3 such factors; a complex sum,
-    a real operation, abs() (hypot) and exp as 1 or 2."""
-    return k * _UNIT / (1 - k * _UNIT)
-
-
+@functools.lru_cache(maxsize=None)
 def _taylor_table(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """For re-expanding a polynomial of degree top about a point x:
-    index[i, l] = l - i and binomial[i, l] = binom(l, i) for l >= i (0
-    below the diagonal), so that coefficient i about x is
-    sum_l c_l binomial[i, l] x^index[i, l]."""
+    """l - i (0 below the diagonal) and binom(l, i), for i, l <= top:
+    coefficient i of p(x + y) in y is sum_l c_l binom(l, i) x^(l - i)."""
     i, l = np.indices((top + 1, top + 1))
-    binomial = np.array([[math.comb(b, a) if b >= a else 0 for b in range(top + 1)]
-                         for a in range(top + 1)], dtype=float)
-    return np.maximum(l - i, 0), binomial
-
-
-_TAYLOR = {}
-
-
-def _reexpansion(x: np.ndarray, top: int) -> np.ndarray:
-    """The matrices binom(l, i) x^(l - i) of _taylor_table for the points x,
-    on two new last axes (i, l). Each entry takes l - i - 1 products of x
-    and one by the binomial."""
-    if top not in _TAYLOR:
-        _TAYLOR[top] = _taylor_table(top)
-    index, binomial = _TAYLOR[top]
-    return _powers(x, top)[..., index] * binomial
+    return np.maximum(l - i, 0), np.vectorize(math.comb)(l, i).astype(float)
 
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
-    """x^0 .. x^top along a new last axis; x^k = x^(k-1) * x, one rounding
-    per power."""
+    """x^0 .. x^top on a new last axis, x^k = x^(k-1) x: k - 1 products."""
     p = np.empty(x.shape + (top + 1,), dtype=x.dtype)
     p[..., 0] = 1
     if top:
@@ -180,31 +144,20 @@ def _monic_values(low: np.ndarray, z: np.ndarray):
 
 
 def _shift(c: np.ndarray, s0: np.ndarray) -> np.ndarray:
-    """Taylor shift in s: the coefficients in t of p(s0 + t), from those of
-    p(s) along axis 1 of c (low power first); row q shifts by s0[q].
-
-    Each result is a sum of terms c_l binom(l, i) s0^(l - i) that passes
-    through at most 2D + 1 roundings, so it is off by at most gamma_(2D+1)
-    times sum_l |c_l| binom(l, i) s0^(l - i); summed against h^i with
-    s0 + h <= 1, that is at most gamma_(2D+1) sum_l |c_l| (the widened step
-    exceeds 1 - s0 by a few units of roundoff at most, which the margins of
-    _track_rows absorb).
-    """
-    return (_reexpansion(s0, c.shape[1] - 1)[:, :, :, None]
-            * c[:, None, :, :]).sum(axis=2)
+    """Taylor shift: the coefficients in t of p(s0 + t) from those of p(s)
+    on axis 1 of c, low power first; row q shifts by s0[q]. Each term
+    c_l binom(l, i) s0^(l - i) takes at most 2D + 1 roundings, so against
+    h^i with s0 + h <= 1 the error is at most gamma_(2D+1) sum_l |c_l|."""
+    index, binomial = _taylor_table(c.shape[1] - 1)
+    shift = _powers(s0, c.shape[1] - 1)[:, index] * binomial
+    return (shift[:, :, :, None] * c[:, None, :, :]).sum(axis=2)
 
 
-@dataclass
-class _Certificate:
-    """The certified data at one point of each row's loop.
-
-    roots are the centers r_j, rho the enclosure radii n |W_j| (each true
-    root lies within rho_j of r_j), R the disc radii, lower a lower bound of
-    |f(z, s0)| on each circle |z - r_j| = R_j (0 where the enclosures do not
-    prove one root per disc), growth[:, j, i - 1] the coefficient of h^i in
-    the bound of |f(z, s0 + h) - f(z, s0)| over disc j, floor the part of
-    that bound which does not shrink with h, and tangent dr_j/ds.
-    """
+class _Certificate(NamedTuple):
+    """Per row at one point: centers r_j, enclosure radii rho_j, disc radii
+    R_j, a lower bound of |f| on each circle |z - r_j| = R_j (0 if none),
+    and the bound sum_i growth[:, j, i - 1] h^i + floor_j of
+    |f(z, s0 + h) - f(z, s0)| on disc j, and dr_j/ds."""
 
     roots: np.ndarray
     rho: np.ndarray
@@ -215,325 +168,239 @@ class _Certificate:
     tangent: np.ndarray
 
     def take(self, keep) -> "_Certificate":
-        return _Certificate(*(getattr(self, k)[keep] for k in _CERT_FIELDS))
+        return _Certificate(*(a[keep] for a in self))
 
     def put(self, where, other: "_Certificate"):
-        for k in _CERT_FIELDS:
-            getattr(self, k)[where] = getattr(other, k)
+        for a, b in zip(self, other):
+            a[where] = b
 
     def ratio(self, h: np.ndarray) -> np.ndarray:
-        """max_j over the upper bound of |f(z, s) - f(z, s0)| for s in
-        [s0, s0 + h] and |z - r_j| <= R_j, divided by lower_j; the step is
-        certified when it is below 1. inf where nothing is proved."""
+        """Per row, the largest ratio of the bound of |f(z, s) - f(z, s0)|,
+        s in [s0, s0 + h], to the lower bound; below 1 proves the step."""
         top = self.growth.shape[2]
         grown = (self.growth * _powers(h, top)[:, None, 1:]).sum(axis=2)
-        ratio = ((self.floor + grown) * (1 + _gamma(2 * top + 4))
+        ratio = ((self.floor + grown) * (1 + gamma(2 * top + 4))
                  / self.lower).max(axis=1)
         return np.where(np.isnan(ratio), np.inf, ratio)
 
 
-_CERT_FIELDS = ("roots", "rho", "R", "lower", "growth", "floor", "tangent")
-
-
 def _certify(c: np.ndarray, ebar: np.ndarray, r: np.ndarray,
              moving: int) -> _Certificate:
-    """The certificate at a point of each row: c (rows, D + 1, n) holds the
-    coefficients a_k(s0 + t) = sum_i c[:, i, k] t^i, ebar (rows, n) bounds
-    their error times |z|^k (see _track_rows), r (rows, n) the root
-    approximations, and moving is the highest power of z whose coefficient
-    varies in t anywhere on the loops (-1 for none).
+    """The certificate at a point of each row: c (rows, D + 1, n) holds
+    a_k(s0 + t) = sum_i c[:, i, k] t^i, ebar (rows, n) bounds a_k's error
+    (see _track_rows), r (rows, n) are the approximate roots, moving is the
+    highest power of z with a coefficient varying in t (-1 for none). Run
+    under np.errstate(all="ignore"); overflow leaves lower 0.
 
-    Enclosure (Smith): all roots of f lie in the union of the discs
-    |z - r_j| <= n |W_j|, W_j = f(r_j) / prod_(k != j) (r_j - r_k), and a
-    component of m discs holds m roots; disjoint discs hold one root each.
-    f(r_j) is summed from a table of powers of r_j: each term a_k r_j^k
-    passes through at most 4n roundings, so |f(r_j)| is at most its
-    computed value plus gamma_(4n+2) sum |a_k| |r_j|^k plus
-    sum ebar_k |r_j|^k.
-
-    Lower bound on the circle: with d_jk = |r_j - r_k| and x = R_j / d_jk,
-    |f(z)| >= (R_j - rho_j) prod d_jk exp(-R_j |sum 1 / (r_j - r_k)|
-    - sum x^2 / (2 (1 - x))) prod (1 - rho_k / (d_jk - R_j)), from
-    log|1 + y| >= Re y - |y|^2 / (2 (1 - |y|)). It holds when rho_j < R_j
-    and rho_k < d_jk - R_j, which also makes the enclosures disjoint.
-
-    Growth: for each power t^i, i >= 1, the z-polynomial g_i is expanded
-    about r_j, b_m = sum_k g_ik binom(k, m) r_j^(k - m), and
-    sum_m |b_m| R_j^m bounds |g_i| on the disc. Each term of b_m passes
-    through at most 4n + 4 roundings, which adds gamma_(4n+4) times the
-    origin-centred majorant sum_k |g_ik| (|r_j| + R_j)^k; the coefficients'
-    own error adds sum_k ebar_k (|r_j| + R_j)^k, the floor.
-
-    Every bound is computed in floats and then moved by a gamma factor that
-    covers its own roundings and that of the move: distances by gamma_5 (a
-    subtraction, a hypot within one ulp, the move), a difference, quotient
-    or sum of two bounds by gamma_3, sums of at most 2n + 4 roundings by
-    gamma_(2n+8), a product of n - 1 distances by gamma_n, and the lower
-    bound as a whole, with numpy's exp within a few ulps, by
-    gamma_(4n+16). A difference 1 - y or R - rho of an upper bound y < 1 or
-    rho < R is exact or within one rounding of its value.
-    Called under np.errstate(all="ignore"): a row whose numbers overflow or
-    vanish gets lower 0 and is never accepted.
+    Enclosure (Smith): the roots lie in the discs |z - r_j| <= n |W_j|,
+    W_j = f(r_j) / prod_(k != j) (r_j - r_k), one in each if disjoint;
+    |f(r_j)| <= |computed| + gamma_(4n+2) sum |a_k| |r_j|^k (4n roundings
+    per term) + sum ebar_k |r_j|^k. Lower bound on the circle, by
+    log|1 + y| >= Re y - |y|^2 / (2 (1 - |y|)) with d_jk = |r_j - r_k| and
+    x = R_j / d_jk: |f| >= (R_j - rho_j) prod d_jk exp(-R_j |sum 1 /
+    (r_j - r_k)| - sum x^2 / (2 (1 - x))) prod (1 - rho_k / (d_jk - R_j))
+    if rho_j < R_j and rho_k < d_jk - R_j (so the enclosures are disjoint).
+    Growth: g_i, the z-polynomial of t^i, expanded about r_j as b_m =
+    sum_k g_ik binom(k, m) r_j^(k - m), has |g_i| <= sum_m |b_m| R_j^m +
+    gamma_(4n+4) sum_k |g_ik| (|r_j| + R_j)^k on the disc; the floor
+    sum_k ebar_k (|r_j| + R_j)^k covers the coefficients' error.
+    Each float bound is moved by a gamma factor for its roundings (3 for a
+    complex product) and the move's: distances by gamma_5 (subtraction, hypot
+    within an ulp), a sum, difference or quotient of two bounds by gamma_3,
+    sums of up to 2n + 4 roundings by gamma_(2n+8), products of n - 1 distances
+    by gamma_n, the lower bound with numpy's exp (few ulps) by gamma_(4n+16).
     """
     rows, top1, n = c.shape
-    eye, diagonal = _diagonals(n)
-    # the diagonal k = j drops out of every sum and minimum below as
-    # 1 / inf = 0, and out of the products as 1
-    diff = r[:, :, None] - r[:, None, :] + diagonal
-    dist = np.abs(diff) * (1 - _gamma(5))
+    eye = np.eye(n, dtype=bool)
+    # the diagonal k = j drops out of the sums and minima as 1 / inf = 0
+    diff = r[:, :, None] - r[:, None, :] + np.diag(np.full(n, np.inf))
+    dist = np.abs(diff) * (1 - gamma(5))
     R = _DISC * dist.min(axis=2)
-    absr = np.abs(r)
-    reach = absr + R
+    absr, reach = np.abs(r), np.abs(r) + R
     val, der = _monic_values(c[:, 0], r)
-    # |f| majorant and coefficient error at |r_j|, the floor at |r_j| + R_j
+    # the |f| majorant and the coefficient error at |r_j|, the floor at
+    # |r_j| + R_j
     pw = _powers(np.stack((absr, reach)), n)
     scale = (pw[0, :, :, :n] * np.abs(c[:, None, 0])).sum(axis=-1) + pw[0, :, :, n]
     errs = (pw[..., :n] * ebar[:, None, :]).sum(axis=-1)
-    f_up = (np.abs(val) + _gamma(4 * n + 2) * scale + errs[0]) * (1 + _gamma(2 * n + 8))
-    dprod = np.prod(np.where(eye, 1.0, dist), axis=2) * (1 - _gamma(n))
-    rho = n * f_up / dprod * (1 + _gamma(4))
+    f_up = (np.abs(val) + gamma(4 * n + 2) * scale + errs[0]) * (1 + gamma(2 * n + 8))
+    dprod = np.prod(np.where(eye, 1.0, dist), axis=2) * (1 - gamma(n))
+    rho = n * f_up / dprod * (1 + gamma(4))
 
-    gap = (dist - R[:, :, None]) * (1 - _gamma(3))
-    x = R[:, :, None] / dist * (1 + _gamma(3))
+    gap = (dist - R[:, :, None]) * (1 - gamma(3))
+    x = R[:, :, None] / dist * (1 + gamma(3))
     quad = (x * x / (2 * (1 - x))).sum(axis=2)
-    pole = np.abs((1 / diff).sum(axis=2)) + _gamma(2 * n + 8) * (1 / dist).sum(axis=2)
-    arg = (R * pole + quad) * (1 + _gamma(n + 8))
-    shrink = np.prod(1 - rho[:, None, :] / gap * (1 + _gamma(3)), axis=2)
+    pole = np.abs((1 / diff).sum(axis=2)) + gamma(2 * n + 8) * (1 / dist).sum(axis=2)
+    arg = (R * pole + quad) * (1 + gamma(n + 8))
+    shrink = np.prod(1 - rho[:, None, :] / gap * (1 + gamma(3)), axis=2)
     valid = (rho < R) & (rho[:, None, :] < gap).all(axis=2) & (R > 0)
-    lower = (R - rho) * dprod * np.exp(-arg) * shrink * (1 - _gamma(4 * n + 16))
+    lower = (R - rho) * dprod * np.exp(-arg) * shrink * (1 - gamma(4 * n + 16))
     lower = np.where(valid & (lower > 0), lower, 0.0)
 
-    floor = errs[1] * (1 + _gamma(2 * n + 8))
-    growth = np.zeros((rows, n, top1 - 1))
-    tangent = np.zeros_like(r)
+    floor = errs[1] * (1 + gamma(2 * n + 8))
+    growth, tangent = np.zeros((rows, n, top1 - 1)), np.zeros_like(r)
     if top1 > 1 and moving == 0:
-        # only a_0 varies: g_i is the constant c[:, i, 0], with no rounding
-        growth = np.abs(c[:, None, 1:, 0]) * np.ones((1, n, 1))
+        # only a_0 varies: g_i is the constant c[:, i, 0] on every disc
+        growth = np.abs(c[:, None, 1:, 0]) * np.full((1, n, 1), 1 + gamma(3))
         tangent = -c[:, 1, 0, None] / der
     elif top1 > 1 and moving > 0:
         g = c[:, None, 1:, :moving + 1]                   # (rows, 1, D, K + 1)
-        b = (_reexpansion(r, moving)[:, :, None] * g[:, :, :, None, :]).sum(axis=-1)
+        index, binomial = _taylor_table(moving)
+        expand = _powers(r, moving)[:, :, index] * binomial
+        b = (expand[:, :, None] * g[:, :, :, None, :]).sum(axis=-1)
         rp = _powers(np.stack((R, reach)), moving)[:, :, :, None, :]
         growth = ((np.abs(b) * rp[0]).sum(axis=-1)
-                  + _gamma(4 * n + 4) * (np.abs(g) * rp[1]).sum(axis=-1)) \
-            * (1 + _gamma(2 * n + 8))
+                  + gamma(4 * n + 4) * (np.abs(g) * rp[1]).sum(axis=-1)) \
+            * (1 + gamma(2 * n + 8))
         tangent = -b[:, :, 0, 0] / der
     return _Certificate(r, rho, R, lower, growth, floor, tangent)
 
 
-def _chained(new: _Certificate, old_roots: np.ndarray,
-             old_R: np.ndarray) -> np.ndarray:
-    """Whether each new root's enclosure avoids every other root's old disc,
-    so that the root it holds is the continuation of its own."""
-    eye, _ = _diagonals(new.roots.shape[1])
-    dist = np.abs(new.roots[:, :, None] - old_roots[:, None, :]) * (1 - _gamma(5))
-    clear = dist > (new.rho[:, :, None] + old_R[:, None, :]) * (1 + _gamma(3))
-    return (clear | eye).all(axis=(1, 2))
-
-
-_DIAGONALS: dict = {}
-
-
-def _diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n x n identity as a mask, and the matrix with inf on its diagonal
-    and 0 elsewhere."""
-    if n not in _DIAGONALS:
-        eye = np.eye(n, dtype=bool)
-        _DIAGONALS[n] = (eye, np.where(eye, np.inf, 0.0))
-    return _DIAGONALS[n]
-
-
-def _newton(low: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One Newton step on each fiber from the tangent predictor's guess.
-    More steps do not pay: the certificate, not the corrector's
-    convergence, decides whether a step is accepted, and the radii it
-    proves are far below the discs either way."""
-    p, dp = _monic_values(low, z)
-    return z - p / dp
-
-
-@dataclass
-class _RowEnd:
-    """A row that completed its loop: the permutation and the end fiber, in
-    start order."""
-
-    perm: Permutation
-    roots: np.ndarray
-
-
-def _match(start: np.ndarray, start_rho: np.ndarray, end: np.ndarray,
-           end_rho: np.ndarray) -> Permutation:
-    """The permutation sending k to the start root whose enclosure the
-    enclosure of end root k meets. Each end enclosure holds one root of the
-    start fiber, which lies in every start enclosure it meets, so meeting
-    exactly one decides it."""
-    with np.errstate(all="ignore"):
-        dist = np.abs(end[:, None] - start[None, :]) * (1 - _gamma(5))
-        apart = dist > (end_rho[:, None] + start_rho[None, :]) * (1 + _gamma(3))
-    meets = ~apart
-    match = meets.argmax(axis=1)
-    if not (meets.sum(axis=1) == 1).all() or len(set(match.tolist())) != len(end):
-        raise FiberMatchError(
-            "endpoint enclosures do not each meet exactly one start enclosure")
-    return Permutation(tuple(int(j) + 1 for j in match))
+def _apart(z: np.ndarray, z_rho: np.ndarray, w: np.ndarray,
+           w_rho: np.ndarray) -> np.ndarray:
+    """Whether disc j about z avoids disc k about w, on the last two axes."""
+    dist = np.abs(z[..., :, None] - w[..., None, :]) * (1 - gamma(5))
+    return dist > (z_rho[..., :, None] + w_rho[..., None, :]) * (1 + gamma(3))
 
 
 def _track_rows(f: WeierstrassPoly, loops: Sequence[LoopPath],
                 cfg: TrackingConfig, start: np.ndarray) -> tuple[list, dict]:
-    """Continue the start fiber along every loop, one row per loop, all rows
-    in one stack.
+    """Continue the start fiber along every loop in one stack, a row per
+    loop: per row its permutation and end fiber, or its error, and the
+    summary. A row keeps its own segment, position s, step h (a fraction of
+    its loop's arclength) and certificate. Once a row fails the rows after
+    it stop, as callers report the first failing row; they stay None.
 
-    Returns, per row, a _RowEnd or the tracking error the row raises, and
-    the tracking summary. Each row keeps its own segment, position s on it,
-    step h (a fraction of its loop's arclength) and certificate, and makes
-    the accept, reject and step-size decisions it would make alone. Once a
-    row fails, the rows after it stop: callers report the first failing row
-    in row order, so those results are never read and are left None.
+    A step from s0 to s1 is taken when the certificate at s0 proves it and
+    the one at s1 (tangent predictor, one Newton step) proves enclosures
+    clear of the other roots' discs at s0, so each holds its own root's
+    continuation. h grows by min(2, 0.8 / ratio); a rejection cuts it to a
+    quarter to a half. Each end enclosure must meet one start enclosure.
 
-    Error terms: on each segment, the true coefficient a_k differs from the
-    computed polynomial by at most err_k (segment_polys) for every s, and
-    the Taylor shift of the computed polynomial is off by at most
-    gamma_(2D+1) N_k, N_k = sum_l |c_lk|. So ebar_k = 2 err_k + gamma_(3D+4)
-    N_k bounds both |f - f_computed| at a point and the error of the
-    computed difference f(., s) - f(., s0), times |z|^k.
+    Errors: on a segment a_k is off by at most err_k (segment_polys), and a
+    Taylor shift adds gamma_(2D+1) sum_l |c_lk|; ebar_k = 2 err_k +
+    gamma_(3D+4) sum_l |c_lk|, moved up by gamma_(D+6), bounds the error of
+    f at a point and of f(., s) - f(., s0), times |z|^k.
     """
     count, n = len(loops), len(start)
     summary = {"certified": True, "stack_steps": 0, "accepted_steps": 0,
                "rejected_steps": 0, "steps_per_loop": [0] * count,
                "min_disc_radius": None}
     if n == 1 or not count:
-        return [_RowEnd(Permutation((1,)), start.copy()) for _ in loops], summary
-    segments = [seg for loop in loops
-                for seg in zip(loop.vertices, loop.vertices[1:])]
+        return [(Permutation((1,)), start.copy()) for _ in loops], summary
+    segments = [seg for loop in loops for seg in zip(loop.vertices, loop.vertices[1:])]
     coeffs, err = f.segment_polys(segments)
     top = coeffs.shape[1] - 1
-    with np.errstate(all="ignore"):
-        ebar = (2 * err + _gamma(3 * top + 4) * np.abs(coeffs).sum(axis=1)) \
-            * (1 + _gamma(top + 6))
-    # per segment: its loop's arclength over its own (inf when it has
-    # none), and the arclength fraction at which it starts
-    seg_len, scale, begin, first, last = [], [], [], [], []
+    moving = int(max(np.flatnonzero((coeffs[:, 1:] != 0).any(axis=(0, 1))), default=-1))
+    # per segment: its share of its loop's arclength, the share before it,
+    # and the index of its loop's last segment
+    share, begin, last = [], [], []
     for loop in loops:
         pts = np.array([complex(float(x), float(y)) for x, y in loop.vertices])
         lengths = np.abs(np.diff(pts))
-        total = float(lengths.sum())
-        first.append(len(seg_len))
-        last.append(len(seg_len) + len(lengths) - 1)
-        cum = np.concatenate(([0.0], np.cumsum(lengths)[:-1]))
-        for ell, c0 in zip(lengths.tolist(), cum.tolist()):
-            seg_len.append(ell / total if total else 0.0)
-            scale.append(total / ell if ell else np.inf)
-            begin.append(c0 / total if total else 0.0)
-    seg_len, scale, begin = np.array(seg_len), np.array(scale), np.array(begin)
-    last = np.array(last)
+        lengths /= lengths.sum() or 1.0
+        share += lengths.tolist()
+        begin += (np.cumsum(lengths) - lengths).tolist()
+        last += [len(share) - 1] * len(lengths)
+    share, begin, last = np.array(share), np.array(begin), np.array(last)
 
+    results: list = [None] * count
+    first_failed, row = count, np.arange(count)
+    seg = np.array([0] + [len(loop.vertices) - 1 for loop in loops[:-1]]).cumsum()
+    s, h = np.zeros(count), np.full(count, cfg.initial_step)
+    accepted, rejected = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
     with np.errstate(all="ignore"):
-        results: list = [None] * count
-        first_failed = count
-        row = np.arange(count)
-        seg = np.array(first)
-        s = np.zeros(count)
-        h = np.full(count, cfg.initial_step)
-        # the highest power of z whose coefficient varies along some segment
-        varies = np.flatnonzero((coeffs[:, 1:] != 0).any(axis=(0, 1)))
-        moving = int(varies[-1]) if varies.size else -1
+        ebar = (2 * err + gamma(3 * top + 4) * np.abs(coeffs).sum(axis=1)) \
+            * (1 + gamma(top + 6))
         cert = _certify(coeffs[seg], ebar[seg], np.tile(start, (count, 1)), moving)
         start_rho = cert.rho.copy()
-        # per row: the smallest disc radius met and where (arclength fraction)
+        # per row: the smallest disc radius met, and where
         smallest, where = cert.R.min(axis=1), np.zeros(count)
-        accepted, rejected = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
-
         while row.size:
             summary["stack_steps"] += 1
-            s1 = np.minimum(1.0, s + h * scale[seg])
+            s1 = np.minimum(1.0, s + h / share[seg])
             ratio = cert.ratio((s1 - s) * _WIDEN)
             ok = np.zeros(row.size, dtype=bool)
             idx = np.flatnonzero(ratio < 1)
             if idx.size:
-                # where the step lands: the next segment's start, unless it ends
-                # the loop
-                turn = (s1[idx] == 1.0) & (seg[idx] < last[row[idx]])
+                # a step to a segment's end lands on the next one's start,
+                # unless it ends the loop
+                turn = (s1[idx] == 1.0) & (seg[idx] < last[seg[idx]])
                 seg1 = np.where(turn, seg[idx] + 1, seg[idx])
                 s1c = np.where(turn, 0.0, s1[idx])
                 c1 = _shift(coeffs[seg1], s1c)
                 guess = cert.roots[idx] + (s1 - s)[idx, None] * cert.tangent[idx]
-                new = _certify(c1, ebar[seg1], _newton(c1[:, 0], guess), moving)
-                good = (new.lower > 0).all(axis=1) & _chained(new, cert.roots[idx],
-                                                              cert.R[idx])
+                p, dp = _monic_values(c1[:, 0], guess)
+                new = _certify(c1, ebar[seg1], guess - p / dp, moving)
+                good = (new.lower > 0).all(axis=1) & (
+                    _apart(new.roots, new.rho, cert.roots[idx], cert.R[idx])
+                    | np.eye(n, dtype=bool)).all(axis=(1, 2))
                 ok[idx[good]] = True
                 if good.all() and idx.size == row.size:
                     cert = new
                 else:
                     cert.put(idx[good], new.take(good))
                 seg[idx[good]], s[idx[good]] = seg1[good], s1c[good]
-            factor = np.where(ok, np.minimum(2.0, 0.8 / ratio),
-                              np.clip(0.8 / ratio, 0.25, 0.5))
-            h = np.minimum(1.0, h * factor)
+            h = np.minimum(1.0, h * np.where(ok, np.minimum(2.0, 0.8 / ratio),
+                                             np.clip(0.8 / ratio, 0.25, 0.5)))
             accepted[row] += ok
             rejected[row] += ~ok
-            finished = ok & (s == 1.0)
-            under = ~ok & (h < cfg.min_step)
-            t = begin[seg] + s * seg_len[seg]
+            t = begin[seg] + s * share[seg]
             radius = cert.R.min(axis=1)
             lower = ok & (radius < smallest[row])
             smallest[row[lower]], where[row[lower]] = radius[lower], t[lower]
+            under = ~ok & (h < cfg.min_step)
             for j in np.flatnonzero(under).tolist():
                 results[row[j]] = StepUnderflowError(
                     f"root gap collapsed near t={t[j]:.6f}; loop too close to "
                     f"the discriminant locus")
                 first_failed = min(first_failed, row[j])
+            finished = ok & (s == 1.0)
             for j in np.flatnonzero(finished).tolist():
-                try:
-                    results[row[j]] = _RowEnd(
-                        _match(start, start_rho[row[j]], cert.roots[j], cert.rho[j]),
-                        cert.roots[j].copy())
-                except FiberMatchError as exc:
-                    results[row[j]] = exc
-                    first_failed = min(first_failed, row[j])
+                # each end enclosure holds one start root, which lies in
+                # every start enclosure it meets: meeting one decides it
+                meets = ~_apart(cert.roots[j], cert.rho[j], start, start_rho[row[j]])
+                match = meets.argmax(axis=1)
+                if (meets.sum(axis=1) == 1).all() and len(set(match.tolist())) == n:
+                    results[row[j]] = (Permutation(tuple(int(k) + 1 for k in match)),
+                                       cert.roots[j].copy())
+                    continue
+                results[row[j]] = FiberMatchError("endpoint enclosures do not each "
+                                                  "meet exactly one start enclosure")
+                first_failed = min(first_failed, row[j])
             keep = ~under & ~finished & (row < first_failed)
             if not keep.all():
                 row, seg, s, h = row[keep], seg[keep], s[keep], h[keep]
                 cert = cert.take(keep)
-    summary["accepted_steps"] = int(accepted.sum())
-    summary["rejected_steps"] = int(rejected.sum())
-    summary["steps_per_loop"] = accepted.tolist()
     j = int(smallest.argmin())
-    summary["min_disc_radius"] = {"radius": float(smallest[j]), "loop": j + 1,
-                                  "t": float(where[j])}
+    summary.update(accepted_steps=int(accepted.sum()),
+                   rejected_steps=int(rejected.sum()), steps_per_loop=accepted.tolist(),
+                   min_disc_radius={"radius": float(smallest[j]), "loop": j + 1,
+                                    "t": float(where[j])})
     return results, summary
 
 
 def _permutations(results: list) -> list[Permutation]:
     """The permutation of each tracked row; raises the first row's error, in
     row order."""
-    perms = []
     for end in results:
         if isinstance(end, Exception):
             raise end
-        perms.append(end.perm)
-    return perms
-
-
-def _start_fiber(f: WeierstrassPoly, loop: LoopPath,
-                 start_roots: Optional[Sequence[complex]]) -> np.ndarray:
-    if start_roots is not None:
-        return np.array(start_roots, dtype=complex)
-    u0, v0 = loop.vertices[0]
-    return roots_at(f.eval_complex(float(u0), float(v0)))
+    return [perm for perm, _ in results]
 
 
 def track_loop(f: WeierstrassPoly, loop: LoopPath,
                cfg: TrackingConfig = DEFAULT_TRACKING,
                start_roots: Optional[Sequence[complex]] = None) -> Permutation:
-    """Certified continuation of the fiber along a closed loop, as a fiber
-    permutation.
-
-    Returns the permutation sending start label k to the label whose position
-    the k-th root reached. Loops sharing a basepoint fiber compose left to
-    right, matching permutation composition. A one-row call of the stacked
-    tracker.
-    """
-    start = _start_fiber(f, loop, start_roots)
+    """Certified continuation of the fiber along a closed loop: the
+    permutation sending start label k to the label whose position the k-th
+    root reached. Loops sharing a basepoint fiber compose left to right,
+    as permutations do. A one-row call of the stacked tracker."""
+    if start_roots is None:
+        u0, v0 = loop.vertices[0]
+        start = roots_at(f.eval_complex(float(u0), float(v0)))
+    else:
+        start = np.array(start_roots, dtype=complex)
     return _permutations(_track_rows(f, [loop], cfg, start)[0])[0]
 
 

@@ -2,10 +2,10 @@
 Weierstrass polynomial, and solve semi-topological embedding problems.
 
 Every pipeline run re-verifies its own output: the produced polynomial is
-tracked around the generator loops, each step certified, and the resulting
-deck group is compared against the request. Reports carry the tracker's
-summary as a "tracking" artifact. A run that cannot verify raises instead of
-returning silently wrong artifacts.
+tracked around the generator loops, each step certified (the report's
+"tracking" artifact), and the resulting deck group is compared against the
+request. A run that cannot verify raises instead of returning silently wrong
+artifacts.
 """
 
 from __future__ import annotations
@@ -327,9 +327,9 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
         "extended_base_space": space2.to_json(),
         "realization": realize_report.to_json(),
         "tower": tower.to_json() if tower is not None else None,
-        # the realization's own tracking is in its nested report
         "tracking": {"base": rep_g.tracking,
-                     "extended_base": rep_g2.tracking if extra else None},
+                     "extended_base": rep_g2.tracking if extra else None,
+                     "realize": realize_report.artifacts["tracking"]},
     }
     report.verdicts = {
         # solve raises SolutionCheckError unless its solution verifies

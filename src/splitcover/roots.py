@@ -1,14 +1,23 @@
 """Numeric roots of monic fibers: simultaneous root solving and root gaps.
 
 A fiber is given by the low-order coefficients (a_0, ..., a_{n-1}) of the
-monic polynomial z^n + a_{n-1} z^{n-1} + ... + a_0. The row kernels below
-work on an (N, n) array with one fiber per row: the tracker in monodromy
-stacks its rows on them, and a root solve is a one-row stack.
+monic polynomial z^n + a_{n-1} z^{n-1} + ... + a_0. gamma is the rounding
+error bound that the certified tracker and its segment polynomials use.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+# unit roundoff of IEEE double precision
+_UNIT = 2.0 ** -53
+
+
+def gamma(k: int) -> float:
+    """Bound on |prod (1 + d_i) - 1| over k factors |d_i| <= u; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1."""
+    return k * _UNIT / (1 - k * _UNIT)
 
 
 class MultipleRootError(RuntimeError):
@@ -17,37 +26,6 @@ class MultipleRootError(RuntimeError):
 
 class RootFindingError(RuntimeError):
     """The simultaneous iteration failed to converge."""
-
-
-def _monic_rows(rows: np.ndarray) -> np.ndarray:
-    """Coefficients (1, a_{n-1}, ..., a_0) of each monic fiber, highest first."""
-    p = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=complex)
-    p[:, 0] = 1.0
-    p[:, 1:] = rows[:, ::-1]
-    return p
-
-
-def _derivative_rows(p: np.ndarray) -> np.ndarray:
-    n = p.shape[1] - 1
-    return p[:, :-1] * np.arange(n, 0, -1)
-
-
-def _spread(p: np.ndarray, width: int) -> np.ndarray:
-    """Coefficient columns of p, highest first, each repeated width times: a
-    (degree + 1, rows, width) stack for _polyval_rows. Horner on it needs no
-    broadcasting, which numpy runs about twice as slowly on short rows."""
-    return np.ascontiguousarray(
-        np.broadcast_to(p.T[:, :, None], p.T.shape + (width,)))
-
-
-def _polyval_rows(spread: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner evaluation of the polynomial of row k at every entry of row k
-    of z, in the order np.polyval uses."""
-    y = np.zeros(z.shape, dtype=z.dtype)
-    for column in spread:
-        y *= z
-        y += column
-    return y
 
 
 def min_gap(points) -> float:
@@ -83,55 +61,55 @@ def roots_at(coeffs, max_iterations: int = 1200,
         raise ValueError("degree must be at least 1")
     if n == 1:
         return -c
-    monic = _monic_rows(c[None])
+    # highest coefficient first, as np.polyval takes them
+    p = np.concatenate(([1.0], c[::-1]))
+    dp = p[:-1] * np.arange(n, 0, -1)
     # hypot, as abs() of one complex number computes it
     scale = 1.0 + np.hypot(c.real, c.imag).max()
     for attempt in range(3):
         offset = 0.25 + 0.31 * attempt
-        roots = scale * np.exp(2j * np.pi * (np.arange(n)[None] + offset) / n)
-        if _aberth_iterate(monic, roots, max_iterations):
+        roots = scale * np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+        if _aberth_iterate(p, dp, roots, max_iterations):
             break
     else:
         raise RootFindingError("simultaneous iteration failed to converge")
-    p, dp = _spread(monic, n), _spread(_derivative_rows(monic), n)
     with np.errstate(all="ignore"):
         for _ in range(4):
-            val = _polyval_rows(p, roots)
-            der = _polyval_rows(dp, roots)
+            val = np.polyval(p, roots)
+            der = np.polyval(dp, roots)
             mask = der != 0
             roots[mask] -= val[mask] / der[mask]
         # the residual may reach the evaluation's own roundoff floor,
         # eps sum |a_k| |z|^k, which grows with the size of the roots
-        values = np.abs(_polyval_rows(p, roots))
-        floor = np.finfo(float).eps * _polyval_rows(np.abs(p), np.abs(roots))
+        values = np.abs(np.polyval(p, roots))
+        floor = np.finfo(float).eps * np.polyval(np.abs(p), np.abs(roots))
         if (values > 1e-10 * scale + 64 * n * floor).any():
             raise RootFindingError(f"residual {values.max():.2e} too large")
-        gap = _block_gaps(roots)[0]
+        gap = min_gap(roots)
         if gap < gap_rtol * (1.0 + np.abs(roots).max()):
             raise MultipleRootError(f"root gap {gap:.2e} below tolerance")
-    return roots[0]
+    return roots
 
 
-def _aberth_iterate(monic: np.ndarray, z: np.ndarray,
+def _aberth_iterate(p: np.ndarray, dp: np.ndarray, z: np.ndarray,
                     max_iterations: int) -> bool:
-    """Aberth steps on the (1, n) seeds z, in place, for the fiber monic;
-    returns whether they converged."""
-    n = z.shape[1]
+    """Aberth steps on the seeds z, in place, for the polynomial p with
+    derivative dp; returns whether they converged."""
+    n = z.shape[0]
     eps = np.finfo(float).eps
-    p, dp = _spread(monic, n), _spread(_derivative_rows(monic), n)
     abs_p = np.abs(p)
     for _ in range(max_iterations):
-        val = _polyval_rows(p, z)
+        val = np.polyval(p, z)
         # roundoff floor of the evaluation itself; converged when reached
-        floor = eps * _polyval_rows(abs_p, np.abs(z))
+        floor = eps * np.polyval(abs_p, np.abs(z))
         if (np.abs(val) <= 8.0 * floor).all():
             return True
-        der = _polyval_rows(dp, z)
+        der = np.polyval(dp, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(der != 0, val / der, 0.1 + 0.1j)
-            pairwise = z[:, :, None] - z[:, None, :]
-            pairwise.reshape(-1, n * n)[:, ::n + 1] = np.inf
-            sums = np.divide(1.0, pairwise, out=pairwise).sum(axis=2)
+            pairwise = z[:, None] - z[None, :]
+            pairwise.reshape(n * n)[::n + 1] = np.inf
+            sums = np.divide(1.0, pairwise, out=pairwise).sum(axis=1)
             denom = 1.0 - newton * sums
             step = np.where(denom != 0, newton / denom, newton)
         if not np.isfinite(step).all():

@@ -21,13 +21,10 @@ from .permgroup import json_int
 from .roots import (
     MultipleRootError,
     RootFindingError,
+    gamma,
     min_gap,
     roots_at,
 )
-
-
-# unit roundoff of IEEE double precision
-_UNIT = 2.0 ** -53
 
 
 class GeometryError(RuntimeError):
@@ -228,39 +225,35 @@ def _dist2(p, q) -> Fraction:
     return dx * dx + dy * dy
 
 
+def _integers(values: Sequence[Fraction]) -> list[int]:
+    """The values times their least common denominator, a positive factor."""
+    den = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values]
+
+
 class _IntGeometry:
-    """A base space and a list of points, all scaled by one common
-    denominator to integers, so that every predicate below is decided
-    exactly with integer arithmetic and no division."""
+    """A base space and points scaled to integers by one common
+    denominator, so that every predicate is decided without division."""
 
     def __init__(self, space: "BaseSpace", points: Sequence[tuple]):
         discs = (space.outer,) + space.holes
-        fracs = [q for d in discs for q in (*d.center, d.radius)]
-        fracs += [q for p in points for q in p]
-        den = math.lcm(*(q.denominator for q in fracs))
-
-        def scale(q: Fraction) -> int:
-            return q.numerator * (den // q.denominator)
-
-        self.points = [(scale(x), scale(y)) for x, y in points]
-        # (center x, center y, squared radius) of each disc
-        self.outer = (scale(space.outer.center[0]), scale(space.outer.center[1]),
-                      scale(space.outer.radius) ** 2)
-        self.holes = [(scale(h.center[0]), scale(h.center[1]), scale(h.radius) ** 2)
-                      for h in space.holes]
+        ints = _integers([q for d in discs for q in (*d.center, d.radius)]
+                         + [q for p in points for q in p])
+        # (center x, center y, squared radius) of the outer disc and holes
+        self.outer, *self.holes = [(ints[i], ints[i + 1], ints[i + 2] ** 2)
+                                   for i in range(0, 3 * len(discs), 3)]
+        self.points = list(zip(ints[3 * len(discs)::2], ints[3 * len(discs) + 1::2]))
 
     def contains(self, i: int) -> bool:
         x, y = self.points[i]
         cx, cy, r2 = self.outer
-        if (x - cx) ** 2 + (y - cy) ** 2 > r2:
-            return False
-        return all((x - hx) ** 2 + (y - hy) ** 2 >= h2 for hx, hy, h2 in self.holes)
+        return (x - cx) ** 2 + (y - cy) ** 2 <= r2 and all(
+            (x - hx) ** 2 + (y - hy) ** 2 >= h2 for hx, hy, h2 in self.holes)
 
     def crosses(self, i: int, j: int, hole: int) -> bool:
-        """Whether segment i-j comes closer than the radius to the center of
-        the hole: with d = q - p and e = c - p, the nearest point is p, q or
-        the foot of the perpendicular, where |e|^2 |d|^2 - (e.d)^2 < r^2 |d|^2
-        decides."""
+        """Whether segment i-j comes nearer than the radius to the hole's
+        center c: with d = q - p and e = c - p, at the foot of the
+        perpendicular |e|^2 |d|^2 - (e.d)^2 < r^2 |d|^2 decides."""
         (px, py), (qx, qy) = self.points[i], self.points[j]
         cx, cy, r2 = self.holes[hole]
         dx, dy, ex, ey = qx - px, qy - py, cx - px, cy - py
@@ -270,10 +263,6 @@ class _IntGeometry:
         if dot >= len2:
             return (cx - qx) ** 2 + (cy - qy) ** 2 < r2
         return (ex * ex + ey * ey) * len2 - dot * dot < r2 * len2
-
-    def segment_inside(self, i: int, j: int) -> bool:
-        return (self.contains(i) and self.contains(j) and
-                not any(self.crosses(i, j, k) for k in range(len(self.holes))))
 
 
 @dataclass(frozen=True)
@@ -315,8 +304,10 @@ class BaseSpace:
 
     def segment_inside(self, p, q) -> bool:
         """Both endpoints in the space and the segment misses every open hole."""
-        points = [(_frac(p[0]), _frac(p[1])), (_frac(q[0]), _frac(q[1]))]
-        return _IntGeometry(self, points).segment_inside(0, 1)
+        geo = _IntGeometry(self, [(_frac(p[0]), _frac(p[1])),
+                                  (_frac(q[0]), _frac(q[1]))])
+        return geo.contains(0) and geo.contains(1) and not any(
+            geo.crosses(0, 1, k) for k in range(len(self.holes)))
 
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(),
@@ -376,27 +367,22 @@ class LoopPath:
 def validate_loop(space: BaseSpace, loop: LoopPath):
     """Exact check that every vertex and segment stays inside the space."""
     geo = _IntGeometry(space, loop.vertices)
-    verts = loop.vertices
-    for i in range(len(verts) - 1):
-        p, q = verts[i], verts[i + 1]
+    for i, (p, q) in enumerate(zip(loop.vertices, loop.vertices[1:])):
         if not geo.contains(i):
             raise GeometryError(f"vertex {p} leaves the space")
-        if not geo.segment_inside(i, i + 1):
-            for k, h in enumerate(space.holes):
-                if geo.crosses(i, i + 1, k):
-                    raise GeometryError(f"segment {p}-{q} crosses hole {h}")
+        for k, h in enumerate(space.holes):
+            if geo.crosses(i, i + 1, k):
+                raise GeometryError(f"segment {p}-{q} crosses hole {h}")
+        if not geo.contains(i + 1):
             raise GeometryError(f"segment {p}-{q} leaves the outer disc")
 
 
 def winding_number(loop: LoopPath, point: tuple[Fraction, Fraction]) -> int:
     """Exact winding number of the polyline around a point off the path,
-    on integers: the loop and the point are scaled by one common
-    denominator, which keeps every comparison below."""
-    pts = list(loop.vertices) + [(_frac(point[0]), _frac(point[1]))]
-    den = math.lcm(*(q.denominator for p in pts for q in p))
-    scaled = [(x.numerator * (den // x.denominator),
-               y.numerator * (den // y.denominator)) for x, y in pts]
-    (px, py), verts = scaled[-1], scaled[:-1]
+    on the integers of one common denominator."""
+    ints = _integers([q for p in loop.vertices for q in p]
+                     + [_frac(point[0]), _frac(point[1])])
+    (px, py), verts = ints[-2:], list(zip(ints[:-2:2], ints[1:-2:2]))
     total = 0
     for (ax, ay), (bx, by) in zip(verts, verts[1:]):
         if ay <= py < by:  # upward crossing
@@ -467,7 +453,7 @@ class WeierstrassPoly:
         self.degree = degree
         self.coeffs = tuple(coeffs)
         # (du, dv, complex coefficient) of every term, converted once for
-        # eval_complex_points
+        # segment_polys
         self._complex_terms = tuple(
             tuple((du, dv, complex(c)) for (du, dv), c in p.terms.items())
             for p in self.coeffs)
@@ -477,55 +463,28 @@ class WeierstrassPoly:
                         default=0)
 
     def eval_complex_points(self, points: Sequence[tuple]) -> np.ndarray:
-        """Float coefficients at float points (u, v): an (N, degree) array
-        whose row k is the fiber over points[k].
-
-        Each coefficient sums c * u**du * v**dv over its terms in order, in
-        Python complex arithmetic, so every entry equals
-        BivariatePolyQi.eval_complex bit for bit.
-        """
-        out = np.empty((len(points), self.degree), dtype=complex)
-        for k, (u, v) in enumerate(points):
-            pow_u = [u ** d for d in range(self._top_u + 1)]
-            pow_v = [v ** d for d in range(self._top_v + 1)]
-            row = []
-            for terms in self._complex_terms:
-                acc = 0j
-                for du, dv, c in terms:
-                    acc += c * pow_u[du] * pow_v[dv]
-                row.append(acc)
-            out[k] = row
-        return out
+        """Float coefficients at float points (u, v): row k is the fiber over
+        points[k], each entry BivariatePolyQi.eval_complex."""
+        return np.array([[c.eval_complex(u, v) for c in self.coeffs]
+                         for u, v in points], dtype=complex).reshape(-1, self.degree)
 
     def eval_complex(self, u: float, v: float) -> np.ndarray:
         return self.eval_complex_points(((u, v),))[0]
 
     def segment_polys(self, segments: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficients along straight segments with rational endpoints.
-
-        On segment (a, b), a_k(a + s (b - a)) is a polynomial in s of degree
-        at most D, the largest total degree of a term. Returns c of shape
-        (segments, D + 1, degree), with c[q, l, k] the float coefficient of
-        s^l in a_k on segment q, and err of shape (segments, degree) with
-        err[q, k] >= sum_l |c[q, l, k] - exact|, which bounds the error of
-        a_k anywhere on the segment, s in [0, 1].
-
-        The bound. Each coordinate of a and of b - a is rounded once from
-        its exact rational value. Every exact coefficient is then a sum of
-        terms, and along the computation below each term passes through at
-        most d = 4D + T + 6 roundings, T the most terms of one coefficient:
-        one per rounded input factor and two per step of a power of u or v
-        (3 per degree), one product and at most D sums in a convolution, the
-        rounding of the complex term coefficient and its product, T - 1 sums
-        over terms and D sums over powers of s. So the computed value is off
-        by at most gamma_d times the same computation on absolute values,
-        per real and imaginary part, and by the triangle inequality in modulus
-        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-        sec. 3.1 and 3.6). That majorant, computed in floats from nonnegative
-        numbers, is low by at most a factor 1 + gamma_d, and gamma_d (1 +
-        gamma_d) <= gamma_2d. Underflow is not modelled: it needs terms
-        below 1e-290, which no coefficient of an input reaches without
-        vanishing.
+        """The coefficients along straight segments with rational endpoints:
+        c[q, l, k] is the float coefficient of s^l in a_k(a + s (b - a)) on
+        segment q = (a, b), l up to D, the largest total degree of a term,
+        and err[q, k] >= sum_l |c[q, l, k] - exact| bounds a_k's error for
+        every s in [0, 1]. With a and b - a rounded once from their rational
+        values, each term of an exact coefficient takes at most d = 4D + T
+        + 6 roundings (T the most terms of a coefficient): 3 per degree of a
+        power of u or v, D + 1 in a convolution, 2 for the complex term
+        coefficient, T - 1 sums over terms, D over powers of s. So the value
+        is off by at most gamma_d times the same computation on absolute
+        values (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+        ed., sec. 3.1), which is low by at most a factor 1 + gamma_d; and
+        gamma_d (1 + gamma_d) <= gamma_2d. Underflow is not modelled.
         """
         count, top = len(segments), self._top
         inputs = np.array([[float(a[0]), float(a[1]), float(b[0] - a[0]),
@@ -545,22 +504,18 @@ class WeierstrassPoly:
 
         pow_u = powers(both[:, 0], both[:, 2], self._top_u)
         pow_v = powers(both[:, 1], both[:, 3], self._top_v)
-        monomials: dict = {}
         coeffs = np.zeros((count, top + 1, self.degree), dtype=complex)
         major = np.zeros((count, top + 1, self.degree))
         for k, terms in enumerate(self._complex_terms):
             for du, dv, c in terms:
-                mono = monomials.get((du, dv))
-                if mono is None:
-                    mono = np.zeros((2, count, du + dv + 1))
-                    for i in range(du + 1):
-                        mono[:, :, i:i + dv + 1] += pow_u[du][:, :, i:i + 1] * pow_v[dv]
-                    monomials[(du, dv)] = mono
+                mono = np.zeros((2, count, du + dv + 1))
+                for i in range(du + 1):
+                    mono[:, :, i:i + dv + 1] += pow_u[du][:, :, i:i + 1] * pow_v[dv]
                 coeffs[:, :du + dv + 1, k] += c * mono[0]
                 major[:, :du + dv + 1, k] += abs(c) * mono[1]
         terms = max((len(t) for t in self._complex_terms), default=0)
         d = 4 * top + terms + 6
-        return coeffs, 2 * d * _UNIT / (1 - 2 * d * _UNIT) * major.sum(axis=1)
+        return coeffs, gamma(2 * d) * major.sum(axis=1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeierstrassPoly)

@@ -295,10 +295,10 @@ def assert_rows_match_alone(f, loops, fiber):
     """Tracks the loops in one stack and each alone: the end fibers agree
     bit for bit, and so do the permutations and the steps taken."""
     stacked, summary = _track_rows(f, loops, DEFAULT_TRACKING, fiber)
-    for i, (loop, end) in enumerate(zip(loops, stacked)):
+    for i, (loop, (perm, end)) in enumerate(zip(loops, stacked)):
         alone, alone_summary = _track_rows(f, [loop], DEFAULT_TRACKING, fiber)
-        assert end.roots.tobytes() == alone[0].roots.tobytes()
-        assert end.perm == alone[0].perm
+        assert end.tobytes() == alone[0][1].tobytes()
+        assert perm == alone[0][0]
         assert summary["steps_per_loop"][i] == alone_summary["steps_per_loop"][0]
     assert summary["certified"]
     return _permutations(stacked)
