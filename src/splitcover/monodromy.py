@@ -271,11 +271,11 @@ def _track_rows(f: WeierstrassPoly, loops: Sequence[LoopPath],
     its loop's arclength) and certificate. Once a row fails the rows after
     it stop, as callers report the first failing row; they stay None.
 
-    A step from s0 to s1 is taken when the certificate at s0 proves it and
-    the one at s1 (tangent predictor, one Newton step) proves enclosures
-    clear of the other roots' discs at s0, so each holds its own root's
-    continuation. h grows by min(2, 0.8 / ratio); a rejection cuts it to a
-    quarter to a half. Each end enclosure must meet one start enclosure.
+    A step s0 -> s1 is taken when the certificate at s0 proves it and the one
+    at s1 (tangent predictor, a Newton step) proves enclosures clear of the
+    other roots' discs at s0, so each holds its own root's continuation. h
+    grows by min(2, 0.8 / ratio), up to 1; a rejection cuts it to a quarter
+    to a half. Each end enclosure must meet exactly one start enclosure.
 
     Errors: on a segment a_k is off by at most err_k (segment_polys), and a
     Taylor shift adds gamma_(2D+1) sum_l |c_lk|; ebar_k = 2 err_k +
@@ -283,9 +283,8 @@ def _track_rows(f: WeierstrassPoly, loops: Sequence[LoopPath],
     f at a point and of f(., s) - f(., s0), times |z|^k.
     """
     count, n = len(loops), len(start)
-    summary = {"certified": True, "stack_steps": 0, "accepted_steps": 0,
-               "rejected_steps": 0, "steps_per_loop": [0] * count,
-               "min_disc_radius": None}
+    summary = dict(certified=True, stack_steps=0, accepted_steps=0, rejected_steps=0,
+                   steps_per_loop=[0] * count, min_disc_radius=None)
     if n == 1 or not count:
         return [(Permutation((1,)), start.copy()) for _ in loops], summary
     segments = [seg for loop in loops for seg in zip(loop.vertices, loop.vertices[1:])]
@@ -349,13 +348,15 @@ def _track_rows(f: WeierstrassPoly, loops: Sequence[LoopPath],
             radius = cert.R.min(axis=1)
             lower = ok & (radius < smallest[row])
             smallest[row[lower]], where[row[lower]] = radius[lower], t[lower]
-            under = ~ok & (h < cfg.min_step)
+            # also after an accepted step: near a branch point the floor can
+            # keep the ratio above 0.8, and s stops moving while h shrinks
+            finished = ok & (s == 1.0)
+            under = ~finished & (h < cfg.min_step)
             for j in np.flatnonzero(under).tolist():
                 results[row[j]] = StepUnderflowError(
                     f"root gap collapsed near t={t[j]:.6f}; loop too close to "
                     f"the discriminant locus")
                 first_failed = min(first_failed, row[j])
-            finished = ok & (s == 1.0)
             for j in np.flatnonzero(finished).tolist():
                 # each end enclosure holds one start root, which lies in
                 # every start enclosure it meets: meeting one decides it
@@ -381,8 +382,7 @@ def _track_rows(f: WeierstrassPoly, loops: Sequence[LoopPath],
 
 
 def _permutations(results: list) -> list[Permutation]:
-    """The permutation of each tracked row; raises the first row's error, in
-    row order."""
+    """Each tracked row's permutation; raises the first row's error, if any."""
     for end in results:
         if isinstance(end, Exception):
             raise end

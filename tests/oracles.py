@@ -1,6 +1,6 @@
 """Exact reference evaluations that tests compare the program against: exact
-coefficient values at rational points, and a rational grid over a base
-space."""
+coefficient values at rational points, a rational grid over a base space,
+and base-space geometry in Fractions."""
 
 import math
 from fractions import Fraction
@@ -74,3 +74,27 @@ def sample_grid(space, density: int) -> list:
                     (su - cx) ** 2 + (sv - cy) ** 2 >= r2 for cx, cy, r2 in holes):
                 pts.append((u, v))
     return pts
+
+
+def _dist2(p, q) -> Fraction:
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
+def segment_dist2(p, q, c) -> Fraction:
+    """Exact squared distance from point c to segment pq, in Fractions."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    length2 = dx * dx + dy * dy
+    if length2 == 0:
+        return _dist2(p, c)
+    t = ((c[0] - p[0]) * dx + (c[1] - p[1]) * dy) / length2
+    t = max(Fraction(0), min(Fraction(1), t))
+    return _dist2((p[0] + t * dx, p[1] + t * dy), c)
+
+
+def segment_inside(space, p, q) -> bool:
+    """BaseSpace.segment_inside, decided in Fractions."""
+    def contains(x):
+        return _dist2(x, space.outer.center) <= space.outer.radius ** 2 and all(
+            _dist2(x, h.center) >= h.radius ** 2 for h in space.holes)
+    return contains(p) and contains(q) and all(
+        segment_dist2(p, q, h.center) >= h.radius ** 2 for h in space.holes)

@@ -63,9 +63,9 @@ def test_monodromy_cli(z2_artifact, capsys):
 ], ids=["step_4", "step_2_small_hole"])
 def test_initial_step_beyond_the_loop_is_input_error(step, space, w0, tmp_path,
                                                      capsys):
-    # z^2 - (w - w0) with w0 in the hole has monodromy [[2, 1]]; a step
-    # longer than the loop let every refinement pass jump it at once and
-    # report the identity with exit 0
+    # z^2 - (w - w0) with w0 in the hole has monodromy [[2, 1]]; a step is
+    # a fraction of the loop's arclength, so one longer than the loop is
+    # refused
     a0 = BivariatePolyQi.from_w_powers([qi(w0.real, w0.imag), qi(-1)])
     f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
     poly = write_json(tmp_path / "poly.json", {"polynomial": f.to_json(),
@@ -92,20 +92,6 @@ def test_a_step_of_the_whole_loop_is_certified_or_cut(space, w0, tmp_path, capsy
     report = json.loads(capsys.readouterr().out)
     assert report["artifacts"]["monodromy"]["perms"] == [[2, 1]]
     assert report["artifacts"]["tracking"]["certified"] is True
-
-
-@pytest.mark.parametrize("key, value", [("safety_factor", 0.4),
-                                        ("max_newton_iters", 30)])
-def test_a_deleted_tracking_key_is_input_error(key, value, z2_artifact, tmp_path,
-                                               capsys):
-    _, group, _, _ = z2_artifact
-    cfg = write_json(tmp_path / "cfg.json",
-                     {"tracking": {"initial_step": 0.01, key: value}})
-    out = tmp_path / "out.json"
-    assert main(["realize", group, "--config", cfg, "-o", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert "input error" in err and key in err and "Traceback" not in err
-    assert not out.exists()
 
 
 def test_embed_cli_and_verify_tower(z2_artifact, capsys):
@@ -178,6 +164,16 @@ def test_config_file_controls_tracking(z2_artifact, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"]["inputs"]["seed"] == 7
     assert set(payload["report"]["inputs"]) == {"group", "base_space", "seed"}
+    # the knobs of the step-refinement tracker are gone: each is an input
+    # error that names it
+    for key, value in (("safety_factor", 0.4), ("max_newton_iters", 30)):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"tracking": {"initial_step": 0.01, key: value}})
+        out = tmp_path / "out.json"
+        assert main(["realize", group, "--config", cfg, "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "input error" in err and key in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_cli_seed_recorded_and_deterministic(z2_artifact, capsys):

@@ -394,6 +394,15 @@ def test_a_step_across_the_branch_point_is_rejected():
     loop = LoopPath((x.basepoint, (0, 8), x.basepoint))
     with pytest.raises(StepUnderflowError, match="t=0.25"):
         track_loop(f, loop, TrackingConfig(initial_step=1))
+    # a double root at (0, 0), a vertex of both generator loops of the
+    # two-hole space: near it the coefficients' error bound keeps every
+    # certified step short of moving, and the step must still fall below
+    # min_step instead of shrinking forever
+    a0 = BivariatePolyQi({(1, 1): qi(Fraction(-3, 2), Fraction(3, 4))})
+    a1 = BivariatePolyQi({(0, 1): qi(Fraction(-1, 4), -1),
+                          (1, 1): qi(Fraction(-2, 3), 5)})
+    with pytest.raises(StepUnderflowError, match="t=0.375812"):
+        characteristic_hom(WeierstrassPoly(2, [a0, a1]), default_base_space(2))
 
 
 def test_enclosures_contain_the_roots_of_seeded_fibers():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from oracles import bounding_box, eval_exact, fiber_exact, sample_grid
 from splitcover.certify import certify, discriminant
 from splitcover.roots import _block_gaps
@@ -89,6 +90,22 @@ def test_segment_inside():
     x = default_base_space(1)
     assert x.segment_inside((Fraction(-3), Fraction(0)), (Fraction(-3), Fraction(5)))
     assert not x.segment_inside((Fraction(-3), Fraction(0)), (Fraction(3), Fraction(0)))
+    # the integer kernel against the same predicate in Fractions, on segments
+    # of a half-integer grid, half of them axis-parallel, so that many touch
+    # a hole exactly, at an end or at the foot of the perpendicular
+    space = BaseSpace(Disc((Fraction(1, 3), 0), 6), (
+        Disc((Fraction(-2), Fraction(1, 2)), Fraction(3, 2)),
+        Disc((Fraction(2), Fraction(-1)), 1)), (0, -5))
+    rng = random.Random(3)
+
+    def grid():
+        return Fraction(rng.randint(-10, 10), 2)
+
+    for k in range(3000):
+        p, q = (grid(), grid()), (grid(), grid())
+        if k % 2:
+            q = (q[0], p[1]) if k % 4 == 1 else (p[0], q[1])
+        assert space.segment_inside(p, q) == oracles.segment_inside(space, p, q), (p, q)
 
 
 def test_loop_path_requires_closure():
