@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .wpoly import QI_ONE, QI_ZERO, BaseSpace, BivariatePolyQi, Disc, GaussianRational
+from .qipoly import QiPoly
+from .wpoly import QI_ZERO, BaseSpace, BivariatePolyQi, Disc, GaussianRational
 
 
 @dataclass(frozen=True)
@@ -67,128 +67,75 @@ def certify(coeffs: Sequence[BivariatePolyQi],
     elif outer != sum(holes):
         reason = (f"{outer - sum(holes)} zero(s) of the discriminant lie in "
                   f"the space")
-    return WeierstrassCertificate(len(disc) - 1, outer, holes, reason)
+    return WeierstrassCertificate(disc.degree, outer, holes, reason)
 
 
-def w_form(poly: BivariatePolyQi) -> Optional[list[GaussianRational]]:
-    """Coefficients c_k, lowest first, with poly equal to the sum of
-    c_k (u + iv)^k, or None when poly is not a polynomial in w = u + iv.
+def w_form(poly: BivariatePolyQi) -> Optional[QiPoly]:
+    """The polynomial p in w with poly equal to p(u + iv), or None when poly
+    is not a polynomial in w = u + iv.
 
     A polynomial in w is determined by its terms without v; it is accepted
     only when expanding those again gives poly back.
     """
     top = max((du for du, dv in poly.terms if dv == 0), default=-1)
-    form = [poly.terms.get((k, 0), QI_ZERO) for k in range(top + 1)]
-    return form if BivariatePolyQi.from_w_powers(form) == poly else None
+    form = QiPoly.from_gaussian(
+        [poly.terms.get((k, 0), QI_ZERO) for k in range(top + 1)])
+    return form if form.to_bivariate() == poly else None
 
 
-def discriminant(forms: Sequence[Sequence[GaussianRational]]
-                 ) -> list[GaussianRational]:
-    """Coefficients, lowest first, of D(w), the discriminant in z of
-    z^n + a_{n-1}(w) z^{n-1} + ... + a_0(w), where forms[k] is the w-form of
-    a_k; the empty list when D vanishes identically.
+def discriminant(forms: Sequence[QiPoly]) -> QiPoly:
+    """D(w), the discriminant in z of z^n + a_{n-1}(w) z^{n-1} + ... + a_0(w),
+    where forms[k] is the w-form of a_k; the zero polynomial when D vanishes
+    identically.
 
-    D is isobaric of weight n(n-1) in the coefficients, a_k having weight
-    n - k, so deg D <= n(n-1) max(deg a_k / (n - k)). D is evaluated at
-    w = 0, 1, ... up to that bound and interpolated.
+    With L the least common denominator of the a_k, D is read off the
+    determinant of the Sylvester matrix of L f and L f', whose entries lie in
+    Z[i][w]: det Syl(L f, L f') = L^(2n-1) Res(f, f'), and for monic f
+    disc f = (-1)^(n(n-1)/2) Res(f, f').
     """
     n = len(forms)
     if n == 1:
-        return [QI_ONE]
-    slope = max((Fraction(len(a) - 1, n - k) for k, a in enumerate(forms) if a),
-                default=Fraction(0))
-    bound = math.floor(slope * n * (n - 1))
-    # L clears every denominator, so L a_k(w) is a Gaussian integer
-    den = math.lcm(*(x.denominator for a in forms for c in a
-                     for x in (c.re, c.im)))
-    ints = [[(int(c.re * den), int(c.im * den)) for c in a] for a in forms]
-    values = [_sylvester_determinant(ints, den, w) for w in range(bound + 1)]
-    # det Syl(L f, L f') = L^(2n-1) Res(f, f'), and for monic f
-    # disc f = (-1)^(n(n-1)/2) Res(f, f')
-    scale = Fraction((-1) ** (n * (n - 1) // 2), den ** (2 * n - 1))
-    re = _interpolate([Fraction(v[0]) for v in values])
-    im = _interpolate([Fraction(v[1]) for v in values])
-    out = [GaussianRational(a * scale, b * scale) for a, b in zip(re, im)]
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _sylvester_determinant(ints, den: int, w: int) -> tuple[int, int]:
-    """det Syl(L f, L f') at the integer point w, where row k of ints holds
-    the w-form of L a_k in Gaussian integers (re, im)."""
-    n = len(ints)
+        return QiPoly.monomial(0)
+    den = math.lcm(*(a.den for a in forms))
     # L f, highest power first
-    f = [(den, 0)]
-    for a in reversed(ints):
-        re = im = 0
-        for cr, ci in reversed(a):
-            re, im = re * w + cr, im * w + ci
-        f.append((re, im))
-    df = [((n - j) * x, (n - j) * y) for j, (x, y) in enumerate(f[:-1])]
+    f = [QiPoly([(den, 0)])] + [a.scale(den) for a in reversed(forms)]
+    df = [c.scale(n - j) for j, c in enumerate(f[:-1])]
     size = 2 * n - 1
-    zero = (0, 0)
+    zero = QiPoly()
     rows = [[zero] * r + f + [zero] * (size - n - 1 - r) for r in range(n - 1)]
     rows += [[zero] * r + df + [zero] * (size - n - r) for r in range(n)]
-    return _bareiss_det(rows)
+    sign = (-1) ** (n * (n - 1) // 2)
+    return _bareiss_det(rows) * QiPoly([(sign, 0)], den ** (2 * n - 1))
 
 
-def _bareiss_det(m: list[list[tuple[int, int]]]) -> tuple[int, int]:
-    """Determinant of a square matrix of Gaussian integers (re, im) by
-    fraction-free Bareiss elimination, in place: every division by the
-    previous pivot is exact, and a zero pivot swaps in a lower row."""
+def _bareiss_det(m: list[list[QiPoly]]) -> QiPoly:
+    """Determinant of a square matrix over Z[i][w] by fraction-free Bareiss
+    elimination, in place: every division by the previous pivot is exact,
+    and a zero pivot swaps in a lower row."""
     size = len(m)
     sign = 1
-    qr, qi = 1, 0
+    prev = QiPoly.monomial(0)
     for k in range(size - 1):
-        if m[k][k] == (0, 0):
-            swap = next((i for i in range(k + 1, size) if m[i][k] != (0, 0)),
-                        None)
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
             if swap is None:
-                return (0, 0)
+                return QiPoly()
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot_row = m[k]
-        pr, pi = pivot_row[k]
-        norm = qr * qr + qi * qi
+        pivot = pivot_row[k]
         for row in m[k + 1:]:
-            ar, ai = row[k]
+            a = row[k]
             for j in range(k + 1, size):
-                br, bi = row[j]
-                cr, ci = pivot_row[j]
-                # (pivot * b - a * c) / q, dividing by q as conj(q) / |q|^2
-                xr = pr * br - pi * bi - ar * cr + ai * ci
-                xi = pr * bi + pi * br - ar * ci - ai * cr
-                row[j] = ((xr * qr + xi * qi) // norm,
-                          (xi * qr - xr * qi) // norm)
-        qr, qi = pr, pi
-    dr, di = m[-1][-1]
-    return (sign * dr, sign * di)
+                if row[j] or (a and pivot_row[j]):
+                    row[j] = divmod(pivot * row[j] - a * pivot_row[j], prev)[0]
+        prev = pivot
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
-def _interpolate(values: list[Fraction]) -> list[Fraction]:
-    """Coefficients, lowest first, of the polynomial of degree below
-    len(values) taking values[j] at j, by Newton's divided differences."""
-    d = list(values)
-    for j in range(1, len(d)):
-        for i in range(len(d) - 1, j - 1, -1):
-            d[i] = (d[i] - d[i - 1]) / j
-    out: list[Fraction] = []
-    for j in range(len(d) - 1, -1, -1):
-        # out * (w - j) + d[j]
-        nxt = [Fraction(0)] * (len(out) + 1)
-        for k, b in enumerate(out):
-            nxt[k] -= j * b
-            nxt[k + 1] += b
-        nxt[0] += d[j]
-        out = nxt
-    return out
-
-
-def zeros_in_disc(poly: Sequence[GaussianRational], disc: Disc) -> Optional[int]:
-    """Number of zeros, with multiplicity, of a nonzero polynomial (lowest
-    coefficient first) in the open disc; None when one may lie on its
-    boundary circle.
+def zeros_in_disc(poly: QiPoly, disc: Disc) -> Optional[int]:
+    """Number of zeros, with multiplicity, of a nonzero polynomial in the
+    open disc; None when one may lie on its boundary circle.
 
     Runs the Schur-Cohn test on p(x) = poly(c + r x) scaled to Gaussian
     integers: with T p = conj(p(0)) p - p_d p* at formal degree d, where p*
@@ -197,19 +144,14 @@ def zeros_in_disc(poly: Sequence[GaussianRational], disc: Disc) -> Optional[int]
     delta_k is 0. Each T^k p is divided by the positive content of its
     coefficients, which keeps every sign and keeps the integers short.
     """
-    c = GaussianRational(*disc.center)
-    r = GaussianRational(disc.radius)
-    p: list[GaussianRational] = []
-    for a in reversed(poly):
-        # p * (c + r x) + a
-        nxt = [QI_ZERO] * (len(p) + 1)
-        for k, b in enumerate(p):
-            nxt[k] += b * c
-            nxt[k + 1] += b * r
-        nxt[0] += a
-        p = nxt
-    den = math.lcm(*(x.denominator for z in p for x in (z.re, z.im)))
-    q = [(int(z.re * den), int(z.im * den)) for z in p]
+    (cx, cy), r = disc.center, disc.radius
+    shift = QiPoly.from_gaussian([GaussianRational(cx, cy), GaussianRational(r)])
+    # p = den poly(c + r x), shifting poly's numerators; q, the numerators of
+    # p, is p times a positive integer, which keeps every Schur-Cohn sign
+    p = QiPoly()
+    for c in reversed(poly.coeffs):
+        p = p * shift + QiPoly([c])
+    q = list(p.coeffs)
     count, negative = 0, False
     while len(q) > 1:
         d = len(q) - 1

@@ -266,12 +266,6 @@ class TowerQuotientReport:
     quotient_order: Optional[int]
     part2_holds: Optional[bool]
 
-    def all_verified(self) -> bool:
-        ok = self.part1_holds
-        if self.f_galois:
-            ok = ok and bool(self.part2_holds) and bool(self.kernel_matches_fiber_decks)
-        return ok
-
 
 def tower_quotient_check(tower: Tower) -> TowerQuotientReport:
     """Verify normality and the quotient isomorphism for one tower.

@@ -303,9 +303,6 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbit(1)) == self.degree
 
-    def is_regular(self) -> bool:
-        return self.is_transitive() and self.order() == self.degree
-
     def is_abelian(self) -> bool:
         return all(compose(a, b) == compose(b, a)
                    for a, b in itertools.combinations(self.generators, 2))

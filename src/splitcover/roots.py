@@ -25,7 +25,8 @@ class MultipleRootError(RuntimeError):
 
 
 class RootFindingError(RuntimeError):
-    """The simultaneous iteration failed to converge."""
+    """The simultaneous iteration failed to converge, or a fiber's values
+    overflow a float."""
 
 
 def min_gap(points) -> float:
@@ -66,6 +67,11 @@ def roots_at(coeffs, max_iterations: int = 1200,
     dp = p[:-1] * np.arange(n, 0, -1)
     # hypot, as abs() of one complex number computes it
     scale = 1.0 + np.hypot(c.real, c.imag).max()
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.polyval(np.abs(p), scale)):
+            raise RootFindingError(
+                f"the fiber's values overflow a float on the seed circle of "
+                f"radius {scale:.3g}")
     for attempt in range(3):
         offset = 0.25 + 0.31 * attempt
         roots = scale * np.exp(2j * np.pi * (np.arange(n) + offset) / n)

@@ -12,8 +12,10 @@ Two constructions cover the supported groups:
   cubic's branch points sit exactly at the hole centers; the induced action
   on ordered pairs is the regular representation.
 
-Everything is computed in exact rational (cyclotomic) arithmetic; no
-floating point enters the coefficients.
+Everything is computed in exact arithmetic on QiPoly, polynomials in w over
+Q(i), and on elements of the cyclotomic field Q(zeta_n) held as QiPoly in zeta
+reduced mod the n-th cyclotomic polynomial; no floating point enters the
+coefficients.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .permgroup import PermGroup, Permutation, compose
-from .wpoly import QI_ONE, QI_ZERO, BivariatePolyQi, GaussianRational
+from .qipoly import QiPoly
+from .wpoly import BivariatePolyQi, GaussianRational
 
 
 class SynthesisUnsupported(RuntimeError):
@@ -36,149 +39,21 @@ class SynthesisUnsupported(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic field arithmetic
+# the cyclotomic field Q(zeta_n) as QiPoly in zeta reduced mod Phi_n
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Monic coefficients (low to high) of the n-th cyclotomic polynomial."""
+def cyclotomic_polynomial(n: int) -> QiPoly:
+    """The n-th cyclotomic polynomial, monic."""
     if n < 1:
         raise ValueError("n must be positive")
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    poly = QiPoly.monomial(n) - QiPoly.monomial(0)
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-def _poly_divide_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        coef = num[k + len(den) - 1] / den[-1]
-        out[k] = coef
-        for j, d in enumerate(den):
-            num[k + j] -= coef * d
-    if any(c != 0 for c in num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-class CycloNum:
-    """Element of the cyclotomic field of order n, reduced mod its minimal
-    polynomial."""
-
-    __slots__ = ("n", "vec")
-
-    def __init__(self, n: int, vec: Sequence[Fraction]):
-        phi = cyclotomic_polynomial(n)
-        deg = len(phi) - 1
-        v = [Fraction(c) for c in vec]
-        if len(v) > deg:
-            v = _reduce_mod(v, list(phi))
-        v += [Fraction(0)] * (deg - len(v))
-        self.n = n
-        self.vec = tuple(v)
-
-    @classmethod
-    def rational(cls, n: int, value) -> "CycloNum":
-        return cls(n, [Fraction(value)])
-
-    @classmethod
-    def zeta_power(cls, n: int, k: int) -> "CycloNum":
-        k %= n
-        return cls(n, [Fraction(0)] * k + [Fraction(1)])
-
-    def __add__(self, other: "CycloNum") -> "CycloNum":
-        return CycloNum(self.n, [a + b for a, b in zip(self.vec, other.vec)])
-
-    def __mul__(self, other: "CycloNum") -> "CycloNum":
-        out = [Fraction(0)] * (2 * len(self.vec) - 1)
-        for i, a in enumerate(self.vec):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.vec):
-                if b != 0:
-                    out[i + j] += a * b
-        return CycloNum(self.n, out)
-
-    def scaled(self, r: Fraction) -> "CycloNum":
-        return CycloNum(self.n, [c * r for c in self.vec])
-
-    def __neg__(self) -> "CycloNum":
-        return CycloNum(self.n, [-c for c in self.vec])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CycloNum) and self.n == other.n and self.vec == other.vec
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.vec))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.vec)
-
-    def as_rational(self) -> Optional[Fraction]:
-        if all(c == 0 for c in self.vec[1:]):
-            return self.vec[0]
-        return None
-
-
-def _reduce_mod(vec: list[Fraction], phi: list[Fraction]) -> list[Fraction]:
-    deg = len(phi) - 1
-    out = list(vec)
-    for k in range(len(out) - 1, deg - 1, -1):
-        coef = out[k]
-        if coef == 0:
-            continue
-        for j in range(deg + 1):
-            out[k - deg + j] -= coef * phi[j]
-    return out[:deg]
-
-
-# ---------------------------------------------------------------------------
-# exact univariate polynomials over Q(i), in the complex coordinate w
-
-
-def wp_add(a: Sequence[GaussianRational], b: Sequence[GaussianRational]):
-    out = [QI_ZERO] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def wp_mul(a: Sequence[GaussianRational], b: Sequence[GaussianRational]):
-    out = [QI_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def wp_scale(a: Sequence[GaussianRational], r: Fraction):
-    s = GaussianRational(r)
-    return [c * s for c in a]
-
-
-def wp_pow(a: Sequence[GaussianRational], k: int):
-    out = [QI_ONE]
-    for _ in range(k):
-        out = wp_mul(out, a)
-    return out
-
-
-def wp_eval(a: Sequence[GaussianRational], w: complex) -> complex:
-    out = 0j
-    for c in reversed(list(a)):
-        out = out * w + complex(c)
-    return out
+            poly, rest = divmod(poly, cyclotomic_polynomial(d))
+            if rest:
+                raise ArithmeticError("inexact polynomial division")
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -280,52 +155,48 @@ def synthesize_abelian(elems: Sequence[Permutation], gens: Sequence[Permutation]
         raise ValueError("weights must be nonzero")
     ncyc = lcm(*orders)
 
+    w = QiPoly.monomial(1)
     gen_coords = [coords[g] for g in gens]
     radicands = []
     for t in range(r):
-        poly = [QI_ONE]
+        poly = QiPoly.monomial(0)
         for i, c in enumerate(centers):
             e = gen_coords[i][t]
             if e:
-                poly = wp_mul(poly, wp_pow([-c, QI_ONE], e))
+                poly = poly * (w - QiPoly.from_gaussian([c])) ** e
         radicands.append(poly)
 
     # expand prod_g (z - beta_g) with beta_g = sum_t mu_t zeta^(g_t) u_t;
     # z-polynomial coefficients live in Q(zeta)[u_1..u_r]
-    zero = CycloNum.rational(ncyc, 0)
-    zpoly: list[dict] = [{(0,) * r: CycloNum.rational(ncyc, 1)}]
+    phi = cyclotomic_polynomial(ncyc)
+    zpoly: list[dict] = [{(0,) * r: QiPoly.monomial(0)}]
     for g in elems:
         vec = coords[g]
         beta = {}
         for t in range(r):
             key = tuple(1 if s == t else 0 for s in range(r))
-            scalar = CycloNum.zeta_power(ncyc, (ncyc // orders[t]) * vec[t])
-            beta[key] = scalar.scaled(weights[t])
-        zpoly = _zpoly_mul_linear(zpoly, beta, zero)
+            zeta = QiPoly.monomial((ncyc // orders[t]) * vec[t] % ncyc)
+            beta[key] = divmod(zeta, phi)[1].scale(weights[t])
+        zpoly = _zpoly_mul_linear(zpoly, beta, phi)
 
     if len(zpoly) != n + 1:
         raise AssertionError("expansion degree mismatch")
-    lead = zpoly[-1]
-    if set(lead) != {(0,) * r} or lead[(0,) * r].as_rational() != 1:
+    if zpoly[-1] != {(0,) * r: QiPoly.monomial(0)}:
         raise AssertionError("expansion is not monic")
 
     coeffs = []
     for k in range(n):
-        acc = [QI_ZERO]
+        acc = QiPoly()
         for expo, scalar in zpoly[k].items():
-            if scalar.is_zero():
-                continue
-            rat = scalar.as_rational()
-            if rat is None:
+            if scalar.degree > 0 or scalar.coeffs[0][1]:  # not in Q
                 raise AssertionError("coefficient failed to symmetrize to Q")
-            term = [GaussianRational(rat)]
             for t, m in enumerate(expo):
                 if m % orders[t] != 0:
                     raise AssertionError("unmatched radical exponent survived")
                 if m:
-                    term = wp_mul(term, wp_pow(radicands[t], m // orders[t]))
-            acc = wp_add(acc, term)
-        coeffs.append(BivariatePolyQi.from_w_powers(acc))
+                    scalar = scalar * radicands[t] ** (m // orders[t])
+            acc = acc + scalar
+        coeffs.append(acc.to_bivariate())
 
     target = tuple(
         Permutation(tuple(index[compose(e, g)] + 1 for e in elems)) for g in gens)
@@ -335,7 +206,7 @@ def synthesize_abelian(elems: Sequence[Permutation], gens: Sequence[Permutation]
     def root_labels_at(w0: complex) -> list[complex]:
         u = []
         for t in range(r):
-            val = wp_eval(radicands[t], w0)
+            val = radicands[t].eval_complex(w0)
             u.append(val ** (1.0 / orders[t]) if val != 0 else 0j)
         out = []
         for e in elems:
@@ -350,20 +221,19 @@ def synthesize_abelian(elems: Sequence[Permutation], gens: Sequence[Permutation]
     return SynthesisResult(tuple(coeffs), target, root_labels_at, desc)
 
 
-def _zpoly_mul_linear(zpoly: list[dict], beta: dict, zero: CycloNum) -> list[dict]:
-    """Multiply a z-polynomial by (z - beta)."""
+def _zpoly_mul_linear(zpoly: list[dict], beta: dict, phi: QiPoly) -> list[dict]:
+    """Multiply a z-polynomial by (z - beta), its scalars reduced mod phi."""
     out: list[dict] = [dict() for _ in range(len(zpoly) + 1)]
+    zero = QiPoly()
     for k, termdict in enumerate(zpoly):
         for expo, scalar in termdict.items():
             # contributes to z^(k+1)
-            cur = out[k + 1].get(expo, zero)
-            out[k + 1][expo] = cur + scalar
+            out[k + 1][expo] = out[k + 1].get(expo, zero) + scalar
             # and to z^k through -beta
             for bexpo, bscalar in beta.items():
                 key = tuple(a + b for a, b in zip(expo, bexpo))
-                cur = out[k].get(key, zero)
-                out[k][key] = cur + (-(scalar * bscalar))
-    return [{e: s for e, s in termdict.items() if not s.is_zero()}
+                out[k][key] = out[k].get(key, zero) - scalar * bscalar
+    return [{e: rest for e, s in termdict.items() if (rest := divmod(s, phi)[1])}
             for termdict in out]
 
 
@@ -437,23 +307,17 @@ def s3_cubic_family(kind: tuple[int, int], c1: GaussianRational,
     """Cubic coefficient polynomials p(w), q(w) whose branch behavior at the
     two hole centers matches the requested generator orders."""
     # affine coordinate sending c1 -> -2 and c2 -> +2
-    span = c2 - c1
-    if span.is_zero():
+    a, b = QiPoly.from_gaussian([c1]), QiPoly.from_gaussian([c2])
+    if not b - a:
         raise ValueError("hole centers must differ")
-    alpha = GaussianRational(Fraction(4)) / span
-    beta = (-(c1 + c2) * GaussianRational(Fraction(2))) / span
-    wt = [beta, alpha]  # the affine image of w, as a polynomial in w
-    two = GaussianRational(Fraction(2))
-    three = GaussianRational(Fraction(3))
-    four = GaussianRational(Fraction(4))
+    wt = divmod(QiPoly.monomial(1).scale(4) - (a + b).scale(2), b - a)[0]
+    two = QiPoly([(2, 0)])
     if kind == (2, 3):
-        shifted = wp_add(wt, [-two])  # wt - 2
-        return wp_mul([three], shifted), wp_mul([four], shifted)
+        return (wt - two).scale(3), (wt - two).scale(4)
     if kind == (3, 2):
-        shifted = wp_add(wt, [two])  # wt + 2
-        return wp_mul([-three], shifted), wp_mul([-four], shifted)
+        return (wt + two).scale(-3), (wt + two).scale(-4)
     if kind == (2, 2):
-        return [-three], wt
+        return QiPoly([(-3, 0)]), wt
     raise SynthesisUnsupported(f"unsupported branch orders {kind}")
 
 
@@ -485,22 +349,20 @@ def synthesize_s3(elems: Sequence[Permutation], gens: Sequence[Permutation],
     p_poly, q_poly = s3_cubic_family(kind, centers[0], centers[1])
     a_c, b_c, c_c, d_c, e_c, f_c = resolvent_constants(twist)
 
-    p2 = wp_mul(p_poly, p_poly)
-    p3 = wp_mul(p2, p_poly)
-    q2 = wp_mul(q_poly, q_poly)
-    pq = wp_mul(p_poly, q_poly)
+    p2 = p_poly * p_poly
+    q2 = q_poly * q_poly
     coeff_w = [
-        wp_add(wp_scale(p3, e_c), wp_scale(q2, f_c)),
-        wp_scale(pq, d_c),
-        wp_scale(p2, c_c),
-        wp_scale(q_poly, b_c),
-        wp_scale(p_poly, a_c),
-        [QI_ZERO],
+        (p2 * p_poly).scale(e_c) + q2.scale(f_c),
+        (p_poly * q_poly).scale(d_c),
+        p2.scale(c_c),
+        q_poly.scale(b_c),
+        p_poly.scale(a_c),
+        QiPoly(),
     ]
-    coeffs = tuple(BivariatePolyQi.from_w_powers(cw) for cw in coeff_w)
+    coeffs = tuple(cw.to_bivariate() for cw in coeff_w)
 
     def root_labels_at(w0: complex) -> list[complex]:
-        pv, qv = wp_eval(p_poly, w0), wp_eval(q_poly, w0)
+        pv, qv = p_poly.eval_complex(w0), q_poly.eval_complex(w0)
         cubic = np.array([1.0, 0.0, pv, qv], dtype=complex)
         roots = np.roots(cubic)
         tw = float(twist)

@@ -50,51 +50,14 @@ class GaussianRational:
         object.__setattr__(self, "re", _frac(self.re))
         object.__setattr__(self, "im", _frac(self.im))
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational((self.re * other.re + self.im * other.im) / d,
-                                (self.im * other.re - self.re * other.im) / d)
-
-    def __pow__(self, k: int) -> "GaussianRational":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    @staticmethod
-    def i() -> "GaussianRational":
-        return GaussianRational(Fraction(0), Fraction(1))
-
 
 QI_ZERO = GaussianRational()
-QI_ONE = GaussianRational(Fraction(1))
 
 
 class BivariatePolyQi:
@@ -113,45 +76,8 @@ class BivariatePolyQi:
         self.terms = cleaned
 
     @staticmethod
-    def constant(c: GaussianRational) -> "BivariatePolyQi":
-        return BivariatePolyQi({(0, 0): c})
-
-    @staticmethod
     def zero() -> "BivariatePolyQi":
         return BivariatePolyQi({})
-
-    def __add__(self, other: "BivariatePolyQi") -> "BivariatePolyQi":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, QI_ZERO) + val
-        return BivariatePolyQi(out)
-
-    def __sub__(self, other: "BivariatePolyQi") -> "BivariatePolyQi":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, QI_ZERO) - val
-        return BivariatePolyQi(out)
-
-    def __mul__(self, other) -> "BivariatePolyQi":
-        if isinstance(other, GaussianRational):
-            return BivariatePolyQi(
-                {k: v * other for k, v in self.terms.items()})
-        out: dict = {}
-        for (a, b), va in self.terms.items():
-            for (c, d), vb in other.terms.items():
-                key = (a + c, b + d)
-                out[key] = out.get(key, QI_ZERO) + va * vb
-        return BivariatePolyQi(out)
-
-    def __pow__(self, k: int) -> "BivariatePolyQi":
-        out = BivariatePolyQi.constant(QI_ONE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BivariatePolyQi) and self.terms == other.terms
@@ -171,17 +97,6 @@ class BivariatePolyQi:
             out += complex(c) * (u ** du) * (v ** dv)
         return out
 
-    @classmethod
-    def from_w_powers(cls, coeffs: Sequence[GaussianRational]) -> "BivariatePolyQi":
-        """Polynomial sum(c_k * w^k) with w = u + i v, expanded over (u, v)."""
-        w = BivariatePolyQi({(1, 0): QI_ONE, (0, 1): GaussianRational.i()})
-        out = BivariatePolyQi.zero()
-        power = BivariatePolyQi.constant(QI_ONE)
-        for c in coeffs:
-            out = out + power * c
-            power = power * w
-        return out
-
     def to_json(self) -> list:
         items = sorted(self.terms.items())
         return [[du, dv, c.re.numerator, c.re.denominator,
@@ -191,8 +106,10 @@ class BivariatePolyQi:
     def from_json(cls, data: Iterable) -> "BivariatePolyQi":
         terms = {}
         for du, dv, ren, red, imn, imd in data:
-            terms[(json_int(du), json_int(dv))] = GaussianRational(
-                _frac((ren, red)), _frac((imn, imd)))
+            key = (json_int(du), json_int(dv))
+            if key in terms:
+                raise ValueError(f"repeated monomial u^{key[0]} v^{key[1]}")
+            terms[key] = GaussianRational(_frac((ren, red)), _frac((imn, imd)))
         return cls(terms)
 
 
@@ -301,13 +218,6 @@ class BaseSpace:
 
     def contains(self, u, v) -> bool:
         return _IntGeometry(self, [(_frac(u), _frac(v))]).contains(0)
-
-    def segment_inside(self, p, q) -> bool:
-        """Both endpoints in the space and the segment misses every open hole."""
-        geo = _IntGeometry(self, [(_frac(p[0]), _frac(p[1])),
-                                  (_frac(q[0]), _frac(q[1]))])
-        return geo.contains(0) and geo.contains(1) and not any(
-            geo.crosses(0, 1, k) for k in range(len(self.holes)))
 
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(),
@@ -454,9 +364,12 @@ class WeierstrassPoly:
         self.coeffs = tuple(coeffs)
         # (du, dv, complex coefficient) of every term, converted once for
         # segment_polys
-        self._complex_terms = tuple(
-            tuple((du, dv, complex(c)) for (du, dv), c in p.terms.items())
-            for p in self.coeffs)
+        try:
+            self._complex_terms = tuple(
+                tuple((du, dv, complex(c)) for (du, dv), c in p.terms.items())
+                for p in self.coeffs)
+        except OverflowError as exc:
+            raise RootFindingError(f"a coefficient overflows a float: {exc}") from None
         self._top_u = max((du for p in self.coeffs for du, _ in p.terms), default=0)
         self._top_v = max((dv for p in self.coeffs for _, dv in p.terms), default=0)
         self._top = max((du + dv for p in self.coeffs for du, dv in p.terms),
@@ -464,13 +377,23 @@ class WeierstrassPoly:
 
     def eval_complex_points(self, points: Sequence[tuple]) -> np.ndarray:
         """Float coefficients at float points (u, v): row k is the fiber over
-        points[k], each entry BivariatePolyQi.eval_complex."""
-        return np.array([[c.eval_complex(u, v) for c in self.coeffs]
-                         for u, v in points], dtype=complex).reshape(-1, self.degree)
+        points[k], each entry BivariatePolyQi.eval_complex. Raises
+        RootFindingError when a coefficient overflows a float."""
+        try:
+            out = np.array([[c.eval_complex(u, v) for c in self.coeffs]
+                            for u, v in points], dtype=complex)
+            if np.isfinite(out).all():
+                return out.reshape(-1, self.degree)
+        except OverflowError:
+            pass
+        raise RootFindingError(
+            f"a coefficient overflows a float at one of the points {points}")
 
     def eval_complex(self, u: float, v: float) -> np.ndarray:
         return self.eval_complex_points(((u, v),))[0]
 
+    # an overflow is detected on the result below, not warned of
+    @np.errstate(over="ignore", invalid="ignore")
     def segment_polys(self, segments: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """The coefficients along straight segments with rational endpoints:
         c[q, l, k] is the float coefficient of s^l in a_k(a + s (b - a)) on
@@ -485,6 +408,8 @@ class WeierstrassPoly:
         values (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
         ed., sec. 3.1), which is low by at most a factor 1 + gamma_d; and
         gamma_d (1 + gamma_d) <= gamma_2d. Underflow is not modelled.
+        Raises RootFindingError when a coefficient or its bound overflows a
+        float.
         """
         count, top = len(segments), self._top
         inputs = np.array([[float(a[0]), float(a[1]), float(b[0] - a[0]),
@@ -515,7 +440,12 @@ class WeierstrassPoly:
                 major[:, :du + dv + 1, k] += abs(c) * mono[1]
         terms = max((len(t) for t in self._complex_terms), default=0)
         d = 4 * top + terms + 6
-        return coeffs, gamma(2 * d) * major.sum(axis=1)
+        err = gamma(2 * d) * major.sum(axis=1)
+        if not (np.isfinite(coeffs).all() and np.isfinite(err).all()):
+            raise RootFindingError(
+                "a coefficient or its error bound overflows a float on a "
+                "loop segment")
+        return coeffs, err
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeierstrassPoly)

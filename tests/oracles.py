@@ -5,7 +5,7 @@ and base-space geometry in Fractions."""
 import math
 from fractions import Fraction
 
-from splitcover.wpoly import QI_ZERO, GaussianRational, _frac
+from splitcover.wpoly import GaussianRational, _frac
 
 
 def eval_exact(poly, u, v) -> GaussianRational:
@@ -13,15 +13,16 @@ def eval_exact(poly, u, v) -> GaussianRational:
     u, v = _frac(u), _frac(v)
     pow_u: dict[int, Fraction] = {0: Fraction(1)}
     pow_v: dict[int, Fraction] = {0: Fraction(1)}
-    out = QI_ZERO
+    re = im = Fraction(0)
     for (du, dv), c in poly.terms.items():
         if du not in pow_u:
             pow_u[du] = u ** du
         if dv not in pow_v:
             pow_v[dv] = v ** dv
         scale = pow_u[du] * pow_v[dv]
-        out = out + GaussianRational(c.re * scale, c.im * scale)
-    return out
+        re += c.re * scale
+        im += c.im * scale
+    return GaussianRational(re, im)
 
 
 def fiber_exact(f, u, v, space) -> list:
@@ -92,7 +93,7 @@ def segment_dist2(p, q, c) -> Fraction:
 
 
 def segment_inside(space, p, q) -> bool:
-    """BaseSpace.segment_inside, decided in Fractions."""
+    """Whether the segment pq lies in the space, decided in Fractions."""
     def contains(x):
         return _dist2(x, space.outer.center) <= space.outer.radius ** 2 and all(
             _dist2(x, h.center) >= h.radius ** 2 for h in space.holes)

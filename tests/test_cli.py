@@ -6,6 +6,7 @@ import pytest
 
 from splitcover.cli import build_parser, main
 from splitcover.permgroup import Permutation, closure
+from splitcover.qipoly import QiPoly
 from splitcover.wpoly import (
     BaseSpace,
     BivariatePolyQi,
@@ -66,7 +67,7 @@ def test_initial_step_beyond_the_loop_is_input_error(step, space, w0, tmp_path,
     # z^2 - (w - w0) with w0 in the hole has monodromy [[2, 1]]; a step is
     # a fraction of the loop's arclength, so one longer than the loop is
     # refused
-    a0 = BivariatePolyQi.from_w_powers([qi(w0.real, w0.imag), qi(-1)])
+    a0 = QiPoly.from_gaussian([qi(w0.real, w0.imag), qi(-1)]).to_bivariate()
     f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
     poly = write_json(tmp_path / "poly.json", {"polynomial": f.to_json(),
                                                "base_space": space.to_json()})
@@ -83,7 +84,7 @@ def test_initial_step_beyond_the_loop_is_input_error(step, space, w0, tmp_path,
 def test_a_step_of_the_whole_loop_is_certified_or_cut(space, w0, tmp_path, capsys):
     # the inputs above with initial_step 1: the first step may be as long
     # as the loop, and only steps the Rouche test proves are taken
-    a0 = BivariatePolyQi.from_w_powers([qi(w0.real, w0.imag), qi(-1)])
+    a0 = QiPoly.from_gaussian([qi(w0.real, w0.imag), qi(-1)]).to_bivariate()
     f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
     poly = write_json(tmp_path / "poly.json", {"polynomial": f.to_json(),
                                                "base_space": space.to_json()})
@@ -317,6 +318,42 @@ def test_polynomial_file_that_is_not_an_object_is_input_error(payload, tmp_path,
     assert main(["monodromy", path, "--base-space", space]) == 4
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
+
+
+def test_repeated_monomial_is_input_error(tmp_path, capsys):
+    # z^2 - u + u - iv: the second -u term used to replace the first, so the
+    # run tracked z^2 + u - iv and exited 0
+    poly = {"degree": 2, "coeffs": [[[1, 0, -1, 1, 0, 1], [1, 0, 1, 1, 0, 1],
+                                     [0, 1, 0, 1, -1, 1]], []]}
+    path = write_json(tmp_path / "poly.json", poly)
+    space = write_json(tmp_path / "space.json", default_base_space(1).to_json())
+    out = tmp_path / "out.json"
+    assert main(["monodromy", path, "--base-space", space, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "repeated monomial u^1 v^0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a0", [
+    [[0, 0, -1, 1, 0, 1], [0, 400, -1, 1, 0, 1]],
+    [[0, 0, -1, 1, 0, 1], [0, 300, -1, 1, 0, 1]],
+    [[0, 0, -1, 1, 0, 1], [1000, 0, -1, 1, 0, 1]],
+    [[0, 0, -10 ** 400, 1, 0, 1], [1, 0, 1, 1, 0, 1]],
+], ids=["v400_at_basepoint", "v300_on_seed_circle", "u1000_on_a_segment",
+        "huge_coefficient"])
+def test_float_overflow_is_numerical_error(a0, tmp_path, capsys):
+    # z^2 + a0 on the one-hole space: -1 - v^400 overflows at the basepoint
+    # (0, -8), -1 - v^300 does not but its root solver's seeds do, and
+    # -1 - u^1000 is -1 at the basepoint and overflows along a loop segment;
+    # each used to raise, or to warn in numpy, which pytest turns into an
+    # error
+    path = write_json(tmp_path / "poly.json", {"degree": 2, "coeffs": [a0, []]})
+    space = write_json(tmp_path / "space.json", default_base_space(1).to_json())
+    out = tmp_path / "out.json"
+    assert main(["monodromy", path, "--base-space", space, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "overflow" in err and "a float" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # -- seeded fuzzing of every JSON input: types and structure, not magnitudes --

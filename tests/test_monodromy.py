@@ -26,8 +26,8 @@ from splitcover.monodromy import (
     track_loop,
 )
 from splitcover.permgroup import Permutation, closure, compose
+from splitcover.qipoly import QiPoly
 from splitcover.wpoly import (
-    QI_ZERO,
     BivariatePolyQi,
     GaussianRational,
     LoopPath,
@@ -56,7 +56,7 @@ def power_model(k):
 def constant_model(n):
     """Constant coefficients: roots are the n-th roots of unity everywhere."""
     x = default_base_space(1)
-    coeffs = [BivariatePolyQi.constant(qi(-1))] + \
+    coeffs = [BivariatePolyQi({(0, 0): qi(-1)})] + \
         [BivariatePolyQi.zero()] * (n - 1)
     return WeierstrassPoly(n, coeffs), x
 
@@ -129,7 +129,7 @@ def test_homomorphism_property_on_generator_pairs():
     # two-hole family z^4 - 4w z^2 + 16: Klein four monodromy
     x = default_base_space(2)
     a2 = BivariatePolyQi({(1, 0): qi(-4), (0, 1): qi(0, -4)})
-    f = WeierstrassPoly(4, [BivariatePolyQi.constant(qi(16)),
+    f = WeierstrassPoly(4, [BivariatePolyQi({(0, 0): qi(16)}),
                             BivariatePolyQi.zero(), a2,
                             BivariatePolyQi.zero()])
     loops = generator_loops(x)
@@ -144,7 +144,7 @@ def test_homomorphism_property_on_generator_pairs():
 
 def test_characteristic_hom_identity_for_linear():
     x = default_base_space(1)
-    f = WeierstrassPoly(1, [BivariatePolyQi.constant(qi(7))])
+    f = WeierstrassPoly(1, [BivariatePolyQi({(0, 0): qi(7)})])
     rep = characteristic_hom(f, x)
     assert rep.degree == 1 and rep.perms[0].is_identity()
 
@@ -272,14 +272,10 @@ def radical_family(n, c, exponents):
     """z^n - c * prod (w - x_i)^k_i over the default space with one hole per
     exponent, x_i the hole centres."""
     x = default_base_space(len(exponents))
-    w_coeffs = [c]  # lowest power of w first
+    a0 = QiPoly.from_gaussian([c])
     for hole, k in zip(x.holes, exponents):
-        centre = qi(hole.center[0])
-        for _ in range(k):
-            w_coeffs = [(w_coeffs[i - 1] if i else QI_ZERO)
-                        - (centre * w_coeffs[i] if i < len(w_coeffs) else QI_ZERO)
-                        for i in range(len(w_coeffs) + 1)]
-    a0 = BivariatePolyQi.from_w_powers([-a for a in w_coeffs])
+        a0 = a0 * (QiPoly.monomial(1) - QiPoly.from_gaussian([qi(hole.center[0])])) ** k
+    a0 = (-a0).to_bivariate()
     return WeierstrassPoly(n, [a0] + [BivariatePolyQi.zero()] * (n - 1)), x
 
 

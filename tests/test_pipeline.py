@@ -58,8 +58,8 @@ def test_regular_representation_s3():
     images = table.action
     assert len(group.elements()) == 6
     assert all(p.degree == 6 for p in images)
-    assert closure(images).order() == 6
-    assert closure(images).is_regular()
+    regular = closure(images)
+    assert regular.order() == 6 and regular.is_transitive()
 
 
 def test_align_regular_labelings_round_trip():
@@ -195,7 +195,7 @@ def test_embed_klein_rank_extension(realized_z2):
 def test_embed_rejects_reducible_base():
     space = default_base_space(1)
     f = WeierstrassPoly(
-        2, [BivariatePolyQi.constant(qi(-1)), BivariatePolyQi.zero()])
+        2, [BivariatePolyQi({(0, 0): qi(-1)}), BivariatePolyQi.zero()])
     with pytest.raises(IrreducibilityFailureError):
         solve_semitop_embedding(f, space, Z2, (Permutation.identity(1),))
 
@@ -203,7 +203,7 @@ def test_embed_rejects_reducible_base():
 def test_run_monodromy_constant_coefficients():
     space = default_base_space(1)
     f = WeierstrassPoly(
-        2, [BivariatePolyQi.constant(qi(-1)), BivariatePolyQi.zero()])
+        2, [BivariatePolyQi({(0, 0): qi(-1)}), BivariatePolyQi.zero()])
     report = run_monodromy(f, space)
     assert report.artifacts["irreducible"] is False
     assert report.artifacts["deck_order"] == 1

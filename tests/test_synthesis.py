@@ -6,7 +6,6 @@ import pytest
 from oracles import eval_exact
 from splitcover.permgroup import Permutation, closure, compose
 from splitcover.synthesis import (
-    CycloNum,
     SynthesisUnsupported,
     cyclotomic_polynomial,
     resolvent_constants,
@@ -14,6 +13,7 @@ from splitcover.synthesis import (
     synthesize_s3,
 )
 from splitcover.certify import certify
+from splitcover.qipoly import QiPoly
 from splitcover.wpoly import GaussianRational, default_base_space, roots_at
 
 
@@ -25,30 +25,35 @@ def perm(*cycles, n):
     return Permutation.from_cycles(n, [tuple(c) for c in cycles])
 
 
-def fr(*vals):
-    return [Fraction(v) for v in vals]
-
 
 def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == tuple(fr(-1, 1))
-    assert cyclotomic_polynomial(2) == tuple(fr(1, 1))
-    assert cyclotomic_polynomial(3) == tuple(fr(1, 1, 1))
-    assert cyclotomic_polynomial(4) == tuple(fr(1, 0, 1))
-    assert cyclotomic_polynomial(6) == tuple(fr(1, -1, 1))
-    assert cyclotomic_polynomial(12) == tuple(fr(1, 0, -1, 0, 1))
+    def phi(*vals):
+        return QiPoly([(v, 0) for v in vals])
+
+    assert cyclotomic_polynomial(1) == phi(-1, 1)
+    assert cyclotomic_polynomial(2) == phi(1, 1)
+    assert cyclotomic_polynomial(3) == phi(1, 1, 1)
+    assert cyclotomic_polynomial(4) == phi(1, 0, 1)
+    assert cyclotomic_polynomial(6) == phi(1, -1, 1)
+    assert cyclotomic_polynomial(12) == phi(1, 0, -1, 0, 1)
 
 
 def test_cyclo_num_relations():
-    z3 = CycloNum.zeta_power(3, 1)
-    total = CycloNum.rational(3, 1) + z3 + z3 * z3
-    assert total.is_zero()
-    z4 = CycloNum.zeta_power(4, 1)
-    assert (z4 * z4 + CycloNum.rational(4, 1)).is_zero()
+    # elements of Q(zeta_n) as QiPoly in zeta reduced mod Phi_n
+    def zeta(n, k):
+        return divmod(QiPoly.monomial(k), cyclotomic_polynomial(n))[1]
+
+    def reduce(n, x):
+        return divmod(x, cyclotomic_polynomial(n))[1]
+
+    one = QiPoly.monomial(0)
+    assert not reduce(3, one + zeta(3, 1) + zeta(3, 1) * zeta(3, 1))
+    assert not reduce(4, zeta(4, 1) * zeta(4, 1) + one)
     for n in (2, 3, 4, 5, 6, 8, 12):
-        total = CycloNum.rational(n, 0)
+        total = QiPoly()
         for k in range(n):
-            total = total + CycloNum.zeta_power(n, k)
-        assert total.is_zero(), n
+            total = total + zeta(n, k)
+        assert not total, n
 
 
 def test_abelian_z2_is_square_root_family():

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from oracles import bounding_box, eval_exact, fiber_exact, sample_grid
 from splitcover.certify import certify, discriminant
+from splitcover.qipoly import QiPoly
 from splitcover.roots import _block_gaps
 from splitcover.wpoly import (
     RootFindingError,
@@ -35,10 +36,14 @@ def qi(re, im=0):
 
 
 def test_gaussian_rational_arithmetic():
-    a, b = qi(1, 2), qi(3, -1)
-    assert a + b == qi(4, 1)
-    assert a * b == qi(5, 5)
-    assert (a / b) * b == a
+    # Q(i) arithmetic on constant QiPoly, and the float value of a
+    # GaussianRational
+    a, b = QiPoly.from_gaussian([qi(1, 2)]), QiPoly.from_gaussian([qi(3, -1)])
+    assert a + b == QiPoly.from_gaussian([qi(4, 1)])
+    assert a * b == QiPoly.from_gaussian([qi(5, 5)])
+    quotient, rest = divmod(a, b)
+    assert quotient * b == a and not rest
+    assert quotient == QiPoly.from_gaussian([qi(Fraction(1, 10), Fraction(7, 10))])
     assert a ** 3 == a * a * a
     assert complex(qi(Fraction(1, 2), 1)) == 0.5 + 1j
 
@@ -53,7 +58,7 @@ def test_bivariate_poly_eval():
 
 def test_bivariate_from_w_powers():
     # w^2 = (u^2 - v^2) + 2i uv
-    p = BivariatePolyQi.from_w_powers([qi(0), qi(0), qi(1)])
+    p = QiPoly.monomial(2).to_bivariate()
     assert eval_exact(p, Fraction(2), Fraction(3)) == qi(-5, 12)
 
 
@@ -86,10 +91,19 @@ def test_extend_base_space_appends_right():
     assert [h.center[0] for h in x2.holes] == [0, 4]
 
 
+def segment_inside(space, p, q) -> bool:
+    """Whether the closed path p -> q -> p passes validate_loop."""
+    try:
+        validate_loop(space, LoopPath((p, q, p)))
+    except GeometryError:
+        return False
+    return True
+
+
 def test_segment_inside():
     x = default_base_space(1)
-    assert x.segment_inside((Fraction(-3), Fraction(0)), (Fraction(-3), Fraction(5)))
-    assert not x.segment_inside((Fraction(-3), Fraction(0)), (Fraction(3), Fraction(0)))
+    assert segment_inside(x, (Fraction(-3), Fraction(0)), (Fraction(-3), Fraction(5)))
+    assert not segment_inside(x, (Fraction(-3), Fraction(0)), (Fraction(3), Fraction(0)))
     # the integer kernel against the same predicate in Fractions, on segments
     # of a half-integer grid, half of them axis-parallel, so that many touch
     # a hole exactly, at an end or at the foot of the perpendicular
@@ -105,7 +119,7 @@ def test_segment_inside():
         p, q = (grid(), grid()), (grid(), grid())
         if k % 2:
             q = (q[0], p[1]) if k % 4 == 1 else (p[0], q[1])
-        assert space.segment_inside(p, q) == oracles.segment_inside(space, p, q), (p, q)
+        assert segment_inside(space, p, q) == oracles.segment_inside(space, p, q), (p, q)
 
 
 def test_loop_path_requires_closure():
@@ -199,18 +213,18 @@ def test_generator_loops_requires_sorted_holes():
 
 def _constant_forms(low):
     """w-forms of constant coefficients a_0, ..., a_{n-1}."""
-    return [[qi(Fraction(c.real), Fraction(c.imag))] if c else []
+    return [QiPoly.from_gaussian([qi(Fraction(c.real), Fraction(c.imag))])
             for c in map(complex, low)]
 
 
 def test_discriminant_quadratic_and_cubic():
     # z^2 - 1: discriminant 4; z^2: discriminant 0 everywhere
-    assert discriminant(_constant_forms([-1, 0])) == [qi(4)]
-    assert discriminant(_constant_forms([0, 0])) == []
+    assert discriminant(_constant_forms([-1, 0])) == QiPoly([(4, 0)])
+    assert not discriminant(_constant_forms([0, 0]))
     # z^3 - 1: -4 p^3 - 27 q^2 with p = 0, q = -1
-    assert discriminant(_constant_forms([-1, 0, 0])) == [qi(-27)]
+    assert discriminant(_constant_forms([-1, 0, 0])) == QiPoly([(-27, 0)])
     # degree 1 has no discriminant locus
-    assert discriminant(_constant_forms([5 + 1j])) == [qi(1)]
+    assert discriminant(_constant_forms([5 + 1j])) == QiPoly([(1, 0)])
 
 
 def test_discriminant_matches_root_products():
@@ -229,10 +243,7 @@ def test_discriminant_matches_root_products():
             for j in range(i + 1, n):
                 expected *= (roots[i] - roots[j]) ** 2
         got = discriminant(_constant_forms(low))
-        if expected == 0:
-            assert got == []
-        else:
-            assert got == [qi(Fraction(expected.real), Fraction(expected.imag))]
+        assert got == QiPoly([(int(expected.real), int(expected.imag))])
 
 
 def test_roots_at_simple_cases():
@@ -359,7 +370,7 @@ def test_weierstrass_poly_rejects_singular_family():
 
 def test_weierstrass_constant_coefficients():
     x = default_base_space(1)
-    f = WeierstrassPoly(2, [BivariatePolyQi.constant(qi(-1)), BivariatePolyQi.zero()])
+    f = WeierstrassPoly(2, [BivariatePolyQi({(0, 0): qi(-1)}), BivariatePolyQi.zero()])
     vals = fiber_exact(f, *x.basepoint, x)
     assert vals[0] == qi(-1)
 
@@ -413,7 +424,7 @@ def test_eval_complex_points_is_bit_identical_to_eval_complex():
                                (1, 3): qi(Fraction(-3, 4), Fraction(1, 9)),
                                (4, 0): qi(0, Fraction(7, 5))}),
               BivariatePolyQi.zero(),
-              BivariatePolyQi.from_w_powers([qi(2), qi(-1, 3), qi(0, 1), qi(1)])]
+              QiPoly.from_gaussian([qi(2), qi(-1, 3), qi(0, 1), qi(1)]).to_bivariate()]
     f = WeierstrassPoly(3, coeffs)
     rng = random.Random(7)
     points = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(200)]
@@ -439,8 +450,9 @@ def test_validation_names_the_first_bad_grid_point():
     # z^2 - (w - 10i/7)(w - 10/7) has double roots over (0, 10/7) and
     # (10/7, 0); both branch points lie in the space
     x = default_base_space(1)
-    a, b = qi(0, Fraction(10, 7)), qi(Fraction(10, 7))
-    a0 = BivariatePolyQi.from_w_powers([-(a * b), a + b, qi(-1)])
+    w = QiPoly.monomial(1)
+    a, b = QiPoly.from_gaussian([qi(0, Fraction(10, 7))]), QiPoly.from_gaussian([qi(Fraction(10, 7))])
+    a0 = (-(w - a) * (w - b)).to_bivariate()
     cert = certify([a0, BivariatePolyQi.zero()], x)
     assert (cert.discriminant_degree, cert.zeros_in_outer_disc,
             cert.zeros_per_hole) == (2, 2, (0,))
