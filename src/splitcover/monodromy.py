@@ -1,11 +1,20 @@
 """Certified continuation of Weierstrass polynomial root systems along loops.
 
-On a loop segment [a, b] each coefficient a_k(a + s (b - a)) is a polynomial
-in s with a bound on its float error. A step [s0, s0 + h] is taken only when
-Rouche's theorem proves it on discs of radius R_j = 0.2 times the distance
-from root r_j to the nearest other one, so each disc holds one root all
-along the step; steps grow as far as the proof allows. All loops of a fiber
-are tracked in one stack, each row making the decisions it would alone.
+A fiber's loops are cut into their straight segments, and each distinct
+segment is tracked once, whichever direction and however often the loops
+traverse it: the return leg of a generator loop retraces its first segment
+and is not tracked again. The fiber at every distinct loop vertex is solved
+in one stacked root solve, and every segment becomes a row of one stack,
+tracked from the fiber at its start vertex (s = 0) to its end vertex
+(s = 1). On a segment [a, b] each coefficient a_k(a + s (b - a)) is a
+polynomial in s with a bound on its float error. A step [s0, s0 + h] is
+taken only when Rouche's theorem proves it on discs of radius R_j = 0.2
+times the distance from root r_j to the nearest other one, so each disc
+holds one root all along the step; steps grow as far as the proof allows,
+and each row makes the decisions it would make alone. At a segment's end
+each root enclosure must meet exactly one enclosure of the fiber certified
+at its end vertex; a loop's permutation composes these matchings along it,
+inverted where the loop runs a segment backwards.
 References: B. T. Smith, J. ACM 17 (1970), for the root enclosures; Beltran
 and Leykin, Exp. Math. 21 (2012), and Guillemot and Lairez, ISSAC 2024.
 """
@@ -32,6 +41,8 @@ from .roots import gamma
 from .wpoly import (
     BaseSpace,
     LoopPath,
+    MultipleRootError,
+    RootFindingError,
     WeierstrassPoly,
     generator_loops,
     min_gap,
@@ -40,12 +51,14 @@ from .wpoly import (
 
 
 class StepUnderflowError(RuntimeError):
-    """No step above min_step could be certified; the loop runs too close to
-    the discriminant locus."""
+    """No step above min_step could be certified, or the fiber at a loop
+    vertex could not be solved or certified; the loop runs too close to the
+    discriminant locus."""
 
 
 class FiberMatchError(RuntimeError):
-    """Endpoint roots could not be matched unambiguously to the start fiber."""
+    """A segment's end roots could not be matched unambiguously to the fiber
+    at its end vertex."""
 
 
 @dataclass(frozen=True)
@@ -137,8 +150,8 @@ def _monic_values(low: np.ndarray, z: np.ndarray):
     a_0 .. a_{n-1} are the rows of low (rows, n)."""
     n = low.shape[1]
     pw = _powers(z, n)
-    p = (pw[..., :n] * low[:, None, :]).sum(axis=-1) + pw[..., n]
-    dp = (pw[..., :n - 1] * (low[:, None, 1:] * np.arange(1.0, n))).sum(axis=-1) \
+    p = (pw[..., :n] @ low[:, :, None])[..., 0] + pw[..., n]
+    dp = (pw[..., :n - 1] @ (low[:, 1:] * np.arange(1.0, n))[:, :, None])[..., 0] \
         + n * pw[..., n - 1]
     return p, dp
 
@@ -146,11 +159,11 @@ def _monic_values(low: np.ndarray, z: np.ndarray):
 def _shift(c: np.ndarray, s0: np.ndarray) -> np.ndarray:
     """Taylor shift: the coefficients in t of p(s0 + t) from those of p(s)
     on axis 1 of c, low power first; row q shifts by s0[q]. Each term
-    c_l binom(l, i) s0^(l - i) takes at most 2D + 1 roundings, so against
-    h^i with s0 + h <= 1 the error is at most gamma_(2D+1) sum_l |c_l|."""
+    c_l binom(l, i) s0^(l - i) takes at most 2D + 1 roundings, summed in any
+    order, so against h^i with s0 + h <= 1 the error is at most
+    gamma_(2D+1) sum_l |c_l|."""
     index, binomial = _taylor_table(c.shape[1] - 1)
-    shift = _powers(s0, c.shape[1] - 1)[:, index] * binomial
-    return (shift[:, :, :, None] * c[:, None, :, :]).sum(axis=2)
+    return (_powers(s0, c.shape[1] - 1)[:, index] * binomial) @ c
 
 
 class _Certificate(NamedTuple):
@@ -245,9 +258,12 @@ def _certify(c: np.ndarray, ebar: np.ndarray, r: np.ndarray,
         tangent = -c[:, 1, 0, None] / der
     elif top1 > 1 and moving > 0:
         g = c[:, None, 1:, :moving + 1]                   # (rows, 1, D, K + 1)
+        # expand[q, j, k, m] = binom(k, m) r_j^(k - m), built in place
         index, binomial = _taylor_table(moving)
-        expand = _powers(r, moving)[:, :, index] * binomial
-        b = (expand[:, :, None] * g[:, :, :, None, :]).sum(axis=-1)
+        expand = _powers(r, moving)[:, :, index.T]
+        expand *= binomial.T
+        b = g @ expand
+        del expand  # the largest temporary, freed before the next ones
         rp = _powers(np.stack((R, reach)), moving)[:, :, :, None, :]
         growth = ((np.abs(b) * rp[0]).sum(axis=-1)
                   + gamma(4 * n + 4) * (np.abs(g) * rp[1]).sum(axis=-1)) \
@@ -263,130 +279,234 @@ def _apart(z: np.ndarray, z_rho: np.ndarray, w: np.ndarray,
     return dist > (z_rho[..., :, None] + w_rho[..., None, :]) * (1 + gamma(3))
 
 
-def _track_rows(f: WeierstrassPoly, loops: Sequence[LoopPath],
-                cfg: TrackingConfig, start: np.ndarray) -> tuple[list, dict]:
-    """Continue the start fiber along every loop in one stack, a row per
-    loop: per row its permutation and end fiber, or its error, and the
-    summary. A row keeps its own segment, position s, step h (a fraction of
-    its loop's arclength) and certificate. Once a row fails the rows after
-    it stop, as callers report the first failing row; they stay None.
+class _Ends(NamedTuple):
+    """Per tracked row: the roots and enclosure radii at s = 1, the s at which
+    its step fell below min_step (nan when it finished), its accepted and
+    rejected steps, and the smallest disc radius met with the s where; and
+    the stack steps taken."""
+
+    roots: np.ndarray
+    rho: np.ndarray
+    failed_at: np.ndarray
+    accepted: np.ndarray
+    rejected: np.ndarray
+    smallest: np.ndarray
+    where: np.ndarray
+    stack_steps: int
+
+
+def _start(coeffs: np.ndarray, err: np.ndarray,
+           fibers: np.ndarray) -> tuple[np.ndarray, int, _Certificate]:
+    """For segment rows with coefficients coeffs and errors err
+    (segment_polys): ebar, the bound _track_rows takes, the highest power of
+    z with a coefficient varying along some row (-1 for none), and each
+    row's certificate at s = 0 from the roots fibers[q] there.
+
+    On a segment a_k is off by at most err_k, and a Taylor shift adds
+    gamma_(2D+1) sum_l |c_lk|; ebar_k = 2 err_k + gamma_(3D+4) sum_l |c_lk|,
+    moved up by gamma_(D+6), bounds the error of f at a point and of
+    f(., s) - f(., s0), times |z|^k. Run under np.errstate(all="ignore").
+    """
+    top = coeffs.shape[1] - 1
+    moving = int(max(np.flatnonzero((coeffs[:, 1:] != 0).any(axis=(0, 1))), default=-1))
+    ebar = (2 * err + gamma(3 * top + 4) * np.abs(coeffs).sum(axis=1)) \
+        * (1 + gamma(top + 6))
+    return ebar, moving, _certify(coeffs, ebar, fibers, moving)
+
+
+def _track_rows(coeffs: np.ndarray, ebar: np.ndarray, share: np.ndarray,
+                cert: _Certificate, cfg: TrackingConfig, moving: int) -> _Ends:
+    """Continue every row, a segment with coefficients coeffs[q], from its
+    certificate cert at s = 0 to s = 1, in one stack (see _start for ebar and
+    moving). A row keeps its own position s, step h and certificate, and
+    stops when it reaches s = 1 or its step falls below min_step; h is a
+    fraction of the arclength of a loop of which the segment takes the
+    share share[q]. Run under np.errstate(all="ignore").
 
     A step s0 -> s1 is taken when the certificate at s0 proves it and the one
     at s1 (tangent predictor, a Newton step) proves enclosures clear of the
     other roots' discs at s0, so each holds its own root's continuation. h
     grows by min(2, 0.8 / ratio), up to 1; a rejection cuts it to a quarter
-    to a half. Each end enclosure must meet exactly one start enclosure.
+    to a half.
+    """
+    rows, n = cert.roots.shape
+    ends = _Ends(np.full((rows, n), np.nan, dtype=complex), np.full((rows, n), np.nan),
+                 np.full(rows, np.nan), np.zeros(rows, dtype=int),
+                 np.zeros(rows, dtype=int), cert.R.min(axis=1), np.zeros(rows), 0)
+    stack_steps, row = 0, np.arange(rows)
+    s, h = np.zeros(rows), np.full(rows, cfg.initial_step)
+    cert = cert.take(row)  # a copy: the rows' certificates change in place
+    while row.size:
+        stack_steps += 1
+        s1 = np.minimum(1.0, s + h / share[row])
+        ratio = cert.ratio((s1 - s) * _WIDEN)
+        ok = np.zeros(row.size, dtype=bool)
+        idx = np.flatnonzero(ratio < 1)
+        if idx.size:
+            c1 = _shift(coeffs[row[idx]], s1[idx])
+            guess = cert.roots[idx] + (s1 - s)[idx, None] * cert.tangent[idx]
+            p, dp = _monic_values(c1[:, 0], guess)
+            new = _certify(c1, ebar[row[idx]], guess - p / dp, moving)
+            good = (new.lower > 0).all(axis=1) & (
+                _apart(new.roots, new.rho, cert.roots[idx], cert.R[idx])
+                | np.eye(n, dtype=bool)).all(axis=(1, 2))
+            ok[idx[good]] = True
+            if good.all() and idx.size == row.size:
+                cert = new
+            else:
+                cert.put(idx[good], new.take(good))
+            s[idx[good]] = s1[idx[good]]
+        h = np.minimum(1.0, h * np.where(ok, np.minimum(2.0, 0.8 / ratio),
+                                         np.clip(0.8 / ratio, 0.25, 0.5)))
+        ends.accepted[row] += ok
+        ends.rejected[row] += ~ok
+        radius = cert.R.min(axis=1)
+        lower = ok & (radius < ends.smallest[row])
+        ends.smallest[row[lower]], ends.where[row[lower]] = radius[lower], s[lower]
+        # also after an accepted step: near a branch point the floor can
+        # keep the ratio above 0.8, and s stops moving while h shrinks
+        finished = ok & (s == 1.0)
+        under = ~finished & (h < cfg.min_step)
+        ends.roots[row[finished]], ends.rho[row[finished]] = \
+            cert.roots[finished], cert.rho[finished]
+        ends.failed_at[row[under]] = s[under]
+        keep = ~under & ~finished
+        if not keep.all():
+            row, s, h = row[keep], s[keep], h[keep]
+            cert = cert.take(keep)
+    return ends._replace(stack_steps=stack_steps)
 
-    Errors: on a segment a_k is off by at most err_k (segment_polys), and a
-    Taylor shift adds gamma_(2D+1) sum_l |c_lk|; ebar_k = 2 err_k +
-    gamma_(3D+4) sum_l |c_lk|, moved up by gamma_(D+6), bounds the error of
-    f at a point and of f(., s) - f(., s0), times |z|^k.
+
+def _underflow(t: float) -> StepUnderflowError:
+    return StepUnderflowError(f"root gap collapsed near t={t:.6f}; loop too "
+                              f"close to the discriminant locus")
+
+
+def _track_loops(f: WeierstrassPoly, loops: Sequence[LoopPath],
+                 cfg: TrackingConfig, start: np.ndarray) -> tuple[list, dict]:
+    """Continue the start fiber along every loop, all based at the first
+    loop's basepoint: per loop its permutation, or its first error along it,
+    and the summary. Every distinct segment is one row of _track_rows; its
+    start fiber is the one solved at its start vertex (start at the
+    basepoint). A vertex that starts no segment gets a row of zero length
+    for its coefficients. A vertex fails when its fiber cannot be solved or
+    its certificate proves no step; segments at a failed vertex are not
+    tracked, and a loop reaching one fails there.
     """
     count, n = len(loops), len(start)
-    summary = dict(certified=True, stack_steps=0, accepted_steps=0, rejected_steps=0,
-                   steps_per_loop=[0] * count, min_disc_radius=None)
+    summary = dict(certified=True, segments=0, vertex_fibers=0, stack_steps=0,
+                   accepted_steps=0, rejected_steps=0, min_disc_radius=None)
     if n == 1 or not count:
-        return [(Permutation((1,)), start.copy()) for _ in loops], summary
-    segments = [seg for loop in loops for seg in zip(loop.vertices, loop.vertices[1:])]
-    coeffs, err = f.segment_polys(segments)
-    top = coeffs.shape[1] - 1
-    moving = int(max(np.flatnonzero((coeffs[:, 1:] != 0).any(axis=(0, 1))), default=-1))
-    # per segment: its share of its loop's arclength, the share before it,
-    # and the index of its loop's last segment
-    share, begin, last = [], [], []
-    for loop in loops:
+        return [Permutation((1,))] * count, summary
+    # vertices are numbered in the order first reached, from the basepoint 0,
+    # and keyed by their integers, which hash faster than Fractions
+    number, points = {}, []
+    segment = {}           # (a, b) of each distinct segment, as first traversed
+    share, first = [], []  # per segment: its share of that loop, and (loop, t)
+    walks = []             # per loop: (segment, forward, t at its start, share)
+    for i, loop in enumerate(loops):
+        path = []
+        for x, y in loop.vertices:
+            path.append(number.setdefault(
+                (x.numerator, x.denominator, y.numerator, y.denominator), len(points)))
+            if path[-1] == len(points):
+                points.append((x, y))
+        if path[0]:
+            raise ValueError("loops tracked together must share their basepoint")
         pts = np.array([complex(float(x), float(y)) for x, y in loop.vertices])
         lengths = np.abs(np.diff(pts))
         lengths /= lengths.sum() or 1.0
-        share += lengths.tolist()
-        begin += (np.cumsum(lengths) - lengths).tolist()
-        last += [len(share) - 1] * len(lengths)
-    share, begin, last = np.array(share), np.array(begin), np.array(last)
+        walk = []
+        for a, b, size, t in zip(path, path[1:], lengths.tolist(),
+                                 (np.cumsum(lengths) - lengths).tolist()):
+            forward = (b, a) not in segment
+            key = (a, b) if forward else (b, a)
+            if key not in segment:
+                segment[key] = len(segment)
+                share.append(size)
+                first.append((i, t))
+            walk.append((segment[key], forward, t, size))
+        walks.append(walk)
+    rows = list(segment)
+    orphans = sorted(set(range(len(points))) - {a for a, _ in rows})
+    coeffs, err = f.segment_polys([(points[a], points[b]) for a, b in rows]
+                                  + [(points[v], points[v]) for v in orphans])
+    head = np.array([a for a, _ in rows] + orphans)
+    tail = np.array([b for _, b in rows])
+    rep = np.unique(head, return_index=True)[1]  # the first row from each vertex
 
-    results: list = [None] * count
-    first_failed, row = count, np.arange(count)
-    seg = np.array([0] + [len(loop.vertices) - 1 for loop in loops[:-1]]).cumsum()
-    s, h = np.zeros(count), np.full(count, cfg.initial_step)
-    accepted, rejected = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    # the fiber at every vertex but the basepoint, in one stacked solve; a
+    # failing row is marked and the rows after it are solved again
+    fibers = np.zeros((len(points), n), dtype=complex)
+    fibers[0] = start
+    solved = np.ones(len(points), dtype=bool)
+    table, done = coeffs[rep[1:], 0], 0
+    while done < len(table):
+        try:
+            fibers[1 + done:] = roots_at(table[done:])
+            break
+        except (MultipleRootError, RootFindingError) as exc:
+            bad = done + exc.row
+            fibers[1 + done:1 + bad] = roots_at(table[done:bad])
+            solved[1 + bad] = False
+            done = bad + 1
     with np.errstate(all="ignore"):
-        ebar = (2 * err + gamma(3 * top + 4) * np.abs(coeffs).sum(axis=1)) \
-            * (1 + gamma(top + 6))
-        cert = _certify(coeffs[seg], ebar[seg], np.tile(start, (count, 1)), moving)
-        start_rho = cert.rho.copy()
-        # per row: the smallest disc radius met, and where
-        smallest, where = cert.R.min(axis=1), np.zeros(count)
-        while row.size:
-            summary["stack_steps"] += 1
-            s1 = np.minimum(1.0, s + h / share[seg])
-            ratio = cert.ratio((s1 - s) * _WIDEN)
-            ok = np.zeros(row.size, dtype=bool)
-            idx = np.flatnonzero(ratio < 1)
-            if idx.size:
-                # a step to a segment's end lands on the next one's start,
-                # unless it ends the loop
-                turn = (s1[idx] == 1.0) & (seg[idx] < last[seg[idx]])
-                seg1 = np.where(turn, seg[idx] + 1, seg[idx])
-                s1c = np.where(turn, 0.0, s1[idx])
-                c1 = _shift(coeffs[seg1], s1c)
-                guess = cert.roots[idx] + (s1 - s)[idx, None] * cert.tangent[idx]
-                p, dp = _monic_values(c1[:, 0], guess)
-                new = _certify(c1, ebar[seg1], guess - p / dp, moving)
-                good = (new.lower > 0).all(axis=1) & (
-                    _apart(new.roots, new.rho, cert.roots[idx], cert.R[idx])
-                    | np.eye(n, dtype=bool)).all(axis=(1, 2))
-                ok[idx[good]] = True
-                if good.all() and idx.size == row.size:
-                    cert = new
-                else:
-                    cert.put(idx[good], new.take(good))
-                seg[idx[good]], s[idx[good]] = seg1[good], s1c[good]
-            h = np.minimum(1.0, h * np.where(ok, np.minimum(2.0, 0.8 / ratio),
-                                             np.clip(0.8 / ratio, 0.25, 0.5)))
-            accepted[row] += ok
-            rejected[row] += ~ok
-            t = begin[seg] + s * share[seg]
-            radius = cert.R.min(axis=1)
-            lower = ok & (radius < smallest[row])
-            smallest[row[lower]], where[row[lower]] = radius[lower], t[lower]
-            # also after an accepted step: near a branch point the floor can
-            # keep the ratio above 0.8, and s stops moving while h shrinks
-            finished = ok & (s == 1.0)
-            under = ~finished & (h < cfg.min_step)
-            for j in np.flatnonzero(under).tolist():
-                results[row[j]] = StepUnderflowError(
-                    f"root gap collapsed near t={t[j]:.6f}; loop too close to "
-                    f"the discriminant locus")
-                first_failed = min(first_failed, row[j])
-            for j in np.flatnonzero(finished).tolist():
-                # each end enclosure holds one start root, which lies in
-                # every start enclosure it meets: meeting one decides it
-                meets = ~_apart(cert.roots[j], cert.rho[j], start, start_rho[row[j]])
-                match = meets.argmax(axis=1)
-                if (meets.sum(axis=1) == 1).all() and len(set(match.tolist())) == n:
-                    results[row[j]] = (Permutation(tuple(int(k) + 1 for k in match)),
-                                       cert.roots[j].copy())
-                    continue
-                results[row[j]] = FiberMatchError("endpoint enclosures do not each "
-                                                  "meet exactly one start enclosure")
-                first_failed = min(first_failed, row[j])
-            keep = ~under & ~finished & (row < first_failed)
-            if not keep.all():
-                row, seg, s, h = row[keep], seg[keep], s[keep], h[keep]
-                cert = cert.take(keep)
-    j = int(smallest.argmin())
-    summary.update(accepted_steps=int(accepted.sum()),
-                   rejected_steps=int(rejected.sum()), steps_per_loop=accepted.tolist(),
-                   min_disc_radius={"radius": float(smallest[j]), "loop": j + 1,
-                                    "t": float(where[j])})
+        ebar, moving, cert = _start(coeffs, err, fibers[head])
+        good = solved & (cert.lower[rep] > 0).all(axis=1)
+        live = np.flatnonzero(good[head[:len(rows)]] & good[tail])
+        ends = _track_rows(coeffs[live], ebar[live], np.array(share)[live],
+                           cert.take(live), cfg, moving)
+        # each end enclosure holds one root of the end vertex's fiber, which
+        # lies in every enclosure it meets there: meeting one decides it
+        to = tail[live]
+        meets = ~_apart(ends.roots, ends.rho, fibers[to], cert.rho[rep[to]])
+    match = meets.argmax(axis=2)
+    matched = (meets.sum(axis=2) == 1).all(axis=1) & (meets.sum(axis=1) == 1).all(axis=1)
+    slot = np.full(len(rows), -1)
+    slot[live] = np.arange(live.size)
+
+    results = []
+    for walk in walks:
+        at = np.arange(n)  # where each start root is in the current fiber
+        for q, forward, t, size in walk:
+            j = slot[q]
+            if not good[head[q] if forward else tail[q]]:
+                results.append(_underflow(t))
+            elif j < 0:
+                # the far vertex failed: the next traversal starts there
+                continue
+            elif not np.isnan(ends.failed_at[j]):
+                s = ends.failed_at[j]
+                results.append(_underflow(t + (s if forward else 1 - s) * size))
+            elif not matched[j]:
+                results.append(FiberMatchError(
+                    f"the end enclosures of the segment at t={t:.6f} do not "
+                    f"each meet exactly one enclosure of the fiber there"))
+            else:
+                at = match[j][at] if forward else np.argsort(match[j])[at]
+                continue
+            break
+        else:
+            results.append(Permutation(tuple(int(k) + 1 for k in at)))
+    summary.update(segments=len(rows), vertex_fibers=len(points) - 1,
+                   stack_steps=ends.stack_steps,
+                   accepted_steps=int(ends.accepted.sum()),
+                   rejected_steps=int(ends.rejected.sum()))
+    if live.size:
+        j = int(ends.smallest.argmin())
+        loop, t = first[live[j]]
+        summary["min_disc_radius"] = {
+            "radius": float(ends.smallest[j]), "loop": loop + 1,
+            "t": t + float(ends.where[j]) * share[live[j]]}
     return results, summary
 
 
 def _permutations(results: list) -> list[Permutation]:
-    """Each tracked row's permutation; raises the first row's error, if any."""
+    """Each loop's permutation; raises the first loop's error, if any."""
     for end in results:
         if isinstance(end, Exception):
             raise end
-    return [perm for perm, _ in results]
+    return results
 
 
 def track_loop(f: WeierstrassPoly, loop: LoopPath,
@@ -395,13 +515,13 @@ def track_loop(f: WeierstrassPoly, loop: LoopPath,
     """Certified continuation of the fiber along a closed loop: the
     permutation sending start label k to the label whose position the k-th
     root reached. Loops sharing a basepoint fiber compose left to right,
-    as permutations do. A one-row call of the stacked tracker."""
+    as permutations do. A one-loop call of the stacked tracker."""
     if start_roots is None:
         u0, v0 = loop.vertices[0]
         start = roots_at(f.eval_complex(float(u0), float(v0)))
     else:
         start = np.array(start_roots, dtype=complex)
-    return _permutations(_track_rows(f, [loop], cfg, start)[0])[0]
+    return _permutations(_track_loops(f, [loop], cfg, start)[0])[0]
 
 
 def _nearest_labels(labels: np.ndarray, points: np.ndarray,
@@ -437,11 +557,11 @@ def characteristic_hom(f: WeierstrassPoly, space: BaseSpace,
                        root_labels: Optional[Sequence[complex]] = None
                        ) -> MonodromyRep:
     """Certified permutation of the basepoint fiber for every generator
-    loop, all loops tracked in one stack; the tracking summary is kept on
-    the result."""
+    loop, all their segments tracked in one stack; the tracking summary is
+    kept on the result."""
     loops = generator_loops(space)
     fiber = basepoint_fiber(f, space, root_labels)
-    results, summary = _track_rows(f, loops, cfg, fiber)
+    results, summary = _track_loops(f, loops, cfg, fiber)
     return MonodromyRep(len(loops), len(fiber), tuple(_permutations(results)),
                         tuple(complex(z) for z in fiber), summary)
 

@@ -47,6 +47,7 @@ from .synthesis import (
 from .wpoly import (
     BaseSpace,
     GaussianRational,
+    MultipleRootError,
     WeierstrassPoly,
     default_base_space,
     extend_base_space,
@@ -353,9 +354,19 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
 
 def run_monodromy(f: WeierstrassPoly, space: BaseSpace,
                   tracking: TrackingConfig = DEFAULT_TRACKING) -> PipelineReport:
-    """Track a polynomial's monodromy and report the derived structure."""
+    """Track a polynomial's monodromy and report the derived structure.
+    Raises VerificationError when a fiber has a multiple root because the
+    discriminant vanishes identically."""
     watch = _Stopwatch()
-    rep = characteristic_hom(f, space, tracking)
+    try:
+        rep = characteristic_hom(f, space, tracking)
+    except MultipleRootError:
+        # decided exactly only once a root solve has failed: runs that
+        # succeed pay nothing for it
+        reason = certify(f.coeffs, space).reason
+        if reason == "the discriminant vanishes identically":
+            raise VerificationError(reason) from None
+        raise
     table, deck, monodromy_group = splitting_cover(rep)
     _, faithful = deck_action_on_roots(deck, monodromy_group)
     watch.lap("monodromy")

@@ -1,8 +1,9 @@
 """Numeric roots of monic fibers: simultaneous root solving and root gaps.
 
 A fiber is given by the low-order coefficients (a_0, ..., a_{n-1}) of the
-monic polynomial z^n + a_{n-1} z^{n-1} + ... + a_0. gamma is the rounding
-error bound that the certified tracker and its segment polynomials use.
+monic polynomial z^n + a_{n-1} z^{n-1} + ... + a_0; a stack of fibers is an
+(N, n) array with one fiber per row. gamma is the rounding error bound that
+the certified tracker and its segment polynomials use.
 """
 
 from __future__ import annotations
@@ -20,11 +21,20 @@ def gamma(k: int) -> float:
     return k * _UNIT / (1 - k * _UNIT)
 
 
-class MultipleRootError(RuntimeError):
+class _FiberError(RuntimeError):
+    """A root solve failed; row is the first failing fiber of a stack (0 for
+    a single fiber)."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
+
+
+class MultipleRootError(_FiberError):
     """Roots came closer than the resolution tolerance."""
 
 
-class RootFindingError(RuntimeError):
+class RootFindingError(_FiberError):
     """The simultaneous iteration failed to converge, or a fiber's values
     overflow a float."""
 
@@ -44,83 +54,152 @@ def _block_gaps(rows: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
+def _polyval(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner evaluation with the operations of np.polyval: table[k] holds
+    coefficient k, highest power first, for every entry of z. Spread out
+    like z, it needs no broadcasting, which numpy runs about twice as slowly
+    on short rows."""
+    y = np.zeros(z.shape, dtype=np.result_type(table, z))
+    for column in table:
+        y *= z
+        y += column
+    return y
+
+
+def _horner_table(p: np.ndarray) -> np.ndarray:
+    """The Horner table of the monic polynomials p (rows, n + 1), highest
+    power first as np.polyval takes them, and of their derivatives, side by
+    side with n columns each; p' gets a leading zero column, after which its
+    value is 0 as np.polyval starts."""
+    n = p.shape[1] - 1
+    table = np.zeros((n + 1, p.shape[0], 2 * n), dtype=complex)
+    table[:, :, :n] = p.T[:, :, None]
+    table[1:, :, n:] = (p[:, :-1] * np.arange(n, 0, -1)).T[:, :, None]
+    return table
+
+
+def _values(table: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p and p' at z (rows, n), from their Horner table."""
+    y = _polyval(table, np.concatenate((z, z), axis=1))
+    return y[:, :z.shape[1]], y[:, z.shape[1]:]
+
+
 def roots_at(coeffs, max_iterations: int = 1200,
              gap_rtol: float = 1e-7) -> np.ndarray:
-    """All roots of a monic polynomial, via simultaneous Aberth iteration
-    seeded on a circle of radius 1 + max|coeff|, polished by Newton steps.
+    """All roots of a monic polynomial, or of each row of a stack of them,
+    via simultaneous Aberth iteration seeded on a circle of radius
+    1 + max|coeff|, polished by Newton steps.
 
-    Raises RootFindingError when the iteration does not converge or leaves
-    a residual above 1e-10 (1 + max|a_k|) + 64 n eps sum |a_k| |z|^k, and
-    MultipleRootError when the computed roots are too close to separate
+    One fiber returns an (n,) array and N stacked fibers an (N, n) array;
+    every row is solved bit for bit as it would be alone. Raises, for the
+    first failing row (the error's row), RootFindingError when the seed
+    circle's values overflow a float, the iteration does not converge or it
+    leaves a residual above 1e-10 (1 + max|a_k|) + 64 n eps sum |a_k| |z|^k,
+    and MultipleRootError when the computed roots are too close to separate
     reliably.
     """
     c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1:
-        raise ValueError("expected the coefficients of one fiber")
-    n = c.shape[0]
-    if n == 0:
+    if c.ndim not in (1, 2):
+        raise ValueError("expected one fiber or a stack of fibers")
+    if c.shape[-1] == 0:
         raise ValueError("degree must be at least 1")
-    if n == 1:
-        return -c
-    # highest coefficient first, as np.polyval takes them
-    p = np.concatenate(([1.0], c[::-1]))
-    dp = p[:-1] * np.arange(n, 0, -1)
+    rows = c.reshape(-1, c.shape[-1])
+    roots = -rows if rows.shape[1] == 1 else _solve(rows, max_iterations, gap_rtol)
+    return roots[0] if c.ndim == 1 else roots
+
+
+def _solve(rows: np.ndarray, max_iterations: int, gap_rtol: float) -> np.ndarray:
+    count, n = rows.shape
+    p = np.empty((count, n + 1), dtype=complex)
+    p[:, 0], p[:, 1:] = 1.0, rows[:, ::-1]
     # hypot, as abs() of one complex number computes it
-    scale = 1.0 + np.hypot(c.real, c.imag).max()
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.polyval(np.abs(p), scale)):
-            raise RootFindingError(
-                f"the fiber's values overflow a float on the seed circle of "
-                f"radius {scale:.3g}")
-    for attempt in range(3):
-        offset = 0.25 + 0.31 * attempt
-        roots = scale * np.exp(2j * np.pi * (np.arange(n) + offset) / n)
-        if _aberth_iterate(p, dp, roots, max_iterations):
-            break
-    else:
-        raise RootFindingError("simultaneous iteration failed to converge")
+    scale = 1.0 + np.hypot(rows.real, rows.imag).max(axis=1)
     with np.errstate(all="ignore"):
+        overflow = ~np.isfinite(_polyval(np.abs(p).T[:, :, None], scale[:, None])[:, 0])
+        roots = np.zeros_like(rows)
+        # each attempt reseeds the rows that have not converged yet
+        todo = np.flatnonzero(~overflow)
+        for attempt in range(3):
+            if not todo.size:
+                break
+            offset = 0.25 + 0.31 * attempt
+            z = scale[todo, None] * np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+            converged = _aberth_iterate(p[todo], z, max_iterations)
+            roots[todo[converged]] = z[converged]
+            todo = todo[~converged]
+        # rows that failed hold no roots; their arithmetic is ignored
+        table = _horner_table(p)
         for _ in range(4):
-            val = np.polyval(p, roots)
-            der = np.polyval(dp, roots)
+            val, der = _values(table, roots)
             mask = der != 0
             roots[mask] -= val[mask] / der[mask]
         # the residual may reach the evaluation's own roundoff floor,
         # eps sum |a_k| |z|^k, which grows with the size of the roots
-        values = np.abs(np.polyval(p, roots))
-        floor = np.finfo(float).eps * np.polyval(np.abs(p), np.abs(roots))
-        if (values > 1e-10 * scale + 64 * n * floor).any():
-            raise RootFindingError(f"residual {values.max():.2e} too large")
-        gap = min_gap(roots)
-        if gap < gap_rtol * (1.0 + np.abs(roots).max()):
-            raise MultipleRootError(f"root gap {gap:.2e} below tolerance")
+        values = np.abs(_values(table, roots)[0])
+        floor = np.finfo(float).eps * _polyval(np.abs(table[:, :, :n]), np.abs(roots))
+        residual = (values > 1e-10 * scale[:, None] + 64 * n * floor).any(axis=1)
+        gap = _block_gaps(roots)
+        close = gap < gap_rtol * (1.0 + np.abs(roots).max(axis=1))
+    unsolved = np.zeros(count, dtype=bool)
+    unsolved[todo] = True
+    failed = overflow | unsolved | residual | close
+    if failed.any():
+        k = int(failed.argmax())
+        if overflow[k]:
+            raise RootFindingError(
+                f"the fiber's values overflow a float on the seed circle of "
+                f"radius {scale[k]:.3g}", k)
+        if unsolved[k]:
+            raise RootFindingError("simultaneous iteration failed to converge", k)
+        if residual[k]:
+            raise RootFindingError(f"residual {values[k].max():.2e} too large", k)
+        raise MultipleRootError(f"root gap {gap[k]:.2e} below tolerance", k)
     return roots
 
 
-def _aberth_iterate(p: np.ndarray, dp: np.ndarray, z: np.ndarray,
-                    max_iterations: int) -> bool:
-    """Aberth steps on the seeds z, in place, for the polynomial p with
-    derivative dp; returns whether they converged."""
-    n = z.shape[0]
+def _aberth_iterate(p: np.ndarray, z: np.ndarray, max_iterations: int) -> np.ndarray:
+    """Aberth steps on every row of the seeds z in place, row k for the
+    monic polynomial p[k] (highest power first), until each row converges
+    or fails; returns which rows converged. A row stops as soon as it is
+    decided, so it takes the steps it would take alone; the working arrays
+    are compacted only when some row is decided."""
+    count, n = z.shape
     eps = np.finfo(float).eps
-    abs_p = np.abs(p)
+    converged = np.zeros(count, dtype=bool)
+    live, zl = np.arange(count), z
+    table = _horner_table(p)
+    abs_p = np.abs(table[:, :, :n])
     for _ in range(max_iterations):
-        val = np.polyval(p, z)
+        val, der = _values(table, zl)
         # roundoff floor of the evaluation itself; converged when reached
-        floor = eps * np.polyval(abs_p, np.abs(z))
-        if (np.abs(val) <= 8.0 * floor).all():
-            return True
-        der = np.polyval(dp, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(der != 0, val / der, 0.1 + 0.1j)
-            pairwise = z[:, None] - z[None, :]
-            pairwise.reshape(n * n)[::n + 1] = np.inf
-            sums = np.divide(1.0, pairwise, out=pairwise).sum(axis=1)
-            denom = 1.0 - newton * sums
-            step = np.where(denom != 0, newton / denom, newton)
-        if not np.isfinite(step).all():
-            return False
-        z -= step
-        if np.abs(step).max() < 1e-14 * (1.0 + np.abs(z).max()):
-            return True
-    return False
+        floor = eps * _polyval(abs_p, np.abs(zl))
+        hit = (np.abs(val) <= 8.0 * floor).all(axis=1)
+        if hit.any():
+            converged[live[hit]] = True
+            z[live[hit]] = zl[hit]
+            live, zl, val, der = live[~hit], zl[~hit], val[~hit], der[~hit]
+            table, abs_p = table[:, ~hit], abs_p[:, ~hit]
+            if not live.size:
+                break
+        newton = np.where(der != 0, val / der, 0.1 + 0.1j)
+        pairwise = zl[:, :, None] - zl[:, None, :]
+        pairwise.reshape(-1, n * n)[:, ::n + 1] = np.inf
+        sums = np.divide(1.0, pairwise, out=pairwise).sum(axis=2)
+        denom = 1.0 - newton * sums
+        step = np.where(denom != 0, newton / denom, newton)
+        finite = np.isfinite(step).all(axis=1)
+        if not finite.all():
+            live, zl, step = live[finite], zl[finite], step[finite]
+            table, abs_p = table[:, finite], abs_p[:, finite]
+            if not live.size:
+                break
+        zl -= step
+        small = np.abs(step).max(axis=1) < 1e-14 * (1.0 + np.abs(zl).max(axis=1))
+        if small.any():
+            converged[live[small]] = True
+            z[live[small]] = zl[small]
+            live, zl = live[~small], zl[~small]
+            table, abs_p = table[:, ~small], abs_p[:, ~small]
+            if not live.size:
+                break
+    return converged

@@ -356,6 +356,24 @@ def test_float_overflow_is_numerical_error(a0, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("coeffs", [
+    [[], []],
+    [[[2, 0, 1, 1, 0, 1], [0, 2, -1, 1, 0, 1], [1, 1, 0, 1, 2, 1]],
+     [[1, 0, -2, 1, 0, 1], [0, 1, 0, 1, -2, 1]]],
+], ids=["z^2", "(z-w)^2"])
+def test_identically_vanishing_discriminant_is_verification_failure(
+        coeffs, tmp_path, capsys):
+    # every fiber has a double root, so the input is not Weierstrass: exit 2
+    # with the certificate's reason, not exit 3 with a root gap
+    path = write_json(tmp_path / "poly.json", {"degree": 2, "coeffs": coeffs})
+    space = write_json(tmp_path / "space.json", default_base_space(1).to_json())
+    out = tmp_path / "out.json"
+    assert main(["monodromy", path, "--base-space", space, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the discriminant vanishes identically" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # -- seeded fuzzing of every JSON input: types and structure, not magnitudes --
 
 FUZZ_INPUTS = {

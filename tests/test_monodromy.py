@@ -17,6 +17,8 @@ from splitcover.monodromy import (
     TrackingConfig,
     _certify,
     _permutations,
+    _start,
+    _track_loops,
     _track_rows,
     basepoint_fiber,
     characteristic_hom,
@@ -288,16 +290,38 @@ def rotation(labels, k, n):
 
 
 def assert_rows_match_alone(f, loops, fiber):
-    """Tracks the loops in one stack and each alone: the end fibers agree
-    bit for bit, and so do the permutations and the steps taken."""
-    stacked, summary = _track_rows(f, loops, DEFAULT_TRACKING, fiber)
-    for i, (loop, (perm, end)) in enumerate(zip(loops, stacked)):
-        alone, alone_summary = _track_rows(f, [loop], DEFAULT_TRACKING, fiber)
-        assert end.tobytes() == alone[0][1].tobytes()
-        assert perm == alone[0][0]
-        assert summary["steps_per_loop"][i] == alone_summary["steps_per_loop"][0]
-    assert summary["certified"]
-    return _permutations(stacked)
+    """Tracks the distinct segments of the loops in one stack and each alone,
+    each from the fiber at its start vertex: the end roots and enclosures
+    agree bit for bit, and so do the steps taken. The loops' permutations,
+    tracked together and each alone, agree too."""
+    segments, share = [], []
+    for loop in loops:
+        pts = [complex(float(x), float(y)) for x, y in loop.vertices]
+        length = sum(abs(q - p) for p, q in zip(pts, pts[1:]))
+        for (a, b), p, q in zip(zip(loop.vertices, loop.vertices[1:]), pts, pts[1:]):
+            if (a, b) not in segments and (b, a) not in segments:
+                segments.append((a, b))
+                share.append(abs(q - p) / length)
+    coeffs, err = f.segment_polys(segments)
+    fibers = numpy.array([fiber if a == loops[0].vertices[0] else monodromy.roots_at(c)
+                          for (a, _), c in zip(segments, coeffs[:, 0])])
+    share = numpy.array(share)
+    with numpy.errstate(all="ignore"):
+        ebar, moving, cert = _start(coeffs, err, fibers)
+        stacked = _track_rows(coeffs, ebar, share, cert, DEFAULT_TRACKING, moving)
+        for q in range(len(segments)):
+            alone = _track_rows(coeffs[q:q + 1], ebar[q:q + 1], share[q:q + 1],
+                                cert.take([q]), DEFAULT_TRACKING, moving)
+            assert stacked.roots[q].tobytes() == alone.roots[0].tobytes()
+            assert stacked.rho[q].tobytes() == alone.rho[0].tobytes()
+            assert stacked.accepted[q] == alone.accepted[0]
+            assert stacked.rejected[q] == alone.rejected[0]
+    assert numpy.isnan(stacked.failed_at).all()
+    results, summary = _track_loops(f, loops, DEFAULT_TRACKING, fiber)
+    for loop, perm in zip(loops, results):
+        assert perm == _track_loops(f, [loop], DEFAULT_TRACKING, fiber)[0][0]
+    assert summary["certified"] and summary["segments"] == len(segments)
+    return _permutations(results)
 
 
 @pytest.mark.parametrize("n, exponents", [
@@ -312,9 +336,16 @@ def test_stacked_rows_equal_rows_tracked_alone(n, exponents):
     assert perms == expected
     rep = characteristic_hom(f, x)
     assert rep.perms == tuple(expected)
-    # certified steps grow: well under the 401 stack steps of three fixed
-    # refinement passes
-    assert rep.tracking["stack_steps"] <= 100
+    # certified steps grow, and every segment is a row of its own: well
+    # under the 401 stack steps of three fixed refinement passes, and the
+    # 29-83 of one row per loop
+    assert rep.tracking["stack_steps"] <= 12
+    # each loop has 18 segments, and its last retraces its first: three
+    # loops track 51 rows, not 54. Each ring has 16 vertices, neighbouring
+    # rings share one, and the basepoint's fiber is given
+    m = len(exponents)
+    assert (rep.tracking["segments"], rep.tracking["vertex_fibers"]) == \
+        (17 * m, 15 * m + 1)
 
 
 def test_stacked_rows_equal_rows_tracked_alone_on_realized_s3():
@@ -326,6 +357,27 @@ def test_stacked_rows_equal_rows_tracked_alone_on_realized_s3():
     fiber = basepoint_fiber(poly, space, rep.root_labels)
     perms = assert_rows_match_alone(poly, generator_loops(space), fiber)
     assert perms == list(cayley_table(gens)[0].action)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_retraced_and_repeated_segments_give_closed_form_permutations(k):
+    # z^k - w turns every root by 2 pi / k once around the hole; each segment
+    # is tracked once, and a backwards traversal uses the inverse matching
+    f, x = power_model(k)
+    fiber = basepoint_fiber(f, x)
+    loop = generator_loops(x)[0]
+    b, q = x.basepoint, (Fraction(5), Fraction(5))
+    cases = {
+        LoopPath(loop.vertices + loop.vertices[1:]): (2, 17),
+        LoopPath(loop.vertices[::-1]): (-1, 17),
+        LoopPath(loop.vertices + loop.vertices[-2::-1]): (0, 17),
+        LoopPath((b, q, b)): (0, 1),
+        LoopPath((b, q, b) + loop.vertices[1:]): (1, 18),
+    }
+    for path, (turns, segments) in cases.items():
+        results, summary = _track_loops(f, [path], DEFAULT_TRACKING, fiber)
+        assert _permutations(results) == [rotation(fiber, turns, k)]
+        assert summary["segments"] == segments
 
 
 def test_stacked_track_raises_the_first_failing_row():
@@ -342,8 +394,8 @@ def test_stacked_track_raises_the_first_failing_row():
             track_loop(f, loop, DEFAULT_TRACKING, fiber)
         alone[loop] = exc.value
     assert "t=0.4" in str(alone[early]) and "t=0.6" in str(alone[late])
-    # the early row fails first but is second in row order
-    results, _ = _track_rows(f, [late, early], DEFAULT_TRACKING, fiber)
+    # the early loop fails nearer its start but is second in loop order
+    results, _ = _track_loops(f, [late, early], DEFAULT_TRACKING, fiber)
     assert [(type(r), str(r)) for r in results] == \
         [(type(alone[k]), str(alone[k])) for k in (late, early)]
     with pytest.raises(RuntimeError) as exc:
@@ -351,7 +403,7 @@ def test_stacked_track_raises_the_first_failing_row():
     assert exc.value is results[0]
     for order in ((late, early), (early, late)):
         with pytest.raises(RuntimeError) as exc:
-            _permutations(_track_rows(f, list(order), DEFAULT_TRACKING, fiber)[0])
+            _permutations(_track_loops(f, list(order), DEFAULT_TRACKING, fiber)[0])
         first = alone[order[0]]
         assert type(exc.value) is type(first) and str(exc.value) == str(first)
 

@@ -335,6 +335,30 @@ def test_roots_at_output_is_pinned_where_the_size_blind_bound_passed():
         "c80a1027c1bb54ebd0242be07999e82050ab0f5b6e2e6a7212af73bab589116f")
 
 
+def test_stacked_roots_at_rows_equal_single_fibers():
+    # a stack of fibers of one degree solves each row bit for bit as alone,
+    # and raises the first failing row's error, naming that row; [144j, 0]
+    # is a fiber whose Aberth seeds collapse onto each other in one step
+    by_degree = {}
+    for c in _seeded_fibers() + [[144j, 0]]:
+        by_degree.setdefault(len(c), []).append(c)
+    for fibers in by_degree.values():
+        stack, first = np.array(fibers, dtype=complex), 0
+        while first < len(stack):
+            try:
+                solved, failed = roots_at(stack[first:]), None
+            except (MultipleRootError, RootFindingError) as exc:
+                solved, failed = roots_at(stack[first:first + exc.row]), exc
+            for c, roots in zip(stack[first:], solved):
+                assert roots.tobytes() == roots_at(c).tobytes()
+            first += len(solved)
+            if failed is not None:
+                with pytest.raises(type(failed)) as alone:
+                    roots_at(stack[first])
+                assert str(alone.value) == str(failed)
+                first += 1
+
+
 def test_roots_at_solves_a_fiber_scaled_by_a_thousand():
     # the residual of large roots reaches the evaluation's roundoff floor,
     # eps sum |a_k| |z|^k, far above 1e-10 (1 + max|a_k|)
