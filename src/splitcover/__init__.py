@@ -29,7 +29,6 @@ from .freecover import (
 )
 from .monodromy import (
     MonodromyRep,
-    TrackingConfig,
     characteristic_hom,
     deck_action_on_roots,
     irreducibility_check,

@@ -1,8 +1,11 @@
 """Command line interface: realize, embed, monodromy, verify-tower.
 
-All inputs and outputs are JSON. Exit codes: 0 success, 2 verification
-failure (including a failed verdict in a report), 3 numerical instability,
-4 input or schema errors and groups without an exact synthesis.
+All inputs and outputs are JSON, and every setting of a run is fixed: the
+only flags are the files, -o and embed's --allow-rank-extension. Exit codes:
+0 success, 2 verification failure (including a failed verdict in a report,
+and a loaded polynomial whose discriminant vanishes identically), 3
+numerical instability, 4 input or schema errors, usage errors (an unknown
+flag or command, a missing argument) and groups without an exact synthesis.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import sys
 from typing import Optional
 
 from .embedding import NoSolutionError, SolutionCheckError
-from .monodromy import FiberMatchError, StepUnderflowError, TrackingConfig
+from .monodromy import FiberMatchError, StepUnderflowError
 from .permgroup import ClosureLimitError, PermGroup, Permutation
 from .pipeline import (
     IrreducibilityFailureError,
@@ -120,30 +123,6 @@ def _load_images(path: str, label: str) -> tuple[Permutation, ...]:
         raise InputError(f"{path}: bad {label} images: {exc}") from exc
 
 
-CONFIG_KEYS = ("tracking",)
-
-
-def _load_run_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
-    if unknown:
-        raise InputError(f"{path}: unknown config key(s) {', '.join(unknown)}; "
-                         f"expected only {', '.join(CONFIG_KEYS)}")
-    return data
-
-
-def _tracking_from(config: dict) -> TrackingConfig:
-    params = config.get("tracking", {})
-    try:
-        return TrackingConfig(**params)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad tracking config: {exc}") from exc
-
-
 def _emit(payload: dict, output: Optional[str]):
     text = json.dumps(payload, indent=2, sort_keys=False)
     if output and output != "-":
@@ -154,12 +133,9 @@ def _emit(payload: dict, output: Optional[str]):
 
 
 def _cmd_realize(args) -> int:
-    config = _load_run_config(args.config)
     group = _load_group(args.group)
     space = _load_space(args.base_space)
-    poly, report = realize_group(group, space, tracking=_tracking_from(config))
-    if args.seed is not None:
-        report.inputs["seed"] = args.seed
+    poly, report = realize_group(group, space)
     _emit({"schema_version": report.schema_version,
            "polynomial": poly.to_json(),
            "base_space": BaseSpace.from_json(report.inputs["base_space"]).to_json(),
@@ -168,7 +144,6 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    config = _load_run_config(args.config)
     poly, embedded_space = _load_polynomial(args.polynomial)
     space = _load_space(args.base_space) or embedded_space
     if space is None:
@@ -178,10 +153,7 @@ def _cmd_embed(args) -> int:
     phi_images = _load_images(args.phi, "phi")
     out_poly, report = solve_semitop_embedding(
         poly, space, group, phi_images,
-        allow_rank_extension=args.allow_rank_extension,
-        tracking=_tracking_from(config))
-    if args.seed is not None:
-        report.inputs["seed"] = args.seed
+        allow_rank_extension=args.allow_rank_extension)
     _emit({"schema_version": report.schema_version,
            "polynomial": out_poly.to_json(),
            "base_space": report.artifacts["extended_base_space"],
@@ -190,18 +162,16 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_monodromy(args) -> int:
-    config = _load_run_config(args.config)
     poly, embedded_space = _load_polynomial(args.polynomial)
     space = _load_space(args.base_space) or embedded_space
     if space is None:
         raise InputError("a base space is required")
-    report = run_monodromy(poly, space, _tracking_from(config))
+    report = run_monodromy(poly, space)
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.all_passed() else EXIT_VERIFICATION
 
 
 def _cmd_verify_tower(args) -> int:
-    config = _load_run_config(args.config)
     h_poly, h_space = _load_polynomial(args.h_polynomial)
     g_poly, g_space = _load_polynomial(args.g_polynomial)
     space = _load_space(args.base_space) or h_space or g_space
@@ -211,13 +181,23 @@ def _cmd_verify_tower(args) -> int:
     phi_images = _load_images(args.phi, "phi")
     psi_images = _load_images(args.psi, "psi")
     report = run_verify_tower(h_poly, g_poly, space, group, phi_images,
-                              psi_images, _tracking_from(config))
+                              psi_images)
     _emit(report.to_json(), args.output)
     return EXIT_OK if report.all_passed() else EXIT_VERIFICATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 4, as every other input
+    error does; argparse's own code 2 would read as a verification failure.
+    Its subparsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"input error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitcover",
         description="Deck groups, embedding problems, and Weierstrass "
                     "polynomial realizations over a disc with holes.")
@@ -226,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("-o", "--output", help="write the JSON result here "
                                               "instead of stdout")
-        p.add_argument("--config", help="JSON file with tracking parameters")
-        p.add_argument("--seed", type=int, help="recorded in the report; all "
-                                                "pipelines are deterministic")
 
     p = sub.add_parser("realize", help="realize a finite group as a deck group")
     p.add_argument("group", help="PermGroup JSON file")

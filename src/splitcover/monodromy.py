@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -37,12 +36,10 @@ from .permgroup import (
     inverse,
     json_int,
 )
-from .roots import gamma
+from .roots import _solve, gamma
 from .wpoly import (
     BaseSpace,
     LoopPath,
-    MultipleRootError,
-    RootFindingError,
     WeierstrassPoly,
     generator_loops,
     min_gap,
@@ -51,7 +48,7 @@ from .wpoly import (
 
 
 class StepUnderflowError(RuntimeError):
-    """No step above min_step could be certified, or the fiber at a loop
+    """No step above _MIN_STEP could be certified, or the fiber at a loop
     vertex could not be solved or certified; the loop runs too close to the
     discriminant locus."""
 
@@ -59,30 +56,6 @@ class StepUnderflowError(RuntimeError):
 class FiberMatchError(RuntimeError):
     """A segment's end roots could not be matched unambiguously to the fiber
     at its end vertex."""
-
-
-@dataclass(frozen=True)
-class TrackingConfig:
-    """The first and the smallest step, as fractions of a loop's arclength."""
-
-    initial_step: float = 1e-2
-    min_step: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("initial_step", "min_step"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) \
-                    or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, not {value!r}")
-        if self.initial_step <= 0 or self.min_step <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.initial_step > 1:
-            raise ValueError("initial_step must be at most 1, the whole loop")
-        if self.min_step >= self.initial_step:
-            raise ValueError("min_step must be smaller than initial_step")
-
-
-DEFAULT_TRACKING = TrackingConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +94,9 @@ class MonodromyRep:
                    tuple(complex(re, im) for re, im in data["root_labels"]))
 
 
+# the first and the smallest step, as fractions of a loop's arclength
+_INITIAL_STEP = 1e-2
+_MIN_STEP = 1e-8
 # disc radius R_j as a fraction of the distance to the nearest other root
 _DISC = 0.2
 # the step widened so that it covers s1 - s0 despite the rounding of both
@@ -281,7 +257,7 @@ def _apart(z: np.ndarray, z_rho: np.ndarray, w: np.ndarray,
 
 class _Ends(NamedTuple):
     """Per tracked row: the roots and enclosure radii at s = 1, the s at which
-    its step fell below min_step (nan when it finished), its accepted and
+    its step fell below _MIN_STEP (nan when it finished), its accepted and
     rejected steps, and the smallest disc radius met with the s where; and
     the stack steps taken."""
 
@@ -315,11 +291,11 @@ def _start(coeffs: np.ndarray, err: np.ndarray,
 
 
 def _track_rows(coeffs: np.ndarray, ebar: np.ndarray, share: np.ndarray,
-                cert: _Certificate, cfg: TrackingConfig, moving: int) -> _Ends:
+                cert: _Certificate, moving: int) -> _Ends:
     """Continue every row, a segment with coefficients coeffs[q], from its
     certificate cert at s = 0 to s = 1, in one stack (see _start for ebar and
     moving). A row keeps its own position s, step h and certificate, and
-    stops when it reaches s = 1 or its step falls below min_step; h is a
+    stops when it reaches s = 1 or its step falls below _MIN_STEP; h is a
     fraction of the arclength of a loop of which the segment takes the
     share share[q]. Run under np.errstate(all="ignore").
 
@@ -334,7 +310,7 @@ def _track_rows(coeffs: np.ndarray, ebar: np.ndarray, share: np.ndarray,
                  np.full(rows, np.nan), np.zeros(rows, dtype=int),
                  np.zeros(rows, dtype=int), cert.R.min(axis=1), np.zeros(rows), 0)
     stack_steps, row = 0, np.arange(rows)
-    s, h = np.zeros(rows), np.full(rows, cfg.initial_step)
+    s, h = np.zeros(rows), np.full(rows, _INITIAL_STEP)
     cert = cert.take(row)  # a copy: the rows' certificates change in place
     while row.size:
         stack_steps += 1
@@ -366,7 +342,7 @@ def _track_rows(coeffs: np.ndarray, ebar: np.ndarray, share: np.ndarray,
         # also after an accepted step: near a branch point the floor can
         # keep the ratio above 0.8, and s stops moving while h shrinks
         finished = ok & (s == 1.0)
-        under = ~finished & (h < cfg.min_step)
+        under = ~finished & (h < _MIN_STEP)
         ends.roots[row[finished]], ends.rho[row[finished]] = \
             cert.roots[finished], cert.rho[finished]
         ends.failed_at[row[under]] = s[under]
@@ -383,7 +359,7 @@ def _underflow(t: float) -> StepUnderflowError:
 
 
 def _track_loops(f: WeierstrassPoly, loops: Sequence[LoopPath],
-                 cfg: TrackingConfig, start: np.ndarray) -> tuple[list, dict]:
+                 start: np.ndarray) -> tuple[list, dict]:
     """Continue the start fiber along every loop, all based at the first
     loop's basepoint: per loop its permutation, or its first error along it,
     and the summary. Every distinct segment is one row of _track_rows; its
@@ -435,27 +411,18 @@ def _track_loops(f: WeierstrassPoly, loops: Sequence[LoopPath],
     tail = np.array([b for _, b in rows])
     rep = np.unique(head, return_index=True)[1]  # the first row from each vertex
 
-    # the fiber at every vertex but the basepoint, in one stacked solve; a
-    # failing row is marked and the rows after it are solved again
+    # the fiber at every vertex but the basepoint, in one stacked solve
     fibers = np.zeros((len(points), n), dtype=complex)
     fibers[0] = start
+    fibers[1:], failures = _solve(coeffs[rep[1:], 0])
     solved = np.ones(len(points), dtype=bool)
-    table, done = coeffs[rep[1:], 0], 0
-    while done < len(table):
-        try:
-            fibers[1 + done:] = roots_at(table[done:])
-            break
-        except (MultipleRootError, RootFindingError) as exc:
-            bad = done + exc.row
-            fibers[1 + done:1 + bad] = roots_at(table[done:bad])
-            solved[1 + bad] = False
-            done = bad + 1
+    solved[[1 + k for k in failures]] = False
     with np.errstate(all="ignore"):
         ebar, moving, cert = _start(coeffs, err, fibers[head])
         good = solved & (cert.lower[rep] > 0).all(axis=1)
         live = np.flatnonzero(good[head[:len(rows)]] & good[tail])
         ends = _track_rows(coeffs[live], ebar[live], np.array(share)[live],
-                           cert.take(live), cfg, moving)
+                           cert.take(live), moving)
         # each end enclosure holds one root of the end vertex's fiber, which
         # lies in every enclosure it meets there: meeting one decides it
         to = tail[live]
@@ -510,7 +477,6 @@ def _permutations(results: list) -> list[Permutation]:
 
 
 def track_loop(f: WeierstrassPoly, loop: LoopPath,
-               cfg: TrackingConfig = DEFAULT_TRACKING,
                start_roots: Optional[Sequence[complex]] = None) -> Permutation:
     """Certified continuation of the fiber along a closed loop: the
     permutation sending start label k to the label whose position the k-th
@@ -521,7 +487,7 @@ def track_loop(f: WeierstrassPoly, loop: LoopPath,
         start = roots_at(f.eval_complex(float(u0), float(v0)))
     else:
         start = np.array(start_roots, dtype=complex)
-    return _permutations(_track_loops(f, [loop], cfg, start)[0])[0]
+    return _permutations(_track_loops(f, [loop], start)[0])[0]
 
 
 def _nearest_labels(labels: np.ndarray, points: np.ndarray,
@@ -553,7 +519,6 @@ def basepoint_fiber(f: WeierstrassPoly, space: BaseSpace,
 
 
 def characteristic_hom(f: WeierstrassPoly, space: BaseSpace,
-                       cfg: TrackingConfig = DEFAULT_TRACKING,
                        root_labels: Optional[Sequence[complex]] = None
                        ) -> MonodromyRep:
     """Certified permutation of the basepoint fiber for every generator
@@ -561,7 +526,7 @@ def characteristic_hom(f: WeierstrassPoly, space: BaseSpace,
     kept on the result."""
     loops = generator_loops(space)
     fiber = basepoint_fiber(f, space, root_labels)
-    results, summary = _track_loops(f, loops, cfg, fiber)
+    results, summary = _track_loops(f, loops, fiber)
     return MonodromyRep(len(loops), len(fiber), tuple(_permutations(results)),
                         tuple(complex(z) for z in fiber), summary)
 

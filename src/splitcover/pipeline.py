@@ -22,9 +22,7 @@ from .certify import WeierstrassCertificate, certify
 from .embedding import EmbeddingInstance
 from .freecover import CosetTable, cayley_table, restriction_hom, subtable
 from .monodromy import (
-    DEFAULT_TRACKING,
     MonodromyRep,
-    TrackingConfig,
     characteristic_hom,
     deck_action_on_roots,
     irreducibility_check,
@@ -182,6 +180,22 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace
     raise SynthesisUnsupported("; ".join(failures))
 
 
+def _monodromy(f: WeierstrassPoly, space: BaseSpace,
+               root_labels: Optional[Sequence[complex]] = None) -> MonodromyRep:
+    """characteristic_hom of f, every pipeline's one way to track; raises
+    VerificationError when a fiber has a multiple root because the
+    discriminant vanishes identically."""
+    try:
+        return characteristic_hom(f, space, root_labels)
+    except MultipleRootError:
+        # decided exactly only once a root solve has failed: runs that
+        # succeed pay nothing for it
+        reason = certify(f.coeffs, space).reason
+        if reason == "the discriminant vanishes identically":
+            raise VerificationError(reason) from None
+        raise
+
+
 def _check_order(G: PermGroup) -> int:
     """The order of G, or ValueError when realize cannot take it."""
     n = G.order()
@@ -190,8 +204,7 @@ def _check_order(G: PermGroup) -> int:
     return n
 
 
-def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
-                  tracking: TrackingConfig = DEFAULT_TRACKING,
+def realize_group(G: PermGroup, space: Optional[BaseSpace] = None
                   ) -> tuple[WeierstrassPoly, PipelineReport]:
     """Produce a Weierstrass polynomial whose splitting-cover deck group is
     isomorphic to G, with one base-space hole per given generator.
@@ -232,7 +245,7 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None, *,
     watch.lap("synthesis")
 
     labels = synth.root_labels_at(_basepoint_complex(space))
-    rep = characteristic_hom(f, space, tracking, root_labels=labels)
+    rep = _monodromy(f, space, root_labels=labels)
     if synth.target_perms is None:
         pi = align_regular_labelings(rep.perms, reg)
         if pi is not None:
@@ -276,7 +289,6 @@ def _basepoint_complex(space: BaseSpace) -> complex:
 def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
                             H: PermGroup, phi_images: Sequence[Permutation], *,
                             allow_rank_extension: bool = True,
-                            tracking: TrackingConfig = DEFAULT_TRACKING,
                             ) -> tuple[WeierstrassPoly, PipelineReport]:
     """Given an irreducible g and a surjection of H onto its deck group,
     produce a polynomial h whose splitting covering solves the embedding
@@ -285,7 +297,7 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     tracking."""
     watch = _Stopwatch()
     _check_order(H)
-    rep_g = characteristic_hom(g, space, tracking)
+    rep_g = _monodromy(g, space)
     if not irreducibility_check(rep_g):
         raise IrreducibilityFailureError(
             "the base polynomial's monodromy is intransitive")
@@ -300,7 +312,7 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
 
     space2 = extend_base_space(space, extra)
     realized_group = PermGroup(H.degree, solution.images)
-    h, realize_report = realize_group(realized_group, space2, tracking=tracking)
+    h, realize_report = realize_group(realized_group, space2)
     rep_h = MonodromyRep.from_json(realize_report.artifacts["monodromy"])
     watch.lap("realize")
 
@@ -311,8 +323,8 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     tower = solution.tower if matches else None
 
     # with no hole added the space is the same and so is the monodromy
-    rep_g2 = rep_g if extra == 0 else characteristic_hom(
-        g, space2, tracking, root_labels=rep_g.root_labels)
+    rep_g2 = rep_g if extra == 0 else _monodromy(
+        g, space2, root_labels=rep_g.root_labels)
     base_stable = (rep_g2.perms[:space.rank] == rep_g.perms and
                    all(p.is_identity() for p in rep_g2.perms[space.rank:]))
     watch.lap("tower_verification")
@@ -352,21 +364,10 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     return h, report
 
 
-def run_monodromy(f: WeierstrassPoly, space: BaseSpace,
-                  tracking: TrackingConfig = DEFAULT_TRACKING) -> PipelineReport:
-    """Track a polynomial's monodromy and report the derived structure.
-    Raises VerificationError when a fiber has a multiple root because the
-    discriminant vanishes identically."""
+def run_monodromy(f: WeierstrassPoly, space: BaseSpace) -> PipelineReport:
+    """Track a polynomial's monodromy and report the derived structure."""
     watch = _Stopwatch()
-    try:
-        rep = characteristic_hom(f, space, tracking)
-    except MultipleRootError:
-        # decided exactly only once a root solve has failed: runs that
-        # succeed pay nothing for it
-        reason = certify(f.coeffs, space).reason
-        if reason == "the discriminant vanishes identically":
-            raise VerificationError(reason) from None
-        raise
+    rep = _monodromy(f, space)
     table, deck, monodromy_group = splitting_cover(rep)
     _, faithful = deck_action_on_roots(deck, monodromy_group)
     watch.lap("monodromy")
@@ -390,13 +391,12 @@ def run_monodromy(f: WeierstrassPoly, space: BaseSpace,
 
 def run_verify_tower(h: WeierstrassPoly, g: WeierstrassPoly, space: BaseSpace,
                      H: PermGroup, phi_images: Sequence[Permutation],
-                     psi_images: Sequence[Permutation],
-                     tracking: TrackingConfig = DEFAULT_TRACKING) -> PipelineReport:
+                     psi_images: Sequence[Permutation]) -> PipelineReport:
     """Re-derive both splitting coverings over the same base space and check
     that psi and phi close the restriction triangle."""
     watch = _Stopwatch()
-    rep_g = characteristic_hom(g, space, tracking)
-    rep_h = characteristic_hom(h, space, tracking)
+    rep_g = _monodromy(g, space)
+    rep_h = _monodromy(h, space)
     g_table, g_deck, _ = splitting_cover(rep_g)
     h_table, h_deck, _ = splitting_cover(rep_h)
     tower = subtable(h_table, g_table)

@@ -13,6 +13,10 @@ import numpy as np
 
 # unit roundoff of IEEE double precision
 _UNIT = 2.0 ** -53
+# Aberth steps per seeding, and the smallest root gap, relative to 1 + the
+# largest root's modulus, at which a fiber's roots count as separated
+_MAX_ITERATIONS = 1200
+_GAP_RTOL = 1e-7
 
 
 def gamma(k: int) -> float:
@@ -84,8 +88,7 @@ def _values(table: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y[:, :z.shape[1]], y[:, z.shape[1]:]
 
 
-def roots_at(coeffs, max_iterations: int = 1200,
-             gap_rtol: float = 1e-7) -> np.ndarray:
+def roots_at(coeffs) -> np.ndarray:
     """All roots of a monic polynomial, or of each row of a stack of them,
     via simultaneous Aberth iteration seeded on a circle of radius
     1 + max|coeff|, polished by Newton steps.
@@ -104,11 +107,19 @@ def roots_at(coeffs, max_iterations: int = 1200,
     if c.shape[-1] == 0:
         raise ValueError("degree must be at least 1")
     rows = c.reshape(-1, c.shape[-1])
-    roots = -rows if rows.shape[1] == 1 else _solve(rows, max_iterations, gap_rtol)
+    if rows.shape[1] == 1:
+        roots = -rows
+    else:
+        roots, failures = _solve(rows)
+        if failures:
+            raise failures[min(failures)]
     return roots[0] if c.ndim == 1 else roots
 
 
-def _solve(rows: np.ndarray, max_iterations: int, gap_rtol: float) -> np.ndarray:
+def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, _FiberError]]:
+    """The roots of every row of a stack of fibers of degree at least 2, and
+    the error of each row that failed (see roots_at), keyed by the row; a
+    failed row's roots are meaningless."""
     count, n = rows.shape
     p = np.empty((count, n + 1), dtype=complex)
     p[:, 0], p[:, 1:] = 1.0, rows[:, ::-1]
@@ -124,7 +135,7 @@ def _solve(rows: np.ndarray, max_iterations: int, gap_rtol: float) -> np.ndarray
                 break
             offset = 0.25 + 0.31 * attempt
             z = scale[todo, None] * np.exp(2j * np.pi * (np.arange(n) + offset) / n)
-            converged = _aberth_iterate(p[todo], z, max_iterations)
+            converged = _aberth_iterate(p[todo], z)
             roots[todo[converged]] = z[converged]
             todo = todo[~converged]
         # rows that failed hold no roots; their arithmetic is ignored
@@ -139,25 +150,27 @@ def _solve(rows: np.ndarray, max_iterations: int, gap_rtol: float) -> np.ndarray
         floor = np.finfo(float).eps * _polyval(np.abs(table[:, :, :n]), np.abs(roots))
         residual = (values > 1e-10 * scale[:, None] + 64 * n * floor).any(axis=1)
         gap = _block_gaps(roots)
-        close = gap < gap_rtol * (1.0 + np.abs(roots).max(axis=1))
+        close = gap < _GAP_RTOL * (1.0 + np.abs(roots).max(axis=1))
     unsolved = np.zeros(count, dtype=bool)
     unsolved[todo] = True
-    failed = overflow | unsolved | residual | close
-    if failed.any():
-        k = int(failed.argmax())
+    failures = {}
+    for k in np.flatnonzero(overflow | unsolved | residual | close).tolist():
         if overflow[k]:
-            raise RootFindingError(
+            failures[k] = RootFindingError(
                 f"the fiber's values overflow a float on the seed circle of "
                 f"radius {scale[k]:.3g}", k)
-        if unsolved[k]:
-            raise RootFindingError("simultaneous iteration failed to converge", k)
-        if residual[k]:
-            raise RootFindingError(f"residual {values[k].max():.2e} too large", k)
-        raise MultipleRootError(f"root gap {gap[k]:.2e} below tolerance", k)
-    return roots
+        elif unsolved[k]:
+            failures[k] = RootFindingError(
+                "simultaneous iteration failed to converge", k)
+        elif residual[k]:
+            failures[k] = RootFindingError(
+                f"residual {values[k].max():.2e} too large", k)
+        else:
+            failures[k] = MultipleRootError(f"root gap {gap[k]:.2e} below tolerance", k)
+    return roots, failures
 
 
-def _aberth_iterate(p: np.ndarray, z: np.ndarray, max_iterations: int) -> np.ndarray:
+def _aberth_iterate(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Aberth steps on every row of the seeds z in place, row k for the
     monic polynomial p[k] (highest power first), until each row converges
     or fails; returns which rows converged. A row stops as soon as it is
@@ -169,7 +182,7 @@ def _aberth_iterate(p: np.ndarray, z: np.ndarray, max_iterations: int) -> np.nda
     live, zl = np.arange(count), z
     table = _horner_table(p)
     abs_p = np.abs(table[:, :, :n])
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         val, der = _values(table, zl)
         # roundoff floor of the evaluation itself; converged when reached
         floor = eps * _polyval(abs_p, np.abs(zl))

@@ -265,6 +265,35 @@ def test_realize_and_embed_outputs_are_pinned(realizations, embeddings):
     assert digest.hexdigest() == PIPELINE_DIGEST
 
 
+# SHA-256 over the integer fields of the tracking summary of every
+# realization and embedding above, in fixture order: the segment rows,
+# vertex fibers and steps of the tracker, and the loop where the smallest
+# disc radius was met (the radius, a float, is left out). A change to the
+# tracker that moves any step count fails here
+TRACKING_DIGEST = (
+    "1026abb7339693ff36b396a853a231b02fbdf5a1d2e5614d583a0949341a871f")
+
+
+def _step_counts(summary):
+    if summary is None:
+        return None
+    smallest = summary["min_disc_radius"]
+    return [summary[key] for key in ("segments", "vertex_fibers", "stack_steps",
+                                     "accepted_steps", "rejected_steps")] \
+        + [smallest and smallest["loop"]]
+
+
+def test_tracking_step_counts_are_pinned(realizations, embeddings):
+    digest = hashlib.sha256()
+    for name, (_, report, _) in realizations.items():
+        digest.update(_digest_line([name, _step_counts(report.artifacts["tracking"])]))
+    for name, (_, report, _) in embeddings.items():
+        tracking = report.artifacts["tracking"]
+        digest.update(_digest_line(
+            [name, {key: _step_counts(tracking[key]) for key in sorted(tracking)}]))
+    assert digest.hexdigest() == TRACKING_DIGEST
+
+
 def test_criterion_5_realization_pipeline(realizations):
     total = 0.0
     for name, group in REALIZE_TARGETS.items():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitcover import monodromy
 from splitcover.cli import build_parser, main
 from splitcover.permgroup import Permutation, closure
 from splitcover.qipoly import QiPoly
@@ -58,38 +59,21 @@ def test_monodromy_cli(z2_artifact, capsys):
     assert report["artifacts"]["monodromy"]["perms"] == [[2, 1]]
 
 
-@pytest.mark.parametrize("step, space, w0", [
-    (4, default_base_space(1), 0),
-    (2, BaseSpace(Disc((0, 0), 10), (Disc((0, 8), Fraction(1, 10)),), (0, -8)), 8j),
-], ids=["step_4", "step_2_small_hole"])
-def test_initial_step_beyond_the_loop_is_input_error(step, space, w0, tmp_path,
-                                                     capsys):
-    # z^2 - (w - w0) with w0 in the hole has monodromy [[2, 1]]; a step is
-    # a fraction of the loop's arclength, so one longer than the loop is
-    # refused
-    a0 = QiPoly.from_gaussian([qi(w0.real, w0.imag), qi(-1)]).to_bivariate()
-    f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
-    poly = write_json(tmp_path / "poly.json", {"polynomial": f.to_json(),
-                                               "base_space": space.to_json()})
-    cfg = write_json(tmp_path / "cfg.json", {"tracking": {"initial_step": step}})
-    assert main(["monodromy", poly, "--config", cfg]) == 4
-    captured = capsys.readouterr()
-    assert "initial_step" in captured.err and captured.out == ""
-
-
 @pytest.mark.parametrize("space, w0", [
     (default_base_space(1), 0),
     (BaseSpace(Disc((0, 0), 10), (Disc((0, 8), Fraction(1, 10)),), (0, -8)), 8j),
 ], ids=["one_hole", "small_hole"])
-def test_a_step_of_the_whole_loop_is_certified_or_cut(space, w0, tmp_path, capsys):
-    # the inputs above with initial_step 1: the first step may be as long
-    # as the loop, and only steps the Rouche test proves are taken
+def test_a_step_of_the_whole_loop_is_certified_or_cut(space, w0, tmp_path, capsys,
+                                                      monkeypatch):
+    # z^2 - (w - w0) with w0 in the hole has monodromy [[2, 1]]; with a first
+    # step of the whole loop (a step is a fraction of the loop's arclength),
+    # only steps the Rouche test proves are taken
+    monkeypatch.setattr(monodromy, "_INITIAL_STEP", 1)
     a0 = QiPoly.from_gaussian([qi(w0.real, w0.imag), qi(-1)]).to_bivariate()
     f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
     poly = write_json(tmp_path / "poly.json", {"polynomial": f.to_json(),
                                                "base_space": space.to_json()})
-    cfg = write_json(tmp_path / "cfg.json", {"tracking": {"initial_step": 1}})
-    assert main(["monodromy", poly, "--config", cfg]) == 0
+    assert main(["monodromy", poly]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["artifacts"]["monodromy"]["perms"] == [[2, 1]]
     assert report["artifacts"]["tracking"]["certified"] is True
@@ -157,26 +141,6 @@ def test_input_errors(tmp_path, capsys):
     assert "generators" in capsys.readouterr().err
 
 
-def test_config_file_controls_tracking(z2_artifact, tmp_path, capsys):
-    _, group, _, _ = z2_artifact
-    cfg = write_json(tmp_path / "cfg.json", {"tracking": {"initial_step": 0.005}})
-    code = main(["realize", group, "--config", str(cfg), "--seed", "7"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["report"]["inputs"]["seed"] == 7
-    assert set(payload["report"]["inputs"]) == {"group", "base_space", "seed"}
-    # the knobs of the step-refinement tracker are gone: each is an input
-    # error that names it
-    for key, value in (("safety_factor", 0.4), ("max_newton_iters", 30)):
-        cfg = write_json(tmp_path / "cfg.json",
-                         {"tracking": {"initial_step": 0.01, key: value}})
-        out = tmp_path / "out.json"
-        assert main(["realize", group, "--config", cfg, "-o", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert "input error" in err and key in err and "Traceback" not in err
-        assert not out.exists()
-
-
 def test_cli_seed_recorded_and_deterministic(z2_artifact, capsys):
     _, group, _, _ = z2_artifact
     assert main(["realize", group]) == 0
@@ -222,22 +186,20 @@ def test_grid_flag_is_refused(argv):
         build_parser().parse_args(argv + ["--grid", "21"])
 
 
-@pytest.mark.parametrize("config", [
-    {"max_degree": 3, "denominator_bound": 7, "grid_density": 21,
-     "conservatism": 0.5},
-    {"grid_densty": 21},
-], ids=["removed_keys", "misspelt_key"])
-def test_unknown_config_key_is_input_error(config, z2_artifact, tmp_path, capsys):
-    _, group, _, _ = z2_artifact
-    cfg = write_json(tmp_path / "cfg.json", config)
-    out = tmp_path / "out.json"
-    assert main(["realize", group, "--config", cfg, "-o", str(out)]) == 4
+@pytest.mark.parametrize("argv, offending", [
+    (["realize"], "group"),
+    (["bogus"], "bogus"),
+    (["realize", "g.json", "--config", "cfg.json"], "--config"),
+    (["monodromy", "f.json", "--seed", "7"], "--seed"),
+], ids=["missing_positional", "unknown_command", "config", "seed"])
+def test_usage_error_exits_4(argv, offending, capsys):
+    # argparse's own code 2 would read as a verification failure; the flags
+    # --config and --seed are gone
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
     err = capsys.readouterr().err
-    assert "input error" in err and "unknown config key(s)" in err
-    for key in config:
-        assert key in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    assert "input error" in err and offending in err
 
 
 def test_embed_self_check_failure_exits_2(z2_artifact, tmp_path, capsys,
@@ -258,36 +220,6 @@ def test_embed_self_check_failure_exits_2(z2_artifact, tmp_path, capsys,
     assert "verification failure" in err
     assert "Traceback" not in err
     assert not embed_out.exists()
-
-
-# the removed keys conservatism and grid_density stay input errors whatever
-# their value
-@pytest.mark.parametrize("config", [
-    {"conservatism": [1]},
-    {"conservatism": None},
-    {"conservatism": True},
-    {"conservatism": "0.5"},
-    {"grid_density": [41]},
-    {"grid_density": {"n": 41}},
-    {"grid_density": 7.9},
-    {"grid_density": "9"},
-    {"grid_density": None},
-    {"tracking": {"initial_step": True}},
-    {"tracking": {"max_newton_iters": True}},
-    {"tracking": {"initial_step": float("nan")}},
-], ids=["conservatism_list", "conservatism_null", "conservatism_bool",
-        "conservatism_string", "grid_list", "grid_object", "grid_float",
-        "grid_string", "grid_null", "initial_step_bool",
-        "max_newton_iters_bool", "initial_step_nan"])
-def test_non_numeric_config_value_is_input_error(config, z2_artifact, tmp_path,
-                                                 capsys):
-    _, group, _, _ = z2_artifact
-    cfg = write_json(tmp_path / "cfg.json", config)
-    out = tmp_path / "out.json"
-    assert main(["realize", group, "--config", cfg, "-o", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert "input error" in err and "Traceback" not in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("target, doc", [
@@ -356,19 +288,35 @@ def test_float_overflow_is_numerical_error(a0, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("coeffs", [
-    [[], []],
-    [[[2, 0, 1, 1, 0, 1], [0, 2, -1, 1, 0, 1], [1, 1, 0, 1, 2, 1]],
-     [[1, 0, -2, 1, 0, 1], [0, 1, 0, 1, -2, 1]]],
-], ids=["z^2", "(z-w)^2"])
+VANISHING_DISCRIMINANT = {
+    "z^2": [[], []],
+    "(z-w)^2": [[[2, 0, 1, 1, 0, 1], [0, 2, -1, 1, 0, 1], [1, 1, 0, 1, 2, 1]],
+                [[1, 0, -2, 1, 0, 1], [0, 1, 0, 1, -2, 1]]],
+}
+
+
+@pytest.mark.parametrize("command, coeffs", [
+    (command, coeffs) for command in ("monodromy", "embed", "verify-tower")
+    for coeffs in VANISHING_DISCRIMINANT.values()
+], ids=[name if command == "monodromy" else f"{command}-{name}"
+        for command in ("monodromy", "embed", "verify-tower")
+        for name in VANISHING_DISCRIMINANT])
 def test_identically_vanishing_discriminant_is_verification_failure(
-        coeffs, tmp_path, capsys):
-    # every fiber has a double root, so the input is not Weierstrass: exit 2
-    # with the certificate's reason, not exit 3 with a root gap
+        command, coeffs, tmp_path, capsys):
+    # every fiber has a double root, so the input is not Weierstrass: every
+    # command that tracks it exits 2 with the certificate's reason, not 3
+    # with a root gap
     path = write_json(tmp_path / "poly.json", {"degree": 2, "coeffs": coeffs})
     space = write_json(tmp_path / "space.json", default_base_space(1).to_json())
+    group = write_json(tmp_path / "z4.json", {"degree": 4, "generators": [[2, 3, 4, 1]]})
+    phi = write_json(tmp_path / "phi.json", {"gen_images": [[2, 1]]})
+    psi = write_json(tmp_path / "psi.json", {"gen_images": [[2, 3, 4, 1]]})
     out = tmp_path / "out.json"
-    assert main(["monodromy", path, "--base-space", space, "-o", str(out)]) == 2
+    argv = {"monodromy": [path],
+            "embed": [path, "--group", group, "--phi", phi],
+            "verify-tower": [path, path, "--group", group, "--phi", phi,
+                             "--psi", psi]}[command]
+    assert main([command, *argv, "--base-space", space, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert "the discriminant vanishes identically" in err and "Traceback" not in err
     assert not out.exists()
@@ -382,7 +330,6 @@ FUZZ_INPUTS = {
     "polynomial": {"degree": 2,
                    "coeffs": [[[1, 0, -1, 1, 0, 1], [0, 1, 0, 1, -1, 1]], []]},
     "base_space": default_base_space(1).to_json(),
-    "config": {"tracking": {"initial_step": 0.02, "min_step": 1e-08}},
 }
 
 
@@ -434,8 +381,8 @@ def _fuzz_argv(target, doc, tmp_path):
     paths = {name: write_json(tmp_path / f"{name}.json",
                               doc if name == target else default)
              for name, default in FUZZ_INPUTS.items()}
-    if target in ("group", "config"):
-        argv = ["realize", paths["group"], "--config", paths["config"]]
+    if target == "group":
+        argv = ["realize", paths["group"]]
     else:
         argv = ["monodromy", paths["polynomial"],
                 "--base-space", paths["base_space"]]
@@ -455,12 +402,8 @@ def test_cli_fuzz_mutated_inputs_exit_cleanly(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code in (0, 2, 3, 4), (target, doc, code, err)
             assert "Traceback" not in err
-            # a config value of the wrong type is never coerced; a dropped
-            # key falls back to its default
-            if target == "config" and op != "drop":
-                assert code == 4, (doc, op, code, err)
-            # nor is an integer: a swapped integer leaf of any input is
-            # never truncated or read as a bool
+            # a swapped integer leaf of any input is never truncated or read
+            # as a bool
             if op == "swap" and type(node) is int:
                 assert code == 4, (target, doc, code, err)
 

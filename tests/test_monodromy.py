@@ -11,10 +11,8 @@ from splitcover import monodromy
 from splitcover.cli import main
 from splitcover.freecover import cayley_table, is_normal
 from splitcover.monodromy import (
-    DEFAULT_TRACKING,
     MonodromyRep,
     StepUnderflowError,
-    TrackingConfig,
     _certify,
     _permutations,
     _start,
@@ -71,24 +69,6 @@ def square_loop(center, half):
         (cx - h, cy + h), (cx - h, cy - h)))
 
 
-def test_tracking_config_validation():
-    with pytest.raises(ValueError):
-        TrackingConfig(initial_step=-1)
-    with pytest.raises(ValueError):
-        TrackingConfig(initial_step=1.5)
-    with pytest.raises(ValueError):
-        TrackingConfig(min_step=1.0)
-    # bools, strings and non-finite values are never coerced
-    for bad in ({"initial_step": True}, {"min_step": "1e-8"},
-                {"min_step": float("nan")}, {"initial_step": float("inf")}):
-        with pytest.raises(ValueError):
-            TrackingConfig(**bad)
-    # the knobs of the step-refinement tracker are gone
-    for gone in ("safety_factor", "max_newton_iters"):
-        with pytest.raises(TypeError, match=gone):
-            TrackingConfig(**{gone: 1})
-
-
 def test_constant_coefficients_yield_identity():
     f, x = constant_model(3)
     loop = generator_loops(x)[0]
@@ -122,8 +102,8 @@ def test_homomorphism_property_on_concatenation():
     doubled = LoopPath(loop.vertices + loop.vertices[1:])
     from splitcover.monodromy import basepoint_fiber
     fiber = basepoint_fiber(f, x)
-    once = track_loop(f, loop, DEFAULT_TRACKING, fiber)
-    twice = track_loop(f, doubled, DEFAULT_TRACKING, fiber)
+    once = track_loop(f, loop, fiber)
+    twice = track_loop(f, doubled, fiber)
     assert twice == compose(once, once)
 
 
@@ -137,10 +117,10 @@ def test_homomorphism_property_on_generator_pairs():
     loops = generator_loops(x)
     from splitcover.monodromy import basepoint_fiber
     fiber = basepoint_fiber(f, x)
-    singles = [track_loop(f, lp, DEFAULT_TRACKING, fiber) for lp in loops]
+    singles = [track_loop(f, lp, fiber) for lp in loops]
     for i, j in ((0, 1), (1, 0)):
         joined = LoopPath(loops[i].vertices + loops[j].vertices[1:])
-        got = track_loop(f, joined, DEFAULT_TRACKING, fiber)
+        got = track_loop(f, joined, fiber)
         assert got == compose(singles[i], singles[j])
 
 
@@ -308,18 +288,18 @@ def assert_rows_match_alone(f, loops, fiber):
     share = numpy.array(share)
     with numpy.errstate(all="ignore"):
         ebar, moving, cert = _start(coeffs, err, fibers)
-        stacked = _track_rows(coeffs, ebar, share, cert, DEFAULT_TRACKING, moving)
+        stacked = _track_rows(coeffs, ebar, share, cert, moving)
         for q in range(len(segments)):
             alone = _track_rows(coeffs[q:q + 1], ebar[q:q + 1], share[q:q + 1],
-                                cert.take([q]), DEFAULT_TRACKING, moving)
+                                cert.take([q]), moving)
             assert stacked.roots[q].tobytes() == alone.roots[0].tobytes()
             assert stacked.rho[q].tobytes() == alone.rho[0].tobytes()
             assert stacked.accepted[q] == alone.accepted[0]
             assert stacked.rejected[q] == alone.rejected[0]
     assert numpy.isnan(stacked.failed_at).all()
-    results, summary = _track_loops(f, loops, DEFAULT_TRACKING, fiber)
+    results, summary = _track_loops(f, loops, fiber)
     for loop, perm in zip(loops, results):
-        assert perm == _track_loops(f, [loop], DEFAULT_TRACKING, fiber)[0][0]
+        assert perm == _track_loops(f, [loop], fiber)[0][0]
     assert summary["certified"] and summary["segments"] == len(segments)
     return _permutations(results)
 
@@ -375,7 +355,7 @@ def test_retraced_and_repeated_segments_give_closed_form_permutations(k):
         LoopPath((b, q, b) + loop.vertices[1:]): (1, 18),
     }
     for path, (turns, segments) in cases.items():
-        results, summary = _track_loops(f, [path], DEFAULT_TRACKING, fiber)
+        results, summary = _track_loops(f, [path], fiber)
         assert _permutations(results) == [rotation(fiber, turns, k)]
         assert summary["segments"] == segments
 
@@ -391,11 +371,11 @@ def test_stacked_track_raises_the_first_failing_row():
     alone = {}
     for loop in (early, late):
         with pytest.raises(StepUnderflowError) as exc:
-            track_loop(f, loop, DEFAULT_TRACKING, fiber)
+            track_loop(f, loop, fiber)
         alone[loop] = exc.value
     assert "t=0.4" in str(alone[early]) and "t=0.6" in str(alone[late])
     # the early loop fails nearer its start but is second in loop order
-    results, _ = _track_loops(f, [late, early], DEFAULT_TRACKING, fiber)
+    results, _ = _track_loops(f, [late, early], fiber)
     assert [(type(r), str(r)) for r in results] == \
         [(type(alone[k]), str(alone[k])) for k in (late, early)]
     with pytest.raises(RuntimeError) as exc:
@@ -403,19 +383,20 @@ def test_stacked_track_raises_the_first_failing_row():
     assert exc.value is results[0]
     for order in ((late, early), (early, late)):
         with pytest.raises(RuntimeError) as exc:
-            _permutations(_track_loops(f, list(order), DEFAULT_TRACKING, fiber)[0])
+            _permutations(_track_loops(f, list(order), fiber)[0])
         first = alone[order[0]]
         assert type(exc.value) is type(first) and str(exc.value) == str(first)
 
 
-def test_step_underflow_when_refinement_is_exhausted():
+def test_step_underflow_when_refinement_is_exhausted(monkeypatch):
     # with no room to shrink the step, the first rejected step must surface
     # as an explicit failure instead of a silently wrong permutation
     f, x = power_model(2)
     loop = generator_loops(x)[0]
-    cfg = TrackingConfig(initial_step=0.5, min_step=0.4)
+    monkeypatch.setattr(monodromy, "_INITIAL_STEP", 0.5)
+    monkeypatch.setattr(monodromy, "_MIN_STEP", 0.4)
     with pytest.raises(StepUnderflowError):
-        track_loop(f, loop, cfg)
+        track_loop(f, loop)
 
 
 def _segment_certificate(f, a, b):
@@ -427,7 +408,7 @@ def _segment_certificate(f, a, b):
     return _certify(coeffs, ebar, start[None], f.degree - 1), coeffs
 
 
-def test_a_step_across_the_branch_point_is_rejected():
+def test_a_step_across_the_branch_point_is_rejected(monkeypatch):
     # z^2 - w along (0, -8) -> (0, 8), through the branch point w = 0 at
     # s = 0.5. Steps never leave a segment, so no step can sweep a whole
     # loop; a step over the branch point must fail the Rouche test, however
@@ -438,10 +419,13 @@ def test_a_step_across_the_branch_point_is_rejected():
     for h in (0.5, 0.75, 1.0):
         assert cert.ratio(numpy.array([h]))[0] >= 1, h
     assert cert.ratio(numpy.array([0.01]))[0] < 1
-    # the tracker, started on this segment, underflows before the branch point
+    # the tracker, started on this segment with a first step of the whole
+    # loop, underflows before the branch point
     loop = LoopPath((x.basepoint, (0, 8), x.basepoint))
-    with pytest.raises(StepUnderflowError, match="t=0.25"):
-        track_loop(f, loop, TrackingConfig(initial_step=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(monodromy, "_INITIAL_STEP", 1)
+        with pytest.raises(StepUnderflowError, match="t=0.25"):
+            track_loop(f, loop)
     # a double root at (0, 0), a vertex of both generator loops of the
     # two-hole space: near it the coefficients' error bound keeps every
     # certified step short of moving, and the step must still fall below

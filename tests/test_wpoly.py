@@ -10,7 +10,7 @@ import oracles
 from oracles import bounding_box, eval_exact, fiber_exact, sample_grid
 from splitcover.certify import certify, discriminant
 from splitcover.qipoly import QiPoly
-from splitcover.roots import _block_gaps
+from splitcover.roots import _block_gaps, _solve
 from splitcover.wpoly import (
     RootFindingError,
     BaseSpace,
@@ -357,6 +357,35 @@ def test_stacked_roots_at_rows_equal_single_fibers():
                     roots_at(stack[first])
                 assert str(alone.value) == str(failed)
                 first += 1
+
+
+def test_stacked_solve_reports_every_failing_row():
+    # the one solve of the tracker's vertex fibers: every row that fails
+    # alone fails in the stack with the same error, keyed by its row, and
+    # every other row, before or after a failing one, gets its bits alone;
+    # [1e300, 0] overflows on its seed circle
+    by_degree = {}
+    for c in _seeded_fibers() + [[144j, 0], [1e300, 0]]:
+        by_degree.setdefault(len(c), []).append(c)
+    checked = set()
+    for n, fibers in by_degree.items():
+        if n < 2:
+            continue
+        for stack in (fibers, fibers[::-1]):
+            roots, failures = _solve(np.array(stack, dtype=complex))
+            failed = []
+            for k, c in enumerate(stack):
+                try:
+                    alone = roots_at(c)
+                except (MultipleRootError, RootFindingError) as exc:
+                    assert type(failures[k]) is type(exc) and failures[k].row == k
+                    assert str(failures[k]) == str(exc)
+                    failed.append(k)
+                    checked.add(type(exc))
+                else:
+                    assert roots[k].tobytes() == alone.tobytes()
+            assert sorted(failures) == failed
+    assert checked == {MultipleRootError, RootFindingError}
 
 
 def test_roots_at_solves_a_fiber_scaled_by_a_thousand():
