@@ -36,7 +36,7 @@ from .permgroup import (
     inverse,
     json_int,
 )
-from .roots import _solve, gamma
+from .roots import RootFindingError, _solve, gamma
 from .wpoly import (
     BaseSpace,
     LoopPath,
@@ -358,25 +358,34 @@ def _underflow(t: float) -> StepUnderflowError:
                               f"close to the discriminant locus")
 
 
-def _track_loops(f: WeierstrassPoly, loops: Sequence[LoopPath],
-                 start: np.ndarray) -> tuple[list, dict]:
-    """Continue the start fiber along every loop, all based at the first
-    loop's basepoint: per loop its permutation, or its first error along it,
-    and the summary. Every distinct segment is one row of _track_rows; its
-    start fiber is the one solved at its start vertex (start at the
-    basepoint). A vertex that starts no segment gets a row of zero length
-    for its coefficients. A vertex fails when its fiber cannot be solved or
-    its certificate proves no step; segments at a failed vertex are not
-    tracked, and a loop reaching one fails there.
+def _track_loops(f: WeierstrassPoly, basepoint: tuple, loops: Sequence[LoopPath],
+                 root_labels: Optional[Sequence[complex]] = None
+                 ) -> tuple[np.ndarray, list, dict]:
+    """Continue the basepoint's fiber along every loop, all based at the
+    basepoint: the fiber, ordered canonically or to match root_labels (see
+    _ordered), per loop its permutation of that order, or its first error
+    along it, and the summary. The fiber at every distinct loop vertex is
+    solved in one stack, the basepoint's as row 0 from its eval_complex
+    coefficients; an error of that row is raised before any other. Every
+    distinct segment is one row of _track_rows, started from the fiber at
+    its start vertex. A vertex that starts no segment gets a row of zero
+    length for its coefficients. A vertex fails when its fiber cannot be
+    solved or its certificate proves no step; segments at a failed vertex
+    are not tracked, and a loop reaching one fails there.
     """
-    count, n = len(loops), len(start)
-    summary = dict(certified=True, segments=0, vertex_fibers=0, stack_steps=0,
-                   accepted_steps=0, rejected_steps=0, min_disc_radius=None)
+    u, v = basepoint
+    start = f.eval_complex(float(u), float(v))
+    count, n = len(loops), f.degree
+    summary = dict(certified=True, segments=0, vertex_fibers=0, aberth_iterations=0,
+                   stack_steps=0, accepted_steps=0, rejected_steps=0,
+                   min_disc_radius=None)
     if n == 1 or not count:
-        return [Permutation((1,))] * count, summary
+        fiber = _ordered(roots_at(start), root_labels)
+        return fiber, [Permutation.identity(n)] * count, summary
     # vertices are numbered in the order first reached, from the basepoint 0,
     # and keyed by their integers, which hash faster than Fractions
-    number, points = {}, []
+    number = {(u.numerator, u.denominator, v.numerator, v.denominator): 0}
+    points = [(u, v)]
     segment = {}           # (a, b) of each distinct segment, as first traversed
     share, first = [], []  # per segment: its share of that loop, and (loop, t)
     walks = []             # per loop: (segment, forward, t at its start, share)
@@ -388,7 +397,7 @@ def _track_loops(f: WeierstrassPoly, loops: Sequence[LoopPath],
             if path[-1] == len(points):
                 points.append((x, y))
         if path[0]:
-            raise ValueError("loops tracked together must share their basepoint")
+            raise ValueError("loops tracked together must start at the basepoint")
         pts = np.array([complex(float(x), float(y)) for x, y in loop.vertices])
         lengths = np.abs(np.diff(pts))
         lengths /= lengths.sum() or 1.0
@@ -405,18 +414,23 @@ def _track_loops(f: WeierstrassPoly, loops: Sequence[LoopPath],
         walks.append(walk)
     rows = list(segment)
     orphans = sorted(set(range(len(points))) - {a for a, _ in rows})
-    coeffs, err = f.segment_polys([(points[a], points[b]) for a, b in rows]
-                                  + [(points[v], points[v]) for v in orphans])
+    try:
+        coeffs, err = f.segment_polys([(points[a], points[b]) for a, b in rows]
+                                      + [(points[v], points[v]) for v in orphans])
+    except RootFindingError:
+        roots_at(start)  # the basepoint's error comes first
+        raise
     head = np.array([a for a, _ in rows] + orphans)
     tail = np.array([b for _, b in rows])
     rep = np.unique(head, return_index=True)[1]  # the first row from each vertex
 
-    # the fiber at every vertex but the basepoint, in one stacked solve
-    fibers = np.zeros((len(points), n), dtype=complex)
-    fibers[0] = start
-    fibers[1:], failures = _solve(coeffs[rep[1:], 0])
+    # the fiber at every vertex in one stacked solve, the basepoint's first
+    fibers, failures, iterations = _solve(np.vstack((start, coeffs[rep[1:], 0])))
+    if 0 in failures:
+        raise failures[0]
+    fibers[0] = fiber = _ordered(fibers[0], root_labels)
     solved = np.ones(len(points), dtype=bool)
-    solved[[1 + k for k in failures]] = False
+    solved[list(failures)] = False
     with np.errstate(all="ignore"):
         ebar, moving, cert = _start(coeffs, err, fibers[head])
         good = solved & (cert.lower[rep] > 0).all(axis=1)
@@ -455,8 +469,8 @@ def _track_loops(f: WeierstrassPoly, loops: Sequence[LoopPath],
             break
         else:
             results.append(Permutation(tuple(int(k) + 1 for k in at)))
-    summary.update(segments=len(rows), vertex_fibers=len(points) - 1,
-                   stack_steps=ends.stack_steps,
+    summary.update(segments=len(rows), vertex_fibers=len(points),
+                   aberth_iterations=iterations, stack_steps=ends.stack_steps,
                    accepted_steps=int(ends.accepted.sum()),
                    rejected_steps=int(ends.rejected.sum()))
     if live.size:
@@ -465,7 +479,7 @@ def _track_loops(f: WeierstrassPoly, loops: Sequence[LoopPath],
         summary["min_disc_radius"] = {
             "radius": float(ends.smallest[j]), "loop": loop + 1,
             "t": t + float(ends.where[j]) * share[live[j]]}
-    return results, summary
+    return fiber, results, summary
 
 
 def _permutations(results: list) -> list[Permutation]:
@@ -480,14 +494,11 @@ def track_loop(f: WeierstrassPoly, loop: LoopPath,
                start_roots: Optional[Sequence[complex]] = None) -> Permutation:
     """Certified continuation of the fiber along a closed loop: the
     permutation sending start label k to the label whose position the k-th
-    root reached. Loops sharing a basepoint fiber compose left to right,
-    as permutations do. A one-loop call of the stacked tracker."""
-    if start_roots is None:
-        u0, v0 = loop.vertices[0]
-        start = roots_at(f.eval_complex(float(u0), float(v0)))
-    else:
-        start = np.array(start_roots, dtype=complex)
-    return _permutations(_track_loops(f, [loop], start)[0])[0]
+    root reached. The fiber at the loop's first vertex is ordered to match
+    start_roots, or canonically without them (see _ordered). Loops sharing
+    a basepoint fiber compose left to right, as permutations do. A one-loop
+    call of the stacked tracker."""
+    return _permutations(_track_loops(f, loop.vertices[0], [loop], start_roots)[1])[0]
 
 
 def _nearest_labels(labels: np.ndarray, points: np.ndarray,
@@ -503,11 +514,9 @@ def _nearest_labels(labels: np.ndarray, points: np.ndarray,
     return match
 
 
-def basepoint_fiber(f: WeierstrassPoly, space: BaseSpace,
-                    root_labels: Optional[Sequence[complex]] = None) -> np.ndarray:
-    """Roots over the basepoint, ordered canonically or to match given labels."""
-    u, v = space.basepoint
-    raw = roots_at(f.eval_complex(float(u), float(v)))
+def _ordered(raw: np.ndarray, root_labels: Optional[Sequence[complex]]) -> np.ndarray:
+    """The basepoint's roots ordered canonically, by real then imaginary part
+    rounded to 9 digits, or to match the given labels."""
     if root_labels is None:
         order = sorted(range(len(raw)),
                        key=lambda k: (round(raw[k].real, 9), round(raw[k].imag, 9)))
@@ -521,12 +530,11 @@ def basepoint_fiber(f: WeierstrassPoly, space: BaseSpace,
 def characteristic_hom(f: WeierstrassPoly, space: BaseSpace,
                        root_labels: Optional[Sequence[complex]] = None
                        ) -> MonodromyRep:
-    """Certified permutation of the basepoint fiber for every generator
-    loop, all their segments tracked in one stack; the tracking summary is
-    kept on the result."""
+    """Certified permutation of the basepoint fiber, ordered canonically or
+    to match root_labels, for every generator loop, all their segments
+    tracked in one stack; the tracking summary is kept on the result."""
     loops = generator_loops(space)
-    fiber = basepoint_fiber(f, space, root_labels)
-    results, summary = _track_loops(f, loops, fiber)
+    fiber, results, summary = _track_loops(f, space.basepoint, loops, root_labels)
     return MonodromyRep(len(loops), len(fiber), tuple(_permutations(results)),
                         tuple(complex(z) for z in fiber), summary)
 

@@ -17,6 +17,9 @@ _UNIT = 2.0 ** -53
 # largest root's modulus, at which a fiber's roots count as separated
 _MAX_ITERATIONS = 1200
 _GAP_RTOL = 1e-7
+# the least binary exponent of the seed radius: a fiber whose roots all lie
+# within 2^-29 has them closer than _GAP_RTOL resolves, whatever its seeds
+_SEED_EXPONENT_FLOOR = -30
 
 
 def gamma(k: int) -> float:
@@ -90,16 +93,18 @@ def _values(table: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def roots_at(coeffs) -> np.ndarray:
     """All roots of a monic polynomial, or of each row of a stack of them,
-    via simultaneous Aberth iteration seeded on a circle of radius
-    1 + max|coeff|, polished by Newton steps.
+    via simultaneous Aberth iteration seeded on a circle just outside the
+    roots, polished by Newton steps. The circle's radius is Fujiwara's bound
+    2 max(|a_(n-k)|^(1/k), |a_0 / 2|^(1/n)) on the roots' moduli (Tohoku
+    Math. J. 10, 1916), rounded up to a power of two, and at least 2^-29.
 
     One fiber returns an (n,) array and N stacked fibers an (N, n) array;
     every row is solved bit for bit as it would be alone. Raises, for the
     first failing row (the error's row), RootFindingError when the seed
-    circle's values overflow a float, the iteration does not converge or it
-    leaves a residual above 1e-10 (1 + max|a_k|) + 64 n eps sum |a_k| |z|^k,
-    and MultipleRootError when the computed roots are too close to separate
-    reliably.
+    circle's values overflow a float, the iteration does not converge, the
+    polished roots are not finite or they leave a residual above
+    1e-10 (1 + max|a_k|) + 64 n eps sum |a_k| |z|^k, and MultipleRootError
+    when the computed roots are too close to separate reliably.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim not in (1, 2):
@@ -110,23 +115,33 @@ def roots_at(coeffs) -> np.ndarray:
     if rows.shape[1] == 1:
         roots = -rows
     else:
-        roots, failures = _solve(rows)
+        roots, failures, _ = _solve(rows)
         if failures:
             raise failures[min(failures)]
     return roots[0] if c.ndim == 1 else roots
 
 
-def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, _FiberError]]:
-    """The roots of every row of a stack of fibers of degree at least 2, and
-    the error of each row that failed (see roots_at), keyed by the row; a
-    failed row's roots are meaningless."""
+def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, _FiberError], int]:
+    """The roots of every row of a stack of fibers of degree at least 2, the
+    error of each row that failed (see roots_at), keyed by the row, and the
+    Aberth steps the stack took; a failed row's roots are meaningless."""
     count, n = rows.shape
     p = np.empty((count, n + 1), dtype=complex)
     p[:, 0], p[:, 1:] = 1.0, rows[:, ::-1]
     # hypot, as abs() of one complex number computes it
-    scale = 1.0 + np.hypot(rows.real, rows.imag).max(axis=1)
+    size = np.hypot(rows.real, rows.imag)
+    scale = 1.0 + size.max(axis=1)
+    # Fujiwara's bound in integers, so exact and the same for a row in any
+    # stack: a term |a_(n-k)| below 2^e (|a_0| / 2 for k = n) has its k-th
+    # root below 2^ceil(e / k)
+    k = np.arange(n, 0, -1)
+    e = np.frexp(size)[1] - (k == n)
+    top = np.where(size > 0, -(-e // k), _SEED_EXPONENT_FLOOR)
+    exponent = np.maximum(top.max(axis=1), _SEED_EXPONENT_FLOOR)
+    iterations = 0
     with np.errstate(all="ignore"):
-        overflow = ~np.isfinite(_polyval(np.abs(p).T[:, :, None], scale[:, None])[:, 0])
+        radius = np.ldexp(2.0, exponent)
+        overflow = ~np.isfinite(_polyval(np.abs(p).T[:, :, None], radius[:, None])[:, 0])
         roots = np.zeros_like(rows)
         # each attempt reseeds the rows that have not converged yet
         todo = np.flatnonzero(~overflow)
@@ -134,8 +149,9 @@ def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, _FiberError]]:
             if not todo.size:
                 break
             offset = 0.25 + 0.31 * attempt
-            z = scale[todo, None] * np.exp(2j * np.pi * (np.arange(n) + offset) / n)
-            converged = _aberth_iterate(p[todo], z)
+            z = radius[todo, None] * np.exp(2j * np.pi * (np.arange(n) + offset) / n)
+            converged, steps = _aberth_iterate(p[todo], z)
+            iterations += steps
             roots[todo[converged]] = z[converged]
             todo = todo[~converged]
         # rows that failed hold no roots; their arithmetic is ignored
@@ -153,36 +169,41 @@ def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, _FiberError]]:
         close = gap < _GAP_RTOL * (1.0 + np.abs(roots).max(axis=1))
     unsolved = np.zeros(count, dtype=bool)
     unsolved[todo] = True
+    # a NaN root passes the residual and gap tests above, whose comparisons
+    # it fails
+    infinite = ~np.isfinite(roots).all(axis=1)
     failures = {}
-    for k in np.flatnonzero(overflow | unsolved | residual | close).tolist():
+    for k in np.flatnonzero(overflow | unsolved | infinite | residual | close).tolist():
         if overflow[k]:
             failures[k] = RootFindingError(
                 f"the fiber's values overflow a float on the seed circle of "
-                f"radius {scale[k]:.3g}", k)
+                f"radius {radius[k]:.3g}", k)
         elif unsolved[k]:
             failures[k] = RootFindingError(
                 "simultaneous iteration failed to converge", k)
+        elif infinite[k]:
+            failures[k] = RootFindingError("the polished roots are not finite", k)
         elif residual[k]:
             failures[k] = RootFindingError(
                 f"residual {values[k].max():.2e} too large", k)
         else:
             failures[k] = MultipleRootError(f"root gap {gap[k]:.2e} below tolerance", k)
-    return roots, failures
+    return roots, failures, iterations
 
 
-def _aberth_iterate(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _aberth_iterate(p: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int]:
     """Aberth steps on every row of the seeds z in place, row k for the
     monic polynomial p[k] (highest power first), until each row converges
-    or fails; returns which rows converged. A row stops as soon as it is
-    decided, so it takes the steps it would take alone; the working arrays
-    are compacted only when some row is decided."""
+    or fails; returns which rows converged and the steps the stack took. A
+    row stops as soon as it is decided, so it takes the steps it would take
+    alone; the working arrays are compacted only when some row is decided."""
     count, n = z.shape
     eps = np.finfo(float).eps
     converged = np.zeros(count, dtype=bool)
     live, zl = np.arange(count), z
     table = _horner_table(p)
     abs_p = np.abs(table[:, :, :n])
-    for _ in range(_MAX_ITERATIONS):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         val, der = _values(table, zl)
         # roundoff floor of the evaluation itself; converged when reached
         floor = eps * _polyval(abs_p, np.abs(zl))
@@ -215,4 +236,4 @@ def _aberth_iterate(p: np.ndarray, z: np.ndarray) -> np.ndarray:
             table, abs_p = table[:, ~small], abs_p[:, ~small]
             if not live.size:
                 break
-    return converged
+    return converged, iterations

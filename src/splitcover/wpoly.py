@@ -312,9 +312,12 @@ def _rational_unit(angle: float, scale_bits: int = 20) -> tuple[Fraction, Fracti
 
 def generator_loops(space: BaseSpace) -> tuple[LoopPath, ...]:
     """One polygonal loop per hole: out from the basepoint, once around a
-    16-gon of twice the hole's radius counterclockwise, and back. The winding
-    matrix against the hole centers is verified to be the identity. Built
-    once per space and kept on it."""
+    regular polygon on the circle of twice the hole's radius
+    counterclockwise, from its lowest vertex, and back. Each hole gets the
+    fewest sides, from 6 to 16, whose loop stays in the space and whose
+    winding numbers about the hole centers are 1 for its own hole and 0 for
+    the others; fewer sides mean fewer vertex fibers to solve and segments
+    to track. Built once per space and kept on it."""
     if space._loops is not None:
         return space._loops
     holes = space.holes
@@ -323,29 +326,41 @@ def generator_loops(space: BaseSpace) -> tuple[LoopPath, ...]:
             raise GeometryError("holes must be ordered by center abscissa")
     loops = []
     for idx, hole in enumerate(holes):
-        cx, cy = hole.center
-        rho = 2 * hole.radius
-        bottom = (cx, cy - rho)
-        ring = [bottom]
-        for j in range(1, 16):
-            ang = -math.pi / 2 + 2 * math.pi * j / 16
-            cos_a, sin_a = _rational_unit(ang)
-            ring.append((cx + rho * cos_a, cy + rho * sin_a))
-        ring.append(bottom)
-        verts = [space.basepoint] + ring + [space.basepoint]
-        loop = LoopPath(tuple(verts))
-        try:
-            validate_loop(space, loop)
-        except GeometryError as exc:
-            raise GeometryError(f"loop around hole {idx + 1}: {exc}") from exc
-        for jdx, other in enumerate(holes):
-            expected = 1 if jdx == idx else 0
-            if winding_number(loop, other.center) != expected:
-                raise GeometryError(
-                    f"loop around hole {idx + 1} winds wrongly about hole {jdx + 1}")
-        loops.append(loop)
+        for sides in range(6, 17):
+            try:
+                loops.append(_hole_loop(space, idx, sides))
+                break
+            except GeometryError:
+                if sides == 16:
+                    raise
     object.__setattr__(space, "_loops", tuple(loops))
     return space._loops
+
+
+def _hole_loop(space: BaseSpace, idx: int, sides: int) -> LoopPath:
+    """The generator loop around hole idx on a polygon of the given sides;
+    GeometryError when it leaves the space or winds wrongly."""
+    hole = space.holes[idx]
+    cx, cy = hole.center
+    rho = 2 * hole.radius
+    bottom = (cx, cy - rho)
+    ring = [bottom]
+    for j in range(1, sides):
+        ang = -math.pi / 2 + 2 * math.pi * j / sides
+        cos_a, sin_a = _rational_unit(ang)
+        ring.append((cx + rho * cos_a, cy + rho * sin_a))
+    ring.append(bottom)
+    loop = LoopPath((space.basepoint, *ring, space.basepoint))
+    try:
+        validate_loop(space, loop)
+    except GeometryError as exc:
+        raise GeometryError(f"loop around hole {idx + 1}: {exc}") from exc
+    for jdx, other in enumerate(space.holes):
+        expected = 1 if jdx == idx else 0
+        if winding_number(loop, other.center) != expected:
+            raise GeometryError(
+                f"loop around hole {idx + 1} winds wrongly about hole {jdx + 1}")
+    return loop
 
 
 class WeierstrassPoly:

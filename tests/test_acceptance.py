@@ -267,19 +267,20 @@ def test_realize_and_embed_outputs_are_pinned(realizations, embeddings):
 
 # SHA-256 over the integer fields of the tracking summary of every
 # realization and embedding above, in fixture order: the segment rows,
-# vertex fibers and steps of the tracker, and the loop where the smallest
-# disc radius was met (the radius, a float, is left out). A change to the
-# tracker that moves any step count fails here
+# vertex fibers, Aberth steps of the vertex solve and steps of the tracker,
+# and the loop where the smallest disc radius was met (the radius, a float,
+# is left out). A change to the tracker or the root solver that moves any
+# of these counts fails here
 TRACKING_DIGEST = (
-    "1026abb7339693ff36b396a853a231b02fbdf5a1d2e5614d583a0949341a871f")
+    "b22f4b7166fd6d114821ed74cac9b5d8c29c0ca47b3a93ff171564392a9002fa")
 
 
 def _step_counts(summary):
     if summary is None:
         return None
     smallest = summary["min_disc_radius"]
-    return [summary[key] for key in ("segments", "vertex_fibers", "stack_steps",
-                                     "accepted_steps", "rejected_steps")] \
+    return [summary[key] for key in ("segments", "vertex_fibers", "aberth_iterations",
+                                     "stack_steps", "accepted_steps", "rejected_steps")] \
         + [smallest and smallest["loop"]]
 
 

@@ -18,7 +18,6 @@ from splitcover.monodromy import (
     _start,
     _track_loops,
     _track_rows,
-    basepoint_fiber,
     characteristic_hom,
     deck_action_on_roots,
     irreducibility_check,
@@ -61,6 +60,11 @@ def constant_model(n):
     return WeierstrassPoly(n, coeffs), x
 
 
+def basepoint_fiber(f, x, root_labels=None):
+    """The basepoint's fiber, ordered as characteristic_hom orders it."""
+    return _track_loops(f, x.basepoint, [], root_labels)[0]
+
+
 def square_loop(center, half):
     cx, cy = center
     h = Fraction(half)
@@ -100,7 +104,6 @@ def test_homomorphism_property_on_concatenation():
     f, x = power_model(4)
     loop = generator_loops(x)[0]
     doubled = LoopPath(loop.vertices + loop.vertices[1:])
-    from splitcover.monodromy import basepoint_fiber
     fiber = basepoint_fiber(f, x)
     once = track_loop(f, loop, fiber)
     twice = track_loop(f, doubled, fiber)
@@ -115,7 +118,6 @@ def test_homomorphism_property_on_generator_pairs():
                             BivariatePolyQi.zero(), a2,
                             BivariatePolyQi.zero()])
     loops = generator_loops(x)
-    from splitcover.monodromy import basepoint_fiber
     fiber = basepoint_fiber(f, x)
     singles = [track_loop(f, lp, fiber) for lp in loops]
     for i, j in ((0, 1), (1, 0)):
@@ -297,9 +299,10 @@ def assert_rows_match_alone(f, loops, fiber):
             assert stacked.accepted[q] == alone.accepted[0]
             assert stacked.rejected[q] == alone.rejected[0]
     assert numpy.isnan(stacked.failed_at).all()
-    results, summary = _track_loops(f, loops, fiber)
+    base = loops[0].vertices[0]
+    _, results, summary = _track_loops(f, base, loops, fiber)
     for loop, perm in zip(loops, results):
-        assert perm == _track_loops(f, [loop], fiber)[0][0]
+        assert perm == _track_loops(f, base, [loop], fiber)[1][0]
     assert summary["certified"] and summary["segments"] == len(segments)
     return _permutations(results)
 
@@ -320,12 +323,13 @@ def test_stacked_rows_equal_rows_tracked_alone(n, exponents):
     # under the 401 stack steps of three fixed refinement passes, and the
     # 29-83 of one row per loop
     assert rep.tracking["stack_steps"] <= 12
-    # each loop has 18 segments, and its last retraces its first: three
-    # loops track 51 rows, not 54. Each ring has 16 vertices, neighbouring
-    # rings share one, and the basepoint's fiber is given
+    # a loop around a ring of k sides has k + 2 segments, and its last
+    # retraces its first: k + 1 rows per loop. Each ring has k vertices, no
+    # two rings share one, and the basepoint's fiber is solved with them
     m = len(exponents)
+    sides = sum(len(loop.vertices) - 3 for loop in loops)
     assert (rep.tracking["segments"], rep.tracking["vertex_fibers"]) == \
-        (17 * m, 15 * m + 1)
+        (sides + m, sides + 1)
 
 
 def test_stacked_rows_equal_rows_tracked_alone_on_realized_s3():
@@ -347,15 +351,17 @@ def test_retraced_and_repeated_segments_give_closed_form_permutations(k):
     fiber = basepoint_fiber(f, x)
     loop = generator_loops(x)[0]
     b, q = x.basepoint, (Fraction(5), Fraction(5))
+    # the loop's distinct segments: all but its retraced return leg
+    rows = len(loop.vertices) - 2
     cases = {
-        LoopPath(loop.vertices + loop.vertices[1:]): (2, 17),
-        LoopPath(loop.vertices[::-1]): (-1, 17),
-        LoopPath(loop.vertices + loop.vertices[-2::-1]): (0, 17),
+        LoopPath(loop.vertices + loop.vertices[1:]): (2, rows),
+        LoopPath(loop.vertices[::-1]): (-1, rows),
+        LoopPath(loop.vertices + loop.vertices[-2::-1]): (0, rows),
         LoopPath((b, q, b)): (0, 1),
-        LoopPath((b, q, b) + loop.vertices[1:]): (1, 18),
+        LoopPath((b, q, b) + loop.vertices[1:]): (1, rows + 1),
     }
     for path, (turns, segments) in cases.items():
-        results, summary = _track_loops(f, [path], fiber)
+        _, results, summary = _track_loops(f, b, [path], fiber)
         assert _permutations(results) == [rotation(fiber, turns, k)]
         assert summary["segments"] == segments
 
@@ -375,7 +381,7 @@ def test_stacked_track_raises_the_first_failing_row():
         alone[loop] = exc.value
     assert "t=0.4" in str(alone[early]) and "t=0.6" in str(alone[late])
     # the early loop fails nearer its start but is second in loop order
-    results, _ = _track_loops(f, [late, early], fiber)
+    _, results, _ = _track_loops(f, b, [late, early], fiber)
     assert [(type(r), str(r)) for r in results] == \
         [(type(alone[k]), str(alone[k])) for k in (late, early)]
     with pytest.raises(RuntimeError) as exc:
@@ -383,7 +389,7 @@ def test_stacked_track_raises_the_first_failing_row():
     assert exc.value is results[0]
     for order in ((late, early), (early, late)):
         with pytest.raises(RuntimeError) as exc:
-            _permutations(_track_loops(f, list(order), fiber)[0])
+            _permutations(_track_loops(f, b, list(order), fiber)[1])
         first = alone[order[0]]
         assert type(exc.value) is type(first) and str(exc.value) == str(first)
 
@@ -426,14 +432,14 @@ def test_a_step_across_the_branch_point_is_rejected(monkeypatch):
         patch.setattr(monodromy, "_INITIAL_STEP", 1)
         with pytest.raises(StepUnderflowError, match="t=0.25"):
             track_loop(f, loop)
-    # a double root at (0, 0), a vertex of both generator loops of the
-    # two-hole space: near it the coefficients' error bound keeps every
-    # certified step short of moving, and the step must still fall below
-    # min_step instead of shrinking forever
+    # a double root all along the axis v = 0, which both generator loops of
+    # the two-hole space cross: near it the coefficients' error bound keeps
+    # every certified step short of moving, and the step must still fall
+    # below min_step instead of shrinking forever
     a0 = BivariatePolyQi({(1, 1): qi(Fraction(-3, 2), Fraction(3, 4))})
     a1 = BivariatePolyQi({(0, 1): qi(Fraction(-1, 4), -1),
                           (1, 1): qi(Fraction(-2, 3), 5)})
-    with pytest.raises(StepUnderflowError, match="t=0.375812"):
+    with pytest.raises(StepUnderflowError, match="t=0.378292"):
         characteristic_hom(WeierstrassPoly(2, [a0, a1]), default_base_space(2))
 
 

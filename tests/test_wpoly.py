@@ -9,9 +9,12 @@ import pytest
 import oracles
 from oracles import bounding_box, eval_exact, fiber_exact, sample_grid
 from splitcover.certify import certify, discriminant
+from splitcover.monodromy import characteristic_hom
+from splitcover.permgroup import Permutation
 from splitcover.qipoly import QiPoly
 from splitcover.roots import _block_gaps, _solve
 from splitcover.wpoly import (
+    _hole_loop,
     RootFindingError,
     BaseSpace,
     BivariatePolyQi,
@@ -198,10 +201,39 @@ def test_generator_loops_winding_matrix(m):
     for i, loop in enumerate(loops):
         validate_loop(x, loop)
         assert loop.vertices[0] == x.basepoint
+        assert len(loop.vertices) == 9  # out, around a hexagon, and back
         for j, hole in enumerate(x.holes):
             expected = 1 if i == j else 0
             assert winding_number(loop, hole.center) == expected
             assert float_winding(loop, hole.center) == expected
+
+
+def test_generator_loops_take_more_sides_where_the_hexagon_leaves():
+    # a unit hole near the outer circle, in the direction of the hexagon's
+    # vertex at 30 degrees: that vertex leaves the outer disc, a polygon
+    # with more sides stays inside, and its loop swaps the two roots of
+    # z^2 - (w - c) about the hole's center c
+    c = (Fraction(6951, 1000), Fraction(3972, 1000))
+    x = BaseSpace(Disc((0, 0), 10), (Disc(c, 1),), (0, -8))
+    with pytest.raises(GeometryError, match="leaves the outer disc"):
+        _hole_loop(x, 0, 6)
+    loop, = generator_loops(x)
+    assert len(loop.vertices) - 3 > 6
+    a0 = BivariatePolyQi({(1, 0): qi(-1), (0, 1): qi(0, -1), (0, 0): qi(*c)})
+    rep = characteristic_hom(WeierstrassPoly(2, [a0, BivariatePolyQi.zero()]), x)
+    assert rep.perms == (Permutation((2, 1)),)
+
+
+def test_generator_loops_fail_where_no_polygon_fits():
+    # a unit hole centered 1.5 inside the outer circle: even its 16-gon, of
+    # radius 2, leaves the outer disc, and the 16-gon's error is raised
+    x = BaseSpace(Disc((0, 0), 10), (Disc((0, Fraction(17, 2)), 1),), (0, -8))
+    with pytest.raises(GeometryError) as exc:
+        generator_loops(x)
+    assert str(exc.value) == (
+        "loop around hole 1: segment (Fraction(484379, 262144), "
+        "Fraction(4857721, 524288))-(Fraction(741455, 524288), "
+        "Fraction(5197903, 524288)) leaves the outer disc")
 
 
 def test_generator_loops_requires_sorted_holes():
@@ -320,19 +352,20 @@ SIZE_BLIND_FAILURES = frozenset((
 def test_roots_at_output_is_pinned():
     # the solver's roots and error messages, bit for bit; pinned with numpy
     # 2.4 on an x86-64 CPU with AVX-512, whose vectorised float kernels
-    # another build or CPU may round differently
+    # another build or CPU may round differently. Seeding on Fujiwara's
+    # bound in place of 1 + max|a_k| moved no root by more than 1.8e-15
     assert _roots_digest(_seeded_fibers()) == (
-        "50d09e8fad7c351fc6f4a9e4fcada7992086cf23cf87533cc7f731d13338a58c")
+        "757cd7d7ba0a1a1c2fb14bdff97391e00a517f0d856b8dcec9729d57fd41b184")
 
 
 def test_roots_at_output_is_pinned_where_the_size_blind_bound_passed():
-    # the other 391 fibers, pinned before the residual bound took the size
-    # of the roots into account: that change left them bit for bit
+    # the other 391 fibers, pinned apart since the residual bound took the
+    # size of the roots into account, a change that left them bit for bit
     fibers = [c for k, c in enumerate(_seeded_fibers())
               if k not in SIZE_BLIND_FAILURES]
     assert len(fibers) == 391
     assert _roots_digest(fibers) == (
-        "c80a1027c1bb54ebd0242be07999e82050ab0f5b6e2e6a7212af73bab589116f")
+        "7f71128cd696a7ed62f7fa00c8ae3a522a4bb5f51d972314b03b32ce8b66a2a4")
 
 
 def test_stacked_roots_at_rows_equal_single_fibers():
@@ -363,16 +396,16 @@ def test_stacked_solve_reports_every_failing_row():
     # the one solve of the tracker's vertex fibers: every row that fails
     # alone fails in the stack with the same error, keyed by its row, and
     # every other row, before or after a failing one, gets its bits alone;
-    # [1e300, 0] overflows on its seed circle
+    # [0, 1e300] overflows on its seed circle
     by_degree = {}
-    for c in _seeded_fibers() + [[144j, 0], [1e300, 0]]:
+    for c in _seeded_fibers() + [[144j, 0], [0, 1e300]]:
         by_degree.setdefault(len(c), []).append(c)
     checked = set()
     for n, fibers in by_degree.items():
         if n < 2:
             continue
         for stack in (fibers, fibers[::-1]):
-            roots, failures = _solve(np.array(stack, dtype=complex))
+            roots, failures, _ = _solve(np.array(stack, dtype=complex))
             failed = []
             for k, c in enumerate(stack):
                 try:
@@ -386,6 +419,16 @@ def test_stacked_solve_reports_every_failing_row():
                     assert roots[k].tobytes() == alone.tobytes()
             assert sorted(failures) == failed
     assert checked == {MultipleRootError, RootFindingError}
+
+
+def test_roots_at_solves_a_fiber_whose_values_overflow_beyond_its_roots():
+    # z^2 - 1 - 8^300: its roots, about +-2.9e135, are representable, and its
+    # values overflow a float on a circle of radius 1 + max|a_k| = 8.5e270
+    # but not on the seed circle of radius 2^451, about 5.8e135
+    roots = np.sort_complex(roots_at([-1 - 8.0 ** 300, 0]))
+    assert np.allclose(roots, [-(2.0 ** 450), 2.0 ** 450], rtol=1e-15, atol=0)
+    with pytest.raises(RootFindingError, match="seed circle of radius 2.68e"):
+        roots_at([0, 1e300])  # z^2 + 1e300 z, whose root -1e300 overflows z^2
 
 
 def test_roots_at_solves_a_fiber_scaled_by_a_thousand():
