@@ -54,6 +54,7 @@ from .pipeline import (
     run_verify_tower,
     solve_semitop_embedding,
 )
+from .roots import roots_at
 from .wpoly import (
     BaseSpace,
     BivariatePolyQi,
@@ -63,7 +64,6 @@ from .wpoly import (
     WeierstrassPoly,
     default_base_space,
     generator_loops,
-    roots_at,
 )
 
 __version__ = "0.1.0"

@@ -26,14 +26,9 @@ from .pipeline import (
     run_verify_tower,
     solve_semitop_embedding,
 )
+from .roots import MultipleRootError, RootFindingError
 from .synthesis import SynthesisUnsupported
-from .wpoly import (
-    BaseSpace,
-    GeometryError,
-    MultipleRootError,
-    RootFindingError,
-    WeierstrassPoly,
-)
+from .wpoly import BaseSpace, GeometryError, WeierstrassPoly
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2

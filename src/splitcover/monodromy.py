@@ -36,15 +36,18 @@ from .permgroup import (
     inverse,
     json_int,
 )
-from .roots import RootFindingError, _solve, gamma
-from .wpoly import (
-    BaseSpace,
-    LoopPath,
-    WeierstrassPoly,
-    generator_loops,
+from .roots import (
+    _apart,
+    _monic_values,
+    _powers,
+    _smith_radii,
+    _solve,
+    _underflow_bound,
+    gamma,
     min_gap,
     roots_at,
 )
+from .wpoly import BaseSpace, LoopPath, WeierstrassPoly, generator_loops
 
 
 class StepUnderflowError(RuntimeError):
@@ -77,10 +80,8 @@ class MonodromyRep:
                 raise ValueError("permutation degree must match the root count")
         if len(self.root_labels) != self.degree:
             raise ValueError("one label per root required")
-        for i, a in enumerate(self.root_labels):
-            for b in self.root_labels[i + 1:]:
-                if abs(a - b) < 1e-12:
-                    raise ValueError("root labels must be pairwise distinct")
+        if len(set(self.root_labels)) != self.degree:
+            raise ValueError("root labels must be pairwise distinct")
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "degree": self.degree,
@@ -109,27 +110,6 @@ def _taylor_table(top: int) -> tuple[np.ndarray, np.ndarray]:
     coefficient i of p(x + y) in y is sum_l c_l binom(l, i) x^(l - i)."""
     i, l = np.indices((top + 1, top + 1))
     return np.maximum(l - i, 0), np.vectorize(math.comb)(l, i).astype(float)
-
-
-def _powers(x: np.ndarray, top: int) -> np.ndarray:
-    """x^0 .. x^top on a new last axis, x^k = x^(k-1) x: k - 1 products."""
-    p = np.empty(x.shape + (top + 1,), dtype=x.dtype)
-    p[..., 0] = 1
-    if top:
-        p[..., 1:] = x[..., None]
-        np.cumprod(p[..., 1:], axis=-1, out=p[..., 1:])
-    return p
-
-
-def _monic_values(low: np.ndarray, z: np.ndarray):
-    """f and f' at z (rows, m) for the monic fibers whose low coefficients
-    a_0 .. a_{n-1} are the rows of low (rows, n)."""
-    n = low.shape[1]
-    pw = _powers(z, n)
-    p = (pw[..., :n] @ low[:, :, None])[..., 0] + pw[..., n]
-    dp = (pw[..., :n - 1] @ (low[:, 1:] * np.arange(1.0, n))[:, :, None])[..., 0] \
-        + n * pw[..., n - 1]
-    return p, dp
 
 
 def _shift(c: np.ndarray, s0: np.ndarray) -> np.ndarray:
@@ -181,10 +161,7 @@ def _certify(c: np.ndarray, ebar: np.ndarray, r: np.ndarray,
     highest power of z with a coefficient varying in t (-1 for none). Run
     under np.errstate(all="ignore"); overflow leaves lower 0.
 
-    Enclosure (Smith): the roots lie in the discs |z - r_j| <= n |W_j|,
-    W_j = f(r_j) / prod_(k != j) (r_j - r_k), one in each if disjoint;
-    |f(r_j)| <= |computed| + gamma_(4n+2) sum |a_k| |r_j|^k (4n roundings
-    per term) + sum ebar_k |r_j|^k. Lower bound on the circle, by
+    Enclosures: the radii rho_j of _smith_radii. Lower bound on the circle, by
     log|1 + y| >= Re y - |y|^2 / (2 (1 - |y|)) with d_jk = |r_j - r_k| and
     x = R_j / d_jk: |f| >= (R_j - rho_j) prod d_jk exp(-R_j |sum 1 /
     (r_j - r_k)| - sum x^2 / (2 (1 - x))) prod (1 - rho_k / (d_jk - R_j))
@@ -196,25 +173,17 @@ def _certify(c: np.ndarray, ebar: np.ndarray, r: np.ndarray,
     Each float bound is moved by a gamma factor for its roundings (3 for a
     complex product) and the move's: distances by gamma_5 (subtraction, hypot
     within an ulp), a sum, difference or quotient of two bounds by gamma_3,
-    sums of up to 2n + 4 roundings by gamma_(2n+8), products of n - 1 distances
-    by gamma_n, the lower bound with numpy's exp (few ulps) by gamma_(4n+16).
+    sums of up to 2n + 4 roundings by gamma_(2n+8), the lower bound with
+    numpy's exp (few ulps) by gamma_(4n+16).
     """
     rows, top1, n = c.shape
-    eye = np.eye(n, dtype=bool)
     # the diagonal k = j drops out of the sums and minima as 1 / inf = 0
     diff = r[:, :, None] - r[:, None, :] + np.diag(np.full(n, np.inf))
     dist = np.abs(diff) * (1 - gamma(5))
     R = _DISC * dist.min(axis=2)
-    absr, reach = np.abs(r), np.abs(r) + R
-    val, der = _monic_values(c[:, 0], r)
-    # the |f| majorant and the coefficient error at |r_j|, the floor at
-    # |r_j| + R_j
-    pw = _powers(np.stack((absr, reach)), n)
-    scale = (pw[0, :, :, :n] * np.abs(c[:, None, 0])).sum(axis=-1) + pw[0, :, :, n]
-    errs = (pw[..., :n] * ebar[:, None, :]).sum(axis=-1)
-    f_up = (np.abs(val) + gamma(4 * n + 2) * scale + errs[0]) * (1 + gamma(2 * n + 8))
-    dprod = np.prod(np.where(eye, 1.0, dist), axis=2) * (1 - gamma(n))
-    rho = n * f_up / dprod * (1 + gamma(4))
+    reach = np.abs(r) + R
+    # with the coefficient error at |r_j| + R_j, for the floor
+    rho, dprod, der, (errs,) = _smith_radii(c[:, 0], ebar, r, dist, reach)
 
     gap = (dist - R[:, :, None]) * (1 - gamma(3))
     x = R[:, :, None] / dist * (1 + gamma(3))
@@ -226,7 +195,7 @@ def _certify(c: np.ndarray, ebar: np.ndarray, r: np.ndarray,
     lower = (R - rho) * dprod * np.exp(-arg) * shrink * (1 - gamma(4 * n + 16))
     lower = np.where(valid & (lower > 0), lower, 0.0)
 
-    floor = errs[1] * (1 + gamma(2 * n + 8))
+    floor = errs * (1 + gamma(2 * n + 8))
     growth, tangent = np.zeros((rows, n, top1 - 1)), np.zeros_like(r)
     if top1 > 1 and moving == 0:
         # only a_0 varies: g_i is the constant c[:, i, 0] on every disc
@@ -246,13 +215,6 @@ def _certify(c: np.ndarray, ebar: np.ndarray, r: np.ndarray,
             * (1 + gamma(2 * n + 8))
         tangent = -b[:, :, 0, 0] / der
     return _Certificate(r, rho, R, lower, growth, floor, tangent)
-
-
-def _apart(z: np.ndarray, z_rho: np.ndarray, w: np.ndarray,
-           w_rho: np.ndarray) -> np.ndarray:
-    """Whether disc j about z avoids disc k about w, on the last two axes."""
-    dist = np.abs(z[..., :, None] - w[..., None, :]) * (1 - gamma(5))
-    return dist > (z_rho[..., :, None] + w_rho[..., None, :]) * (1 + gamma(3))
 
 
 class _Ends(NamedTuple):
@@ -281,12 +243,15 @@ def _start(coeffs: np.ndarray, err: np.ndarray,
     On a segment a_k is off by at most err_k, and a Taylor shift adds
     gamma_(2D+1) sum_l |c_lk|; ebar_k = 2 err_k + gamma_(3D+4) sum_l |c_lk|,
     moved up by gamma_(D+6), bounds the error of f at a point and of
-    f(., s) - f(., s0), times |z|^k. Run under np.errstate(all="ignore").
+    f(., s) - f(., s0), times |z|^k. ebar_0 also holds the underflow of
+    evaluating f, as |a_k| <= sum_l |c_lk| on the segment. Run under
+    np.errstate(all="ignore").
     """
     top = coeffs.shape[1] - 1
     moving = int(max(np.flatnonzero((coeffs[:, 1:] != 0).any(axis=(0, 1))), default=-1))
-    ebar = (2 * err + gamma(3 * top + 4) * np.abs(coeffs).sum(axis=1)) \
-        * (1 + gamma(top + 6))
+    size = np.abs(coeffs).sum(axis=1)
+    ebar = (2 * err + gamma(3 * top + 4) * size) * (1 + gamma(top + 6))
+    ebar[:, 0] += _underflow_bound(size)
     return ebar, moving, _certify(coeffs, ebar, fibers, moving)
 
 
@@ -364,22 +329,22 @@ def _track_loops(f: WeierstrassPoly, basepoint: tuple, loops: Sequence[LoopPath]
     """Continue the basepoint's fiber along every loop, all based at the
     basepoint: the fiber, ordered canonically or to match root_labels (see
     _ordered), per loop its permutation of that order, or its first error
-    along it, and the summary. The fiber at every distinct loop vertex is
-    solved in one stack, the basepoint's as row 0 from its eval_complex
-    coefficients; an error of that row is raised before any other. Every
-    distinct segment is one row of _track_rows, started from the fiber at
-    its start vertex. A vertex that starts no segment gets a row of zero
-    length for its coefficients. A vertex fails when its fiber cannot be
+    along it, and the summary. The fiber at every distinct loop vertex,
+    the basepoint's first, is solved in one stack from the constant
+    coefficients of segment_polys; an error of the basepoint's row is
+    raised before any other. Every distinct segment is one row of
+    _track_rows, started from the fiber at its start vertex. A vertex that
+    starts no segment gets a row of zero length for its coefficients. A vertex fails when its fiber cannot be
     solved or its certificate proves no step; segments at a failed vertex
     are not tracked, and a loop reaching one fails there.
     """
     u, v = basepoint
-    start = f.eval_complex(float(u), float(v))
     count, n = len(loops), f.degree
     summary = dict(certified=True, segments=0, vertex_fibers=0, aberth_iterations=0,
                    stack_steps=0, accepted_steps=0, rejected_steps=0,
                    min_disc_radius=None)
     if n == 1 or not count:
+        start = f.segment_polys([(basepoint, basepoint)])[0][0, 0]
         fiber = _ordered(roots_at(start), root_labels)
         return fiber, [Permutation.identity(n)] * count, summary
     # vertices are numbered in the order first reached, from the basepoint 0,
@@ -414,18 +379,14 @@ def _track_loops(f: WeierstrassPoly, basepoint: tuple, loops: Sequence[LoopPath]
         walks.append(walk)
     rows = list(segment)
     orphans = sorted(set(range(len(points))) - {a for a, _ in rows})
-    try:
-        coeffs, err = f.segment_polys([(points[a], points[b]) for a, b in rows]
-                                      + [(points[v], points[v]) for v in orphans])
-    except RootFindingError:
-        roots_at(start)  # the basepoint's error comes first
-        raise
+    coeffs, err = f.segment_polys([(points[a], points[b]) for a, b in rows]
+                                  + [(points[v], points[v]) for v in orphans])
     head = np.array([a for a, _ in rows] + orphans)
     tail = np.array([b for _, b in rows])
     rep = np.unique(head, return_index=True)[1]  # the first row from each vertex
 
     # the fiber at every vertex in one stacked solve, the basepoint's first
-    fibers, failures, iterations = _solve(np.vstack((start, coeffs[rep[1:], 0])))
+    fibers, failures, iterations = _solve(coeffs[rep, 0])
     if 0 in failures:
         raise failures[0]
     fibers[0] = fiber = _ordered(fibers[0], root_labels)

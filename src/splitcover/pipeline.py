@@ -35,6 +35,7 @@ from .permgroup import (
     conjugate,
     isomorphic_as_groups,
 )
+from .roots import MultipleRootError, RootFindingError
 from .synthesis import (
     SynthesisResult,
     SynthesisUnsupported,
@@ -45,7 +46,6 @@ from .synthesis import (
 from .wpoly import (
     BaseSpace,
     GaussianRational,
-    MultipleRootError,
     WeierstrassPoly,
     default_base_space,
     extend_base_space,
@@ -183,11 +183,11 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace
 def _monodromy(f: WeierstrassPoly, space: BaseSpace,
                root_labels: Optional[Sequence[complex]] = None) -> MonodromyRep:
     """characteristic_hom of f, every pipeline's one way to track; raises
-    VerificationError when a fiber has a multiple root because the
-    discriminant vanishes identically."""
+    VerificationError when a root solve failed, or a coefficient overflowed,
+    because the discriminant vanishes identically."""
     try:
         return characteristic_hom(f, space, root_labels)
-    except MultipleRootError:
+    except (MultipleRootError, RootFindingError):
         # decided exactly only once a root solve has failed: runs that
         # succeed pay nothing for it
         reason = certify(f.coeffs, space).reason

@@ -1,25 +1,26 @@
-"""Numeric roots of monic fibers: simultaneous root solving and root gaps.
+"""Numeric roots of monic fibers: simultaneous root solving, accepted by
+Smith's enclosures.
 
 A fiber is given by the low-order coefficients (a_0, ..., a_{n-1}) of the
 monic polynomial z^n + a_{n-1} z^{n-1} + ... + a_0; a stack of fibers is an
-(N, n) array with one fiber per row. gamma is the rounding error bound that
-the certified tracker and its segment polynomials use.
+(N, n) array with one fiber per row. A solved fiber is accepted when Smith's
+enclosures of its roots, which the certified tracker also starts from, are
+pairwise disjoint: that proves the roots distinct at any scale, with no
+tolerance. gamma is the rounding error bound that the tracker and its
+segment polynomials use.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 
 # unit roundoff of IEEE double precision
 _UNIT = 2.0 ** -53
-# Aberth steps per seeding, and the smallest root gap, relative to 1 + the
-# largest root's modulus, at which a fiber's roots count as separated
+# Aberth steps per seeding
 _MAX_ITERATIONS = 1200
-_GAP_RTOL = 1e-7
-# the least binary exponent of the seed radius: a fiber whose roots all lie
-# within 2^-29 has them closer than _GAP_RTOL resolves, whatever its seeds
-_SEED_EXPONENT_FLOOR = -30
 
 
 def gamma(k: int) -> float:
@@ -38,7 +39,8 @@ class _FiberError(RuntimeError):
 
 
 class MultipleRootError(_FiberError):
-    """Roots came closer than the resolution tolerance."""
+    """The enclosures of the solved roots overlap, so they are not proved
+    distinct."""
 
 
 class RootFindingError(_FiberError):
@@ -48,17 +50,86 @@ class RootFindingError(_FiberError):
 
 def min_gap(points) -> float:
     """Smallest distance between two of the points; inf for fewer than two."""
-    return float(_block_gaps(np.asarray(points, dtype=complex)[None])[0])
+    z = np.asarray(points, dtype=complex)
+    if z.size < 2:
+        return math.inf
+    return float(np.abs(z[:, None] - z + np.diag(np.full(z.size, np.inf))).min())
 
 
-def _block_gaps(rows: np.ndarray) -> np.ndarray:
-    """Smallest distance between two entries of each row."""
-    n = rows.shape[1]
-    if n < 2:
-        return np.full(rows.shape[0], np.inf)
-    d = np.abs(rows[:, :, None] - rows[:, None, :]).reshape(-1, n * n)
-    d[:, ::n + 1] = np.inf
-    return d.min(axis=1)
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x^0 .. x^top on a new last axis, x^k = x^(k-1) x: k - 1 products."""
+    p = np.empty(x.shape + (top + 1,), dtype=x.dtype)
+    p[..., 0] = 1
+    if top:
+        p[..., 1:] = x[..., None]
+        np.cumprod(p[..., 1:], axis=-1, out=p[..., 1:])
+    return p
+
+
+def _monic_values(low: np.ndarray, z: np.ndarray):
+    """f and f' at z (rows, m) for the monic fibers whose low coefficients
+    a_0 .. a_{n-1} are the rows of low (rows, n)."""
+    n = low.shape[1]
+    pw = _powers(z, n)
+    p = (pw[..., :n] @ low[:, :, None])[..., 0] + pw[..., n]
+    dp = (pw[..., :n - 1] @ (low[:, 1:] * np.arange(1.0, n))[:, :, None])[..., 0] \
+        + n * pw[..., n - 1]
+    return p, dp
+
+
+def _underflow_bound(size: np.ndarray) -> np.ndarray:
+    """A bound on the underflow error of _monic_values' f at any z, for
+    fibers with |a_k| <= size[..., k]; _smith_radii takes it as part of
+    a_0's error.
+
+    With gradual underflow a complex product is off by at most 2^-1073
+    beyond its relative rounding, and a sum by nothing beyond it (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 2.1).
+    Carried through the later products, these errors add up to less than
+    2^-1072 (1 + n |a_k| (1 + |z|^k)) in a_k z^k, the sums' roundings
+    included, and to less than 2^-1072 n (1 + |z|^n) in z^n. The parts in
+    |a_k| |z|^k and |z|^n are covered many times over by gamma_(4n+2)
+    gamma_(2n+8) times their sum in _smith_radii; the rest is
+    2^-1072 n (2 + sum |a_k|).
+    """
+    n = size.shape[-1]
+    return 2.0 ** -1072 * n * (2 + size.sum(axis=-1))
+
+
+def _smith_radii(low: np.ndarray, ebar: np.ndarray, r: np.ndarray,
+                 dist: np.ndarray, *reach: np.ndarray):
+    """Smith's enclosures of the roots of the monic fibers whose low
+    coefficients are the rows of low (rows, n), each a_k off by at most
+    ebar (rows, n), about the approximate roots r (rows, n) (B. T. Smith,
+    J. ACM 17, 1970): the roots lie in the discs |z - r_j| <= rho_j =
+    n |W_j|, W_j = f(r_j) / prod_(k != j) (r_j - r_k), one in each if they
+    are pairwise disjoint. dist[q, j, k] is |r_j - r_k| moved down by
+    gamma_5, inf for k = j. Returns rho, the product of dist[q, j, k] over
+    k != j moved down by gamma_n, f'(r_j) and, at each modulus array in
+    reach, sum_k ebar_k reach_j^k; all powers come from one stack. Run
+    under np.errstate(all="ignore").
+
+    |f(r_j)| <= |computed| + gamma_(4n+2) sum |a_k| |r_j|^k (4n roundings
+    per term) + sum ebar_k |r_j|^k, where ebar_0 also holds the
+    evaluation's underflow (_underflow_bound). Each float bound is moved by a
+    gamma factor for its roundings: sums of up to 2n + 4 roundings by
+    gamma_(2n+8), the quotient by gamma_4.
+    """
+    n = low.shape[1]
+    val, der = _monic_values(low, r)
+    pw = _powers(np.stack((np.abs(r), *reach)), n)
+    scale = (pw[0, :, :, :n] * np.abs(low[:, None])).sum(axis=-1) + pw[0, :, :, n]
+    errs = (pw[..., :n] * ebar[:, None, :]).sum(axis=-1)
+    f_up = (np.abs(val) + gamma(4 * n + 2) * scale + errs[0]) * (1 + gamma(2 * n + 8))
+    dprod = np.prod(np.where(np.eye(n, dtype=bool), 1.0, dist), axis=2) * (1 - gamma(n))
+    return n * f_up / dprod * (1 + gamma(4)), dprod, der, errs[1:]
+
+
+def _apart(z: np.ndarray, z_rho: np.ndarray, w: np.ndarray,
+           w_rho: np.ndarray) -> np.ndarray:
+    """Whether disc j about z avoids disc k about w, on the last two axes."""
+    dist = np.abs(z[..., :, None] - w[..., None, :]) * (1 - gamma(5))
+    return dist > (z_rho[..., :, None] + w_rho[..., None, :]) * (1 + gamma(3))
 
 
 def _polyval(table: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -96,15 +167,16 @@ def roots_at(coeffs) -> np.ndarray:
     via simultaneous Aberth iteration seeded on a circle just outside the
     roots, polished by Newton steps. The circle's radius is Fujiwara's bound
     2 max(|a_(n-k)|^(1/k), |a_0 / 2|^(1/n)) on the roots' moduli (Tohoku
-    Math. J. 10, 1916), rounded up to a power of two, and at least 2^-29.
+    Math. J. 10, 1916), rounded up to a power of two; nothing in the solve
+    depends on the scale of the roots.
 
     One fiber returns an (n,) array and N stacked fibers an (N, n) array;
     every row is solved bit for bit as it would be alone. Raises, for the
     first failing row (the error's row), RootFindingError when the seed
-    circle's values overflow a float, the iteration does not converge, the
-    polished roots are not finite or they leave a residual above
-    1e-10 (1 + max|a_k|) + 64 n eps sum |a_k| |z|^k, and MultipleRootError
-    when the computed roots are too close to separate reliably.
+    circle's values overflow a float, the iteration does not converge or
+    the polished roots are not finite, and MultipleRootError when the
+    roots' Smith enclosures (_smith_radii) overlap, so that they are not
+    proved distinct.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim not in (1, 2):
@@ -130,14 +202,13 @@ def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, _FiberError], int]:
     p[:, 0], p[:, 1:] = 1.0, rows[:, ::-1]
     # hypot, as abs() of one complex number computes it
     size = np.hypot(rows.real, rows.imag)
-    scale = 1.0 + size.max(axis=1)
     # Fujiwara's bound in integers, so exact and the same for a row in any
     # stack: a term |a_(n-k)| below 2^e (|a_0| / 2 for k = n) has its k-th
-    # root below 2^ceil(e / k)
+    # root below 2^ceil(e / k); a zero term bounds nothing, and a row of
+    # zeros is seeded at 0
     k = np.arange(n, 0, -1)
     e = np.frexp(size)[1] - (k == n)
-    top = np.where(size > 0, -(-e // k), _SEED_EXPONENT_FLOOR)
-    exponent = np.maximum(top.max(axis=1), _SEED_EXPONENT_FLOOR)
+    exponent = np.where(size > 0, -(-e // k), np.iinfo(np.int32).min).max(axis=1)
     iterations = 0
     with np.errstate(all="ignore"):
         radius = np.ldexp(2.0, exponent)
@@ -160,20 +231,19 @@ def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, _FiberError], int]:
             val, der = _values(table, roots)
             mask = der != 0
             roots[mask] -= val[mask] / der[mask]
-        # the residual may reach the evaluation's own roundoff floor,
-        # eps sum |a_k| |z|^k, which grows with the size of the roots
-        values = np.abs(_values(table, roots)[0])
-        floor = np.finfo(float).eps * _polyval(np.abs(table[:, :, :n]), np.abs(roots))
-        residual = (values > 1e-10 * scale[:, None] + 64 * n * floor).any(axis=1)
-        gap = _block_gaps(roots)
-        close = gap < _GAP_RTOL * (1.0 + np.abs(roots).max(axis=1))
+        # the coefficients are exact; only the evaluation's underflow adds
+        ebar = np.zeros((count, n))
+        ebar[:, 0] = _underflow_bound(size)
+        dist = np.abs(roots[:, :, None] - roots[:, None, :]
+                      + np.diag(np.full(n, np.inf))) * (1 - gamma(5))
+        rho = _smith_radii(rows, ebar, roots, dist)[0]
+        # a NaN radius overlaps everything
+        overlap = ~(_apart(roots, rho, roots, rho) | np.eye(n, dtype=bool)).all(axis=(1, 2))
     unsolved = np.zeros(count, dtype=bool)
     unsolved[todo] = True
-    # a NaN root passes the residual and gap tests above, whose comparisons
-    # it fails
     infinite = ~np.isfinite(roots).all(axis=1)
     failures = {}
-    for k in np.flatnonzero(overflow | unsolved | infinite | residual | close).tolist():
+    for k in np.flatnonzero(overflow | unsolved | infinite | overlap).tolist():
         if overflow[k]:
             failures[k] = RootFindingError(
                 f"the fiber's values overflow a float on the seed circle of "
@@ -183,11 +253,8 @@ def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, _FiberError], int]:
                 "simultaneous iteration failed to converge", k)
         elif infinite[k]:
             failures[k] = RootFindingError("the polished roots are not finite", k)
-        elif residual[k]:
-            failures[k] = RootFindingError(
-                f"residual {values[k].max():.2e} too large", k)
         else:
-            failures[k] = MultipleRootError(f"root gap {gap[k]:.2e} below tolerance", k)
+            failures[k] = MultipleRootError("the roots' enclosures overlap", k)
     return roots, failures, iterations
 
 
@@ -228,7 +295,7 @@ def _aberth_iterate(p: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int]:
             if not live.size:
                 break
         zl -= step
-        small = np.abs(step).max(axis=1) < 1e-14 * (1.0 + np.abs(zl).max(axis=1))
+        small = np.abs(step).max(axis=1) < 1e-14 * np.abs(zl).max(axis=1)
         if small.any():
             converged[live[small]] = True
             z[live[small]] = zl[small]

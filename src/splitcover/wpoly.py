@@ -17,14 +17,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .permgroup import json_int
-# the numeric fiber kernels live in roots; they keep their names here
-from .roots import (
-    MultipleRootError,
-    RootFindingError,
-    gamma,
-    min_gap,
-    roots_at,
-)
+# roots_at keeps its name here too, where perfbench's tracer looks it up
+from .roots import RootFindingError, gamma, roots_at
 
 
 class GeometryError(RuntimeError):
@@ -90,12 +84,6 @@ class BivariatePolyQi:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def eval_complex(self, u: float, v: float) -> complex:
-        out = 0j
-        for (du, dv), c in self.terms.items():
-            out += complex(c) * (u ** du) * (v ** dv)
-        return out
 
     def to_json(self) -> list:
         items = sorted(self.terms.items())
@@ -389,23 +377,6 @@ class WeierstrassPoly:
         self._top_v = max((dv for p in self.coeffs for _, dv in p.terms), default=0)
         self._top = max((du + dv for p in self.coeffs for du, dv in p.terms),
                         default=0)
-
-    def eval_complex_points(self, points: Sequence[tuple]) -> np.ndarray:
-        """Float coefficients at float points (u, v): row k is the fiber over
-        points[k], each entry BivariatePolyQi.eval_complex. Raises
-        RootFindingError when a coefficient overflows a float."""
-        try:
-            out = np.array([[c.eval_complex(u, v) for c in self.coeffs]
-                            for u, v in points], dtype=complex)
-            if np.isfinite(out).all():
-                return out.reshape(-1, self.degree)
-        except OverflowError:
-            pass
-        raise RootFindingError(
-            f"a coefficient overflows a float at one of the points {points}")
-
-    def eval_complex(self, u: float, v: float) -> np.ndarray:
-        return self.eval_complex_points(((u, v),))[0]
 
     # an overflow is detected on the result below, not warned of
     @np.errstate(over="ignore", invalid="ignore")

@@ -9,15 +9,14 @@ from splitcover.certify import certify, discriminant, w_form, zeros_in_disc
 from splitcover.freecover import cayley_table
 from splitcover.permgroup import Permutation, closure
 from splitcover.qipoly import QiPoly
+from splitcover.roots import MultipleRootError, roots_at
 from splitcover.synthesis import synthesize_abelian
 from splitcover.wpoly import (
     BivariatePolyQi,
     Disc,
     GaussianRational,
-    MultipleRootError,
     WeierstrassPoly,
     default_base_space,
-    roots_at,
 )
 
 

@@ -59,6 +59,19 @@ def test_monodromy_cli(z2_artifact, capsys):
     assert report["artifacts"]["monodromy"]["perms"] == [[2, 1]]
 
 
+@pytest.mark.parametrize("k", [20, 150])
+def test_monodromy_of_roots_far_below_one(k, tmp_path, capsys):
+    # z^2 - 10^-k w: roots of modulus about 10^(-k/2) are proved distinct by
+    # their enclosures and labelled, at any scale
+    a0 = QiPoly.from_gaussian([qi(0), qi(Fraction(-1, 10 ** k))]).to_bivariate()
+    f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
+    poly = write_json(tmp_path / "poly.json", {
+        "polynomial": f.to_json(), "base_space": default_base_space(1).to_json()})
+    assert main(["monodromy", poly]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["artifacts"]["monodromy"]["perms"] == [[2, 1]]
+
+
 @pytest.mark.parametrize("space, w0", [
     (default_base_space(1), 0),
     (BaseSpace(Disc((0, 0), 10), (Disc((0, 8), Fraction(1, 10)),), (0, -8)), 8j),
@@ -292,6 +305,10 @@ VANISHING_DISCRIMINANT = {
     "z^2": [[], []],
     "(z-w)^2": [[[2, 0, 1, 1, 0, 1], [0, 2, -1, 1, 0, 1], [1, 1, 0, 1, 2, 1]],
                 [[1, 0, -2, 1, 0, 1], [0, 1, 0, 1, -2, 1]]],
+    # its coefficients overflow a float on a loop segment, not at the
+    # basepoint
+    "(z-w^135)^2": [(QiPoly.monomial(135) ** 2).to_bivariate().to_json(),
+                    QiPoly.monomial(135).scale(-2).to_bivariate().to_json()],
 }
 
 

@@ -410,7 +410,7 @@ def _segment_certificate(f, a, b):
     coefficient table of the segment."""
     coeffs, err = f.segment_polys([(a, b)])
     ebar = 2 * err + 1e-15 * abs(coeffs).sum(axis=1)
-    start = monodromy.roots_at(f.eval_complex(float(a[0]), float(a[1])))
+    start = monodromy.roots_at(coeffs[0, 0])
     return _certify(coeffs, ebar, start[None], f.degree - 1), coeffs
 
 

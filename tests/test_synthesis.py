@@ -14,7 +14,8 @@ from splitcover.synthesis import (
 )
 from splitcover.certify import certify
 from splitcover.qipoly import QiPoly
-from splitcover.wpoly import GaussianRational, default_base_space, roots_at
+from splitcover.roots import roots_at
+from splitcover.wpoly import GaussianRational, default_base_space
 
 
 def qi(re, im=0):

@@ -12,23 +12,25 @@ from splitcover.certify import certify, discriminant
 from splitcover.monodromy import characteristic_hom
 from splitcover.permgroup import Permutation
 from splitcover.qipoly import QiPoly
-from splitcover.roots import _block_gaps, _solve
+from splitcover.roots import (
+    MultipleRootError,
+    RootFindingError,
+    _solve,
+    min_gap,
+    roots_at,
+)
 from splitcover.wpoly import (
     _hole_loop,
-    RootFindingError,
     BaseSpace,
     BivariatePolyQi,
     Disc,
     GaussianRational,
     GeometryError,
     LoopPath,
-    MultipleRootError,
     WeierstrassPoly,
     default_base_space,
     extend_base_space,
     generator_loops,
-    min_gap,
-    roots_at,
     validate_loop,
     winding_number,
 )
@@ -56,7 +58,6 @@ def test_bivariate_poly_eval():
     p = BivariatePolyQi({(1, 0): qi(-1), (0, 1): qi(0, -1)})
     assert eval_exact(p, Fraction(4), Fraction(0)) == qi(-4)
     assert eval_exact(p, Fraction(1), Fraction(1)) == qi(-1, -1)
-    assert abs(p.eval_complex(1.0, 1.0) - (-1 - 1j)) < 1e-15
 
 
 def test_bivariate_from_w_powers():
@@ -311,6 +312,12 @@ def test_roots_at_rejects_multiple_roots():
         roots_at([0, 0])  # z^2: double root at 0
     with pytest.raises((MultipleRootError, RootFindingError)):
         roots_at([1, -2])  # (z - 1)^2
+    with pytest.raises((MultipleRootError, RootFindingError)):
+        roots_at([0, 0, 0])  # z^3, seeded at 0
+    # z^2 (z + 1e-150): near 0 its values underflow to 0, and enclosures
+    # blind to underflow would prove three distinct roots
+    with pytest.raises(MultipleRootError):
+        roots_at([0, 0, 1e-150])
 
 
 def _seeded_fibers():
@@ -355,7 +362,7 @@ def test_roots_at_output_is_pinned():
     # another build or CPU may round differently. Seeding on Fujiwara's
     # bound in place of 1 + max|a_k| moved no root by more than 1.8e-15
     assert _roots_digest(_seeded_fibers()) == (
-        "757cd7d7ba0a1a1c2fb14bdff97391e00a517f0d856b8dcec9729d57fd41b184")
+        "97ea8363eb31273e990fe0a02ab09dc3935c0c67909ca767a0ee879eb5cb5fc0")
 
 
 def test_roots_at_output_is_pinned_where_the_size_blind_bound_passed():
@@ -365,7 +372,32 @@ def test_roots_at_output_is_pinned_where_the_size_blind_bound_passed():
               if k not in SIZE_BLIND_FAILURES]
     assert len(fibers) == 391
     assert _roots_digest(fibers) == (
-        "7f71128cd696a7ed62f7fa00c8ae3a522a4bb5f51d972314b03b32ce8b66a2a4")
+        "c40213d0fc1452a461d00d75161a14ee6433b0d2ebf7d4a168e5f89d0c7e1508")
+
+
+def test_roots_at_is_scale_free():
+    # a_k scaled by 2^(m (n - k)) scales the roots by 2^m, bit for bit, or
+    # fails the same way: seeds, stopping and acceptance take no absolute
+    # size; |m| n <= 900 keeps every value a normal float
+    checked = 0
+    for c in _seeded_fibers():
+        c = np.asarray(c, dtype=complex)
+        n = len(c)
+        try:
+            roots, failure = roots_at(c), None
+        except (MultipleRootError, RootFindingError) as exc:
+            failure = type(exc)
+        for m in (-60, -20, 20, 60):
+            if abs(m) * n > 900:
+                continue
+            scaled = c * 2.0 ** (m * (n - np.arange(n)))
+            if failure:
+                with pytest.raises(failure):
+                    roots_at(scaled)
+            else:
+                assert roots_at(scaled).tobytes() == (roots * 2.0 ** m).tobytes()
+            checked += 1
+    assert checked == 1740
 
 
 def test_stacked_roots_at_rows_equal_single_fibers():
@@ -514,22 +546,6 @@ def test_sample_grid_keeps_boundary_points():
     assert (Fraction(6), Fraction(8)) in pts and (Fraction(-1), Fraction(0)) in pts
 
 
-def test_eval_complex_points_is_bit_identical_to_eval_complex():
-    coeffs = [BivariatePolyQi({(0, 0): qi(Fraction(1, 3), Fraction(-2, 7)),
-                               (2, 1): qi(Fraction(5, 11)),
-                               (1, 3): qi(Fraction(-3, 4), Fraction(1, 9)),
-                               (4, 0): qi(0, Fraction(7, 5))}),
-              BivariatePolyQi.zero(),
-              QiPoly.from_gaussian([qi(2), qi(-1, 3), qi(0, 1), qi(1)]).to_bivariate()]
-    f = WeierstrassPoly(3, coeffs)
-    rng = random.Random(7)
-    points = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(200)]
-    points += [(0.0, -0.0), (-0.0, 2.5), (np.float64(1.25), np.float64(-3.5))]
-    want = np.array([[c.eval_complex(u, v) for c in coeffs] for u, v in points])
-    assert f.eval_complex_points(points).tobytes() == want.tobytes()
-    assert f.eval_complex(*points[3]).tobytes() == want[3].tobytes()
-
-
 def test_weierstrass_json_round_trip():
     a0 = BivariatePolyQi({(1, 0): qi(-1), (0, 1): qi(0, -1)})
     f = WeierstrassPoly(2, [a0, BivariatePolyQi.zero()])
@@ -555,11 +571,8 @@ def test_validation_names_the_first_bad_grid_point():
     assert cert.reason == "2 zero(s) of the discriminant lie in the space"
 
 
-def test_min_gap_single_and_stacked():
+def test_min_gap():
     assert min_gap([]) == math.inf
     assert min_gap([1 + 1j]) == math.inf
     assert min_gap([0, 3, 1 + 1j]) == abs(1 + 1j)
-    # the row kernel the tracker stacks its rows on
-    rows = np.array([[0, 1, 5], [0, 2j, -1j]])
-    assert list(_block_gaps(rows)) == [1.0, 1.0]
-    assert list(_block_gaps(rows[:, :1])) == [math.inf, math.inf]
+    assert min_gap(np.array([0, 2j, -1j])) == 1.0
