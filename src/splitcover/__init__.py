@@ -22,7 +22,6 @@ from .freecover import (
     Tower,
     act,
     deck_group,
-    is_normal,
     restriction_hom,
     subtable,
     tower_quotient_check,

@@ -142,7 +142,8 @@ def solve(instance: EmbeddingInstance,
     canonical deck transformation; any assignment whose images generate H
     yields the regular covering of H as a solution. If none generates and
     extension is allowed, fresh generators mapped to kernel generators are
-    appended (new holes in the base space).
+    appended (new holes in the base space), and the first preimages then
+    generate.
     """
     instance.validate()
     H, phi, F = instance.H, instance.phi, instance.F_cover
@@ -163,10 +164,9 @@ def solve(instance: EmbeddingInstance,
         kernel_gens = [index.elements[k] for k in index.reduce(
             [index.position[p] for p in kernel], len(kernel))]
         extra = len(kernel_gens)
-        fibers = fibers + [(k,) for k in kernel_gens]
-        assignment = _first_generating_assignment(fibers, H)
-        if assignment is None:
-            raise NoSolutionError("rank extension failed to generate H")
+        # any preimages of the canonical monodromy, which generates the deck
+        # group, map onto it, so with generators of ker phi they generate H
+        assignment = tuple(f[0] for f in fibers) + tuple(kernel_gens)
 
     table, group = cayley_table(assignment, H.degree)
     psi = _deck_labeling(H, table, group.elements())

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .permgroup import (
-    ClosureLimitError,
     GroupHom,
     PermGroup,
     Permutation,
@@ -126,15 +125,6 @@ def cayley_table(images: Sequence[Permutation], degree: Optional[int] = None):
         Permutation(tuple([k + 1 for k in index.column(index.position[g])]))
         for g in images)
     return CosetTable(len(images), len(index.elements), action), group
-
-
-def is_normal(table: CosetTable) -> bool:
-    """Whether the basepoint stabilizer is normal, i.e. the action is regular."""
-    try:
-        g = closure(table.action, degree=table.size, limit=table.size)
-    except ClosureLimitError:
-        return False
-    return g.order() == table.size
 
 
 @dataclass(frozen=True, eq=False)

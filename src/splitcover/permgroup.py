@@ -11,12 +11,12 @@ import itertools
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-DEFAULT_CLOSURE_LIMIT = 20160
-DEFAULT_ISO_LIMIT = 64
+CLOSURE_LIMIT = 20160
+ISO_LIMIT = 64
 
 
 class ClosureLimitError(RuntimeError):
-    """Materializing a generated subgroup would exceed the configured cap."""
+    """Materializing a generated subgroup would exceed CLOSURE_LIMIT elements."""
 
 
 def json_int(value) -> int:
@@ -110,7 +110,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*[len(c) for c in self.cycles()])
 
     def to_json(self) -> list[int]:
         return list(self.images)
@@ -251,8 +251,7 @@ class PermGroup:
     deterministic.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Permutation] = (),
-                 limit: int = DEFAULT_CLOSURE_LIMIT):
+    def __init__(self, degree: int, generators: Sequence[Permutation] = ()):
         if degree < 1:
             raise ValueError("degree must be at least 1")
         for g in generators:
@@ -260,7 +259,6 @@ class PermGroup:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
         self.generators = tuple(generators)
-        self.limit = limit
         self._index: Optional[ElementIndex] = None
 
     def elements(self) -> tuple:
@@ -269,8 +267,7 @@ class PermGroup:
     def index(self) -> "ElementIndex":
         """The element index of the generated group, built once and kept."""
         if self._index is None:
-            self._index = ElementIndex(
-                *_bfs_closure(self.degree, self.generators, self.limit))
+            self._index = ElementIndex(*_bfs_closure(self.degree, self.generators))
         return self._index
 
     def element_set(self) -> frozenset:
@@ -289,16 +286,7 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, generators={list(self.generators)!r})"
 
     def orbit(self, point: int) -> frozenset:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = g(x)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+        return frozenset(_point_walk([g.images for g in self.generators], point)[0])
 
     def is_transitive(self) -> bool:
         return len(self.orbit(1)) == self.degree
@@ -316,7 +304,7 @@ class PermGroup:
                    tuple(Permutation.from_json(g) for g in data["generators"]))
 
 
-def _bfs_closure(degree: int, generators: Sequence[Permutation], limit: int):
+def _bfs_closure(degree: int, generators: Sequence[Permutation]):
     """Elements of the generated group, breadth first from the identity, with
     their positions and the right-multiplication column of each generator."""
     e = Permutation.identity(degree)
@@ -328,9 +316,9 @@ def _bfs_closure(degree: int, generators: Sequence[Permutation], limit: int):
             f = compose(g, h)
             k = position.get(f)
             if k is None:
-                if len(elements) >= limit:
+                if len(elements) >= CLOSURE_LIMIT:
                     raise ClosureLimitError(
-                        f"closure exceeds limit {limit} (degree {degree})")
+                        f"closure exceeds limit {CLOSURE_LIMIT} (degree {degree})")
                 k = position[f] = len(elements)
                 elements.append(f)
             col.append(k)
@@ -338,110 +326,129 @@ def _bfs_closure(degree: int, generators: Sequence[Permutation], limit: int):
             {position[h]: col for h, col in zip(generators, columns)})
 
 
-def closure(generators: Sequence[Permutation], degree: Optional[int] = None,
-            limit: int = DEFAULT_CLOSURE_LIMIT) -> PermGroup:
+def closure(generators: Sequence[Permutation], degree: Optional[int] = None) -> PermGroup:
     """Group generated by ``generators``, with its element set materialized."""
     if degree is None:
         if not generators:
             raise ValueError("degree required for an empty generating set")
         degree = generators[0].degree
-    g = PermGroup(degree, generators, limit=limit)
+    g = PermGroup(degree, generators)
     g.elements()
     return g
+
+
+def intertwiners(degree: int, src: Sequence[Permutation],
+                 dst: Sequence[Permutation]) -> list:
+    """Every relabeling pi of {1..degree} with conjugate(src_i, pi) == dst_i
+    for each i, ordered by pi(1); dst must act transitively, or ValueError.
+
+    pi(dst_i(x)) == src_i(pi(x)) forces pi along a spanning tree of the dst
+    action once pi(1) is chosen, so only ``degree`` candidates are tried,
+    each checked on every point.
+    """
+    pairs = [(s.images, d.images) for s, d in zip(src, dst)]
+    order, parent = _point_walk([d for _, d in pairs], 1)
+    if len(order) != degree:
+        raise ValueError("action is not transitive")
+    tree = [(x, parent[x][0], pairs[parent[x][1]][0]) for x in order[1:]]
+    found = []
+    for b in range(1, degree + 1):
+        pi = [0] * (degree + 1)
+        pi[1] = b
+        for x, prev, s in tree:
+            pi[x] = s[pi[prev] - 1]
+        images = pi[1:]
+        if len(set(images)) != degree:
+            continue
+        if all([pi[v] for v in d] == [s[v - 1] for v in images] for s, d in pairs):
+            found.append(Permutation._unsafe(tuple(images)))
+    return found
 
 
 def centralizer_in_sym(G: PermGroup) -> PermGroup:
     """All permutations of {1..n} commuting with every generator of a
     transitive G; an intransitive G raises ValueError.
 
-    Candidates are determined by the image of point 1 and are extended
-    equivariantly along a spanning tree, so only n candidates are tried. The
-    result acts freely, so its index needs at most one base point.
+    These are the intertwiners of G's generators with themselves. The result
+    acts freely, so its index needs at most one base point.
     """
-    n = G.degree
-    gens = [g.images for g in G.generators]
-    order, parent = _spanning_tree(n, gens)
-    tree = [(x,) + parent[x] for x in order[1:]]
-    found = []
-    for b in range(1, n + 1):
-        s = [0] * (n + 1)
-        s[1] = b
-        for x, prev, g in tree:
-            s[x] = g[s[prev] - 1]
-        images = s[1:]
-        if len(set(images)) != n:
-            continue
-        # s commutes with g when s(g(x)) == g(s(x)) for every point x
-        if all([s[v] for v in g] == [g[v - 1] for v in images] for g in gens):
-            found.append(Permutation._unsafe(tuple(images)))
-    group = PermGroup(n, tuple(found))
+    found = intertwiners(G.degree, G.generators, G.generators)
+    group = PermGroup(G.degree, tuple(found))
     # the centralizer is a group listed whole by its generators
     group._index = ElementIndex(tuple(found))
     return group
 
 
-def _spanning_tree(n: int, generators: Sequence[tuple]):
-    """BFS from point 1 along generator image tuples: the points in order and
-    each point's (predecessor, generator images)."""
-    order = [1]
-    parent: dict = {1: None}
+def _point_walk(generators: Sequence[tuple], start: int):
+    """Breadth first from ``start`` along generator image tuples: the points
+    reached in order and each one's (predecessor, generator number)."""
+    order = [start]
+    parent: dict = {start: None}
     for x in order:
-        for g in generators:
+        for i, g in enumerate(generators):
             y = g[x - 1]
             if y not in parent:
-                parent[y] = (x, g)
+                parent[y] = (x, i)
                 order.append(y)
-    if len(order) != n:
-        raise ValueError("action is not transitive")
     return order, parent
 
 
 class GroupHom:
     """Homomorphism between two finite permutation groups, stored elementwise.
 
-    Construction checks multiplicativity on every edge of the source's
-    Cayley graph for a generating set, which proves it over all pairs, so a
-    GroupHom instance is always an actual homomorphism.
+    ``mapping`` gives the image of at least each generator in the source's
+    reduced generating set; construction fills in the other images along the
+    Cayley graph and checks every image given, so a full mapping is checked
+    edge by edge and a GroupHom instance is always an actual homomorphism.
     """
 
     def __init__(self, source: PermGroup, target: PermGroup,
                  mapping: Mapping[Permutation, Permutation]):
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
-        self._check()
+        self.mapping = self._walk(mapping)
 
-    def _check(self):
-        """f(a·g) == f(a)·f(g) on every edge of the Cayley graph of a reduced
-        generating set, walked from the identity over the whole source:
-        |G|·r products prove a homomorphism (Holt, Eick and O'Brien, Handbook
-        of Computational Group Theory, 2005). Products are lookups in the
-        element index of each group."""
-        source, f = self.source, self.mapping
-        index = source.index()
-        if set(f) != set(index.elements):
-            raise ValueError("mapping does not cover the source group")
-        target = self.target.index()
-        for v in f.values():
-            if v not in target.position:
-                raise ValueError(f"image {v!r} is not in the target group")
-        e = Permutation.identity(source.degree)
-        if f.get(e) != Permutation.identity(self.target.degree):
+    def _walk(self, mapping: Mapping[Permutation, Permutation]) -> dict:
+        """f(a·g) = f(a)·f(g) on every edge of the Cayley graph of a reduced
+        generating set, walked from the identity over the whole source,
+        setting each image when first reached and checking it on every other
+        edge: |G|·r products prove a homomorphism (Holt, Eick and O'Brien,
+        Handbook of Computational Group Theory, 2005). Products are lookups
+        in the element index of each group. Every image given must equal the
+        one the walk reaches."""
+        index, target = self.source.index(), self.target.index()
+        given = {}
+        for p, q in mapping.items():
+            if p not in index.position:
+                raise ValueError(f"{p!r} is not in the source group")
+            if q not in target.position:
+                raise ValueError(f"image {q!r} is not in the target group")
+            given[index.position[p]] = target.position[q]
+        if given.get(index.identity, target.identity) != target.identity:
             raise ValueError("the identity is not mapped to the identity")
-        image = [target.position[f[a]] for a in index.elements]
-        gens = index.reduce(index.position[g] for g in source.generators)
-        edges = [(g, index.column(g), image[g]) for g in gens]
-        reached, seen = [index.identity], {index.identity}
+        gens = index.reduce(index.position[g] for g in self.source.generators)
+        for g in gens:
+            if g not in given:
+                raise ValueError(f"no image for generator {index.elements[g]!r}")
+        edges = [(g, index.column(g), given[g]) for g in gens]
+        image = [None] * len(index.elements)
+        image[index.identity] = target.identity
+        reached = [index.identity]
         for a in reached:
             fa = image[a]
             for g, col, fg in edges:
-                b = col[a]
-                if image[b] != target.product(fa, fg):
+                b, fb = col[a], target.product(fa, fg)
+                if image[b] is None:
+                    image[b] = fb
+                    reached.append(b)
+                elif image[b] != fb:
                     raise ValueError("not multiplicative at "
                                      f"{index.elements[a]!r}, {index.elements[g]!r}")
-                if b not in seen:
-                    seen.add(b)
-                    reached.append(b)
+        for a, fa in given.items():
+            if image[a] != fa:
+                raise ValueError(f"the image of {index.elements[a]!r} is not the "
+                                 "product of its generators' images")
+        return {p: target.elements[k] for p, k in zip(index.elements, image)}
 
     @classmethod
     def from_generator_images(cls, source: PermGroup, target: PermGroup,
@@ -449,10 +456,11 @@ class GroupHom:
         """Extend generator images to the whole source, or raise ValueError."""
         if len(images) != len(source.generators):
             raise ValueError("one image per source generator required")
-        mapping = _close_hom(source, target.degree, zip(source.generators, images))
-        if mapping is None:
-            raise ValueError("generator images do not extend to a homomorphism")
-        return cls(source, target, mapping)
+        given: dict = {}
+        for g, h in zip(source.generators, images):
+            if given.setdefault(g, h) != h:
+                raise ValueError(f"generator {g!r} is given two images")
+        return cls(source, target, given)
 
     def __call__(self, p: Permutation) -> Permutation:
         return self.mapping[p]
@@ -491,36 +499,17 @@ class GroupHom:
         return cls.from_generator_images(source, target, images)
 
 
-def _close_hom(source: PermGroup, target_degree: int, gen_pairs) -> Optional[dict]:
-    """Close the graph of a candidate homomorphism; None if inconsistent."""
-    pairs = list(gen_pairs)
-    e_src = Permutation.identity(source.degree)
-    mapping = {e_src: Permutation.identity(target_degree)}
-    frontier = [e_src]
-    for a in frontier:
-        fa = mapping[a]
-        for g, h in pairs:
-            b = compose(a, g)
-            fb = compose(fa, h)
-            if b in mapping:
-                if mapping[b] != fb:
-                    return None
-            else:
-                mapping[b] = fb
-                frontier.append(b)
-    return mapping
-
-
-def isomorphic_as_groups(G: PermGroup, H: PermGroup,
-                         limit: int = DEFAULT_ISO_LIMIT) -> Optional[GroupHom]:
+def isomorphic_as_groups(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
     """Search for a group isomorphism G -> H; None if the groups differ.
 
-    Backtracks over generator images filtered by element order, closing the
-    graph of each candidate to detect inconsistency early. Degrees of G and H
-    may differ; only the abstract group structure is compared.
+    Backtracks over images of a reduced generating set filtered by element
+    order, proving each candidate by GroupHom's walk, which stops at its
+    first inconsistent edge. Degrees of G and H may differ; only the
+    abstract group structure is compared. Groups of order above ISO_LIMIT
+    raise ClosureLimitError.
     """
-    if G.order() > limit or H.order() > limit:
-        raise ClosureLimitError(f"isomorphism search limited to order {limit}")
+    if G.order() > ISO_LIMIT or H.order() > ISO_LIMIT:
+        raise ClosureLimitError(f"isomorphism search limited to order {ISO_LIMIT}")
     if G.order() != H.order():
         return None
     g_orders = sorted(p.order() for p in G.elements())
@@ -530,18 +519,15 @@ def isomorphic_as_groups(G: PermGroup, H: PermGroup,
     index = G.index()
     gens = tuple(index.elements[k] for k in
                  index.reduce(index.position[g] for g in G.generators))
-    if not gens:
-        e = Permutation.identity(H.degree)
-        return GroupHom(G, H, {Permutation.identity(G.degree): e})
     by_order: dict[int, list] = {}
     for p in H.elements():
         by_order.setdefault(p.order(), []).append(p)
     candidates = [by_order.get(g.order(), []) for g in gens]
     for images in itertools.product(*candidates):
-        mapping = _close_hom(G, H.degree, zip(gens, images))
-        if mapping is None:
+        try:
+            hom = GroupHom(G, H, dict(zip(gens, images)))
+        except ValueError:
             continue
-        if len(set(mapping.values())) == H.order():
-            full = dict(mapping)
-            return GroupHom(G, H, full)
+        if hom.is_injective():
+            return hom
     return None

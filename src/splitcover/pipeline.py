@@ -29,10 +29,12 @@ from .monodromy import (
     splitting_cover,
 )
 from .permgroup import (
+    ISO_LIMIT,
     GroupHom,
     PermGroup,
     Permutation,
     conjugate,
+    intertwiners,
     isomorphic_as_groups,
 )
 from .roots import MultipleRootError, RootFindingError
@@ -98,41 +100,18 @@ class _Stopwatch:
 
 def align_regular_labelings(src: Sequence[Permutation],
                             dst: Sequence[Permutation]) -> Optional[Permutation]:
-    """Relabeling pi with conjugate(src_i, pi) == dst_i for every i.
-
-    Both tuples must act regularly; the intertwiner is forced by the image of
-    one point, so at most n candidates are tried.
-    """
+    """The relabeling pi with conjugate(src_i, pi) == dst_i for every i and
+    the smallest pi(1), or None when there is none or dst is intransitive."""
     if len(src) != len(dst) or not src:
         return None
     n = src[0].degree
     if any(p.degree != n for p in list(src) + list(dst)):
         return None
-    for c0 in range(1, n + 1):
-        pi_map = {1: c0}
-        frontier = [1]
-        ok = True
-        for a in frontier:
-            if not ok:
-                break
-            for s, d in zip(src, dst):
-                b, target = d(a), s(pi_map[a])
-                if b in pi_map:
-                    if pi_map[b] != target:
-                        ok = False
-                        break
-                else:
-                    pi_map[b] = target
-                    frontier.append(b)
-        if not ok or len(pi_map) != n:
-            continue
-        images = tuple(pi_map[a] for a in range(1, n + 1))
-        if sorted(images) != list(range(1, n + 1)):
-            continue
-        pi = Permutation(images)
-        if all(conjugate(s, pi) == d for s, d in zip(src, dst)):
-            return pi
-    return None
+    try:
+        found = intertwiners(n, src, dst)
+    except ValueError:
+        return None
+    return found[0] if found else None
 
 
 def _relabel_rep(rep: MonodromyRep, pi: Permutation) -> MonodromyRep:
@@ -253,7 +232,8 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None
     watch.lap("tracking")
 
     table, deck, monodromy_group = splitting_cover(rep)
-    iso = isomorphic_as_groups(deck.group, G) if deck.group.order() <= 64 else None
+    iso = (isomorphic_as_groups(deck.group, G) if deck.group.order() <= ISO_LIMIT
+           else None)
     _, faithful = deck_action_on_roots(deck, monodromy_group)
     watch.lap("verification")
 

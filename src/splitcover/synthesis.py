@@ -126,11 +126,16 @@ class SynthesisResult:
 
 def synthesize_abelian(elems: Sequence[Permutation], gens: Sequence[Permutation],
                        centers: Sequence[GaussianRational],
-                       weights: Optional[Sequence[Fraction]] = None,
                        weight_base: Fraction = Fraction(1)) -> SynthesisResult:
     """Coefficient map with regular abelian monodromy: generator i acts by
     right translation around hole i. Roots are indexed by the given element
-    enumeration, which fixes the labeling used downstream."""
+    enumeration, which fixes the labeling used downstream.
+
+    The root of element g is the sum over the cyclic factors t of
+    weight_base**t · w_t^(g_t) · u_t, with w_t a primitive root of unity of
+    the t-th factor's order and u_t its radical. ``weight_base`` must be
+    nonzero when there are two factors or more; the pipeline's fallback
+    schedule tries 1, 2, 3 and 5 until the certificate accepts one."""
     group = PermGroup(elems[0].degree, tuple(gens))
     if not group.is_abelian():
         raise SynthesisUnsupported("group is not abelian")
@@ -148,11 +153,9 @@ def synthesize_abelian(elems: Sequence[Permutation], gens: Sequence[Permutation]
     coords = _coordinates(elems, basis)
     orders = [d for _, d in basis]
     r = len(basis)
-    if weights is None:
-        weights = [Fraction(weight_base) ** t for t in range(r)]
-    weights = [Fraction(wt) for wt in weights]
+    weights = [Fraction(weight_base) ** t for t in range(r)]
     if any(wt == 0 for wt in weights):
-        raise ValueError("weights must be nonzero")
+        raise ValueError("weight_base must be nonzero")
     ncyc = lcm(*orders)
 
     w = QiPoly.monomial(1)

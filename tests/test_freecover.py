@@ -9,7 +9,6 @@ from splitcover.freecover import (
     cayley_table,
     deck_group,
     extend_table,
-    is_normal,
     restriction_hom,
     stabilizer_table,
     subtable,
@@ -75,15 +74,16 @@ def test_kernel_table_sizes():
 def test_kernel_table_always_normal():
     for gens in [(perm((1, 2), n=2),), S3_GENS,
                  (perm((1, 2, 3, 4), n=4), perm((1, 3), n=4))]:
-        assert is_normal(cayley_table(gens)[0])
+        assert deck_group(cayley_table(gens)[0]).is_galois()
 
 
 def test_is_normal_cases():
-    assert is_normal(CosetTable(0, 1, ()))
-    assert is_normal(cayley_table(S3_GENS)[0])
+    # a stabilizer is normal exactly when its covering is Galois
+    assert deck_group(CosetTable(0, 1, ())).is_galois()
+    assert deck_group(cayley_table(S3_GENS)[0]).is_galois()
     # S3 acting on 3 points: index-3 point stabilizer, not normal
     t = CosetTable(2, 3, S3_GENS)
-    assert not is_normal(t)
+    assert not deck_group(t).is_galois()
 
 
 def test_deck_group_trivial_and_cyclic():
@@ -114,7 +114,9 @@ def test_galois_iff_deck_order_equals_size():
     for t in tables:
         d = deck_group(t)
         assert d.is_galois() == (d.group.order() == t.size)
-        assert d.is_galois() == is_normal(t)
+        # Galois exactly when the action is regular: its group has as many
+        # elements as there are cosets
+        assert d.is_galois() == (closure(t.action, degree=t.size).order() == t.size)
 
 
 def test_subtable_identity():
@@ -300,7 +302,7 @@ def test_stabilizer_table_trivial_subgroup_is_regular():
     s3 = closure(S3_GENS)
     t = stabilizer_table(s3, [perm(n=3)], S3_GENS)
     assert t.size == 6
-    assert is_normal(t)
+    assert deck_group(t).is_galois()
 
 
 def _coset_action_by_products(sub, gens):

@@ -15,7 +15,6 @@ from splitcover.permgroup import (
     identity,
     inverse,
     isomorphic_as_groups,
-    _close_hom,
 )
 
 
@@ -112,8 +111,9 @@ def test_closure_matches_brute_force_oracle():
 
 
 def test_closure_limit():
+    # S8 has 40320 elements, twice the cap
     with pytest.raises(ClosureLimitError):
-        closure((perm((1, 2, 3, 4, 5, 6), n=6),), limit=3)
+        closure((perm((1, 2), n=8), perm((1, 2, 3, 4, 5, 6, 7, 8), n=8)))
 
 
 def test_lagrange_divides_factorial():
@@ -207,9 +207,10 @@ def test_isomorphic_across_degrees():
 
 
 def test_isomorphic_limit():
-    z2 = closure((perm((1, 2), n=2),))
+    # S5 has 120 elements, more than the search takes
+    s5 = closure((perm((1, 2), n=5), perm((1, 2, 3, 4, 5), n=5)))
     with pytest.raises(ClosureLimitError):
-        isomorphic_as_groups(z2, z2, limit=1)
+        isomorphic_as_groups(s5, s5)
 
 
 def test_isomorphic_s3_presentations():
@@ -274,8 +275,10 @@ def test_group_hom_accepts_exactly_the_homomorphisms():
         for k in range(120):
             target = rng.choice(groups)
             images = [rng.choice(target.elements()) for _ in source.generators]
-            closed = _close_hom(source, target.degree, zip(source.generators, images))
-            if closed is None:
+            try:
+                closed = dict(GroupHom.from_generator_images(
+                    source, target, images).mapping)
+            except ValueError:
                 continue
             if k % 2:
                 a = rng.choice(els)
@@ -292,6 +295,86 @@ def test_group_hom_accepts_exactly_the_homomorphisms():
             accepted += expected
             rejected += not expected
     assert accepted > 300 and rejected > 900
+
+
+def extends_to_hom(source, target, images):
+    """Reference: the pairs (g, image of g) generate a subgroup of the direct
+    product, acting on the source's points and then the target's; the images
+    extend to a homomorphism exactly when that subgroup is the graph of a map
+    that is multiplicative on every pair."""
+    n = source.degree
+    pairs = [Permutation(g.images + tuple(v + n for v in h.images))
+             for g, h in zip(source.generators, images)]
+    mapping = {}
+    for p in closure(pairs, degree=n + target.degree).elements():
+        a = Permutation(p.images[:n])
+        fa = Permutation(tuple(v - n for v in p.images[n:]))
+        if mapping.setdefault(a, fa) != fa:
+            return False
+    return all_pairs_is_hom(source, target, mapping)
+
+
+def from_generator_images_accepts(source, target, images):
+    try:
+        hom = GroupHom.from_generator_images(source, target, images)
+    except ValueError:
+        return False
+    assert hom.generator_images() == tuple(images)
+    return True
+
+
+def test_from_generator_images_accepts_exactly_the_extendable_images():
+    from catalog import CATALOG
+    from splitcover.freecover import cayley_table, deck_group
+
+    rng = random.Random(20261021)
+    groups = [g for g in CATALOG.values() if g.order() <= 12]
+    decks = [deck_group(cayley_table(g.generators)[0]).group for g in groups]
+    # a source listing its first generator twice
+    twice = [PermGroup(g.degree, g.generators + g.generators[:1]) for g in groups]
+    accepted = rejected = redundant_rejected = 0
+    for source in groups + decks + twice:
+        index = source.index()
+        reduced = set(index.reduce(index.position[g] for g in source.generators))
+        cases = [(source, list(source.generators)),
+                 (source, [identity(source.degree)] * len(source.generators))]
+        # the identity map with one image changed: where the generator lies
+        # outside the reduced set, only the check of given images rejects it
+        for i, g in enumerate(source.generators):
+            images = list(source.generators)
+            images[i] = rng.choice([p for p in source.elements() if p != g])
+            cases.append((source, images))
+        for _ in range(30):
+            target = rng.choice(groups)
+            cases.append((target, [rng.choice(target.elements())
+                                   for _ in source.generators]))
+        for target, images in cases:
+            expected = extends_to_hom(source, target, images)
+            assert from_generator_images_accepts(source, target, images) == expected, \
+                (source, target, images)
+            accepted += expected
+            rejected += not expected
+        for i, g in enumerate(source.generators):
+            if index.position[g] not in reduced and g not in source.generators[:i]:
+                images = list(source.generators)
+                images[i] = rng.choice([p for p in source.elements() if p != g])
+                assert not from_generator_images_accepts(source, source, images)
+                redundant_rejected += 1
+    assert accepted > 150 and rejected > 600 and redundant_rejected > 100
+
+
+def test_homomorphisms_on_s4_compose_no_permutation(monkeypatch):
+    import splitcover.permgroup as permgroup
+
+    s4 = closure((perm((1, 2), n=4), perm((1, 2, 3, 4), n=4)))
+    calls = []
+    real = permgroup.compose
+    monkeypatch.setattr(permgroup, "compose",
+                        lambda p, q: calls.append(1) or real(p, q))
+    hom = GroupHom.from_generator_images(s4, s4, s4.generators)
+    iso = isomorphic_as_groups(s4, s4)
+    assert hom.is_bijective() and iso.is_bijective()
+    assert calls == []
 
 
 def test_is_abelian_matches_all_pairs():

@@ -7,6 +7,7 @@ from splitcover.freecover import cayley_table
 from splitcover.permgroup import (
     Permutation,
     closure,
+    compose,
     conjugate,
     inverse,
 )
@@ -77,6 +78,41 @@ def test_align_regular_labelings_rejects_mismatch():
     v4 = regular_images(V4)
     padded_z4 = (z4[0], Permutation.identity(4))
     assert align_regular_labelings(padded_z4, v4) is None
+
+
+def test_align_regular_labelings_takes_the_smallest_image_of_1():
+    import itertools
+    import random
+
+    from catalog import CATALOG
+
+    rng = random.Random(20261021)
+    regs = [regular_images(g) for g in CATALOG.values() if g.order() <= 6]
+    regs += [regular_images(V4)]
+    cases = []
+    for reg in regs:
+        n = reg[0].degree
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        shuffle = Permutation(tuple(images))
+        scrambled = tuple(conjugate(p, shuffle) for p in reg)
+        cases += [(scrambled, reg), (reg, scrambled)]
+        # tuples that are conjugate only for some groups: generators
+        # swapped, or the first one squared (intransitive for Z2, Z4 and Z6)
+        squared = (compose(reg[0], reg[0]),) + reg[1:]
+        cases += [(scrambled, tuple(reversed(reg))), (scrambled, squared),
+                  (squared, scrambled)]
+    z4, v4 = regular_images(Z4), regular_images(V4)
+    cases.append(((z4[0], Permutation.identity(4)), v4))
+    nones = 0
+    for src, dst in cases:
+        n = src[0].degree
+        valid = [pi for pi in map(Permutation, itertools.permutations(range(1, n + 1)))
+                 if all(conjugate(s, pi) == d for s, d in zip(src, dst))]
+        expected = min(valid, key=lambda pi: pi(1)) if valid else None
+        assert align_regular_labelings(src, dst) == expected, (src, dst)
+        nones += expected is None
+    assert nones >= 8 and len(cases) - nones >= 2 * len(regs)
 
 
 def test_realize_trivial_group():
