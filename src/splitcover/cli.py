@@ -1,11 +1,10 @@
 """Command line interface: realize, embed, monodromy, verify-tower.
 
 All inputs and outputs are JSON, and every setting of a run is fixed: the
-only flags are the files, -o and embed's --allow-rank-extension. Exit codes:
-0 success, 2 verification failure (including a failed verdict in a report,
-and a loaded polynomial whose discriminant vanishes identically), 3
-numerical instability, 4 input or schema errors, usage errors (an unknown
-flag or command, a missing argument) and groups without an exact synthesis.
+only flags are the files, -o and embed's --allow-rank-extension. A run exits
+0, or 2 when its report holds a false verdict, a usage error 4, and a failure
+with the exit code and stderr label of its class in errors; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -15,32 +14,15 @@ import json
 import sys
 from typing import Optional
 
-from .embedding import NoSolutionError, SolutionCheckError
-from .monodromy import FiberMatchError, StepUnderflowError
-from .permgroup import ClosureLimitError, PermGroup, Permutation
+from .errors import InputError, SplitcoverError, VerificationError
+from .permgroup import PermGroup, Permutation
 from .pipeline import (
-    IrreducibilityFailureError,
-    VerificationError,
     realize_group,
     run_monodromy,
     run_verify_tower,
     solve_semitop_embedding,
 )
-from .roots import MultipleRootError, RootFindingError
-from .synthesis import SynthesisUnsupported
-from .wpoly import BaseSpace, GeometryError, WeierstrassPoly
-
-EXIT_OK = 0
-EXIT_VERIFICATION = 2
-EXIT_NUMERICAL = 3
-EXIT_INPUT = 4
-
-_NUMERICAL_ERRORS = (StepUnderflowError, FiberMatchError, RootFindingError,
-                     MultipleRootError)
-
-
-class InputError(RuntimeError):
-    pass
+from .wpoly import BaseSpace, WeierstrassPoly
 
 
 def _load_json(path: str):
@@ -71,6 +53,8 @@ def _load_group(path: str) -> PermGroup:
         if not isinstance(generators, list):
             raise ValueError("generators must be a JSON list")
         return PermGroup.from_json({"degree": degree, "generators": generators})
+    except InputError:
+        raise
     except (ValueError, TypeError, KeyError) as exc:
         raise InputError(f"{path}: bad group: {exc}") from exc
 
@@ -87,6 +71,8 @@ def _load_polynomial(path: str) -> tuple[WeierstrassPoly, Optional[BaseSpace]]:
         poly = WeierstrassPoly.from_json(
             {"degree": _schema(path, data, "degree"),
              "coeffs": _schema(path, data, "coeffs")})
+    except InputError:
+        raise
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: bad polynomial: {exc}") from exc
     return poly, space
@@ -135,7 +121,7 @@ def _cmd_realize(args) -> int:
            "polynomial": poly.to_json(),
            "base_space": BaseSpace.from_json(report.inputs["base_space"]).to_json(),
            "report": report.to_json()}, args.output)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_embed(args) -> int:
@@ -153,7 +139,7 @@ def _cmd_embed(args) -> int:
            "polynomial": out_poly.to_json(),
            "base_space": report.artifacts["extended_base_space"],
            "report": report.to_json()}, args.output)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_monodromy(args) -> int:
@@ -163,7 +149,7 @@ def _cmd_monodromy(args) -> int:
         raise InputError("a base space is required")
     report = run_monodromy(poly, space)
     _emit(report.to_json(), args.output)
-    return EXIT_OK if report.all_passed() else EXIT_VERIFICATION
+    return 0 if report.all_passed() else VerificationError.exit_code
 
 
 def _cmd_verify_tower(args) -> int:
@@ -178,7 +164,7 @@ def _cmd_verify_tower(args) -> int:
     report = run_verify_tower(h_poly, g_poly, space, group, phi_images,
                               psi_images)
     _emit(report.to_json(), args.output)
-    return EXIT_OK if report.all_passed() else EXIT_VERIFICATION
+    return 0 if report.all_passed() else VerificationError.exit_code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,7 +174,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"input error: {message}\n")
+        self.exit(InputError.exit_code, f"{InputError.label}: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,25 +233,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (IrreducibilityFailureError, GeometryError, ClosureLimitError,
-            ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (VerificationError, SolutionCheckError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except NoSolutionError as exc:
-        print(f"no solution: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except SynthesisUnsupported as exc:
-        print(f"unsupported group: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical instability: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except SplitcoverError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

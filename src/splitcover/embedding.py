@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import NoSolutionError, VerificationError
 from .freecover import (
     CosetTable,
     Tower,
@@ -26,14 +27,6 @@ from .permgroup import (
     Permutation,
     inverse,
 )
-
-
-class NoSolutionError(RuntimeError):
-    """The embedding problem has no solution without extending the base."""
-
-
-class SolutionCheckError(RuntimeError):
-    """A constructed solution failed the solver's own verification."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +81,8 @@ def canonical_monodromy(table: CosetTable) -> tuple[Permutation, ...]:
     deck = deck_group(table)
     if not deck.is_galois():
         raise ValueError("canonical monodromy requires a Galois covering")
-    out = []
-    for p in table.action:
-        target = inverse(p)(1)
-        lam = deck.from_basepoint_image(target)
-        if lam is None:
-            raise ValueError("deck group misses a basepoint image")
-        out.append(lam)
-    return tuple(out)
+    # a Galois deck group moves the basepoint to every coset
+    return tuple(deck.from_basepoint_image(inverse(p)(1)) for p in table.action)
 
 
 def cayley_deck_labeling(images: Sequence[Permutation]) -> GroupHom:
@@ -149,9 +136,8 @@ def solve(instance: EmbeddingInstance,
     H, phi, F = instance.H, instance.phi, instance.F_cover
     eta = canonical_monodromy(F)
     elements = H.elements()
+    # phi is onto the deck group, which holds every eta: no fiber is empty
     fibers = [tuple(h for h in elements if phi(h) == d) for d in eta]
-    if any(not f for f in fibers):
-        raise ValueError("phi misses part of the canonical monodromy image")
 
     assignment = _first_generating_assignment(fibers, H)
     extra = 0
@@ -173,13 +159,13 @@ def solve(instance: EmbeddingInstance,
 
     tower = subtable(table, extend_table(F, extra))
     if tower is None:
-        raise SolutionCheckError("constructed covering does not factor through F")
+        raise VerificationError("constructed covering does not factor through F")
 
     solution = EmbeddingSolution(
         E_cover=table, tower=tower, psi=psi,
         rank_used=instance.base_rank + extra, images=tuple(assignment))
     if not verify(solution, instance):
-        raise SolutionCheckError("constructed solution failed verification")
+        raise VerificationError("constructed solution failed verification")
     return solution
 
 

@@ -278,7 +278,7 @@ def tower_quotient_check(tower: Tower) -> TowerQuotientReport:
     fiber_set = frozenset(fiber)
     # closed under conjugation by a generating set means normal; a deck
     # group lists every element as a generator, so pick a few first
-    gens = index.reduce(index.position[g] for g in deck_top.group.generators)
+    gens = deck_top.group.reduced_positions
     inv, product, members = index.inverses, index.product, set(in_fiber)
     normal = all(product(product(inv[lam], k), lam) in members
                  for lam in gens for k in in_fiber)

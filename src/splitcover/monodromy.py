@@ -28,6 +28,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .errors import FiberMatchError, StepUnderflowError
 from .freecover import CosetTable, DeckGroup, cayley_table, deck_group
 from .permgroup import (
     GroupHom,
@@ -48,17 +49,6 @@ from .roots import (
     roots_at,
 )
 from .wpoly import BaseSpace, LoopPath, WeierstrassPoly, generator_loops
-
-
-class StepUnderflowError(RuntimeError):
-    """No step above _MIN_STEP could be certified, or the fiber at a loop
-    vertex could not be solved or certified; the loop runs too close to the
-    discriminant locus."""
-
-
-class FiberMatchError(RuntimeError):
-    """A segment's end roots could not be matched unambiguously to the fiber
-    at its end vertex."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,9 +308,9 @@ def _track_rows(coeffs: np.ndarray, ebar: np.ndarray, share: np.ndarray,
     return ends._replace(stack_steps=stack_steps)
 
 
-def _underflow(t: float) -> StepUnderflowError:
+def _underflow(loop: int, t: float) -> StepUnderflowError:
     return StepUnderflowError(f"root gap collapsed near t={t:.6f}; loop too "
-                              f"close to the discriminant locus")
+                              f"close to the discriminant locus", loop=loop, t=float(t))
 
 
 def _track_loops(f: WeierstrassPoly, basepoint: tuple, loops: Sequence[LoopPath],
@@ -408,22 +398,22 @@ def _track_loops(f: WeierstrassPoly, basepoint: tuple, loops: Sequence[LoopPath]
     slot[live] = np.arange(live.size)
 
     results = []
-    for walk in walks:
+    for i, walk in enumerate(walks, 1):
         at = np.arange(n)  # where each start root is in the current fiber
         for q, forward, t, size in walk:
             j = slot[q]
             if not good[head[q] if forward else tail[q]]:
-                results.append(_underflow(t))
+                results.append(_underflow(i, t))
             elif j < 0:
                 # the far vertex failed: the next traversal starts there
                 continue
             elif not np.isnan(ends.failed_at[j]):
                 s = ends.failed_at[j]
-                results.append(_underflow(t + (s if forward else 1 - s) * size))
+                results.append(_underflow(i, t + (s if forward else 1 - s) * size))
             elif not matched[j]:
                 results.append(FiberMatchError(
                     f"the end enclosures of the segment at t={t:.6f} do not "
-                    f"each meet exactly one enclosure of the fiber there"))
+                    f"each meet exactly one enclosure of the fiber there", loop=i, t=t))
             else:
                 at = match[j][at] if forward else np.argsort(match[j])[at]
                 continue

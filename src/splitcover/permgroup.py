@@ -7,16 +7,15 @@ images multiply in path order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .errors import ClosureLimitError
+
 CLOSURE_LIMIT = 20160
 ISO_LIMIT = 64
-
-
-class ClosureLimitError(RuntimeError):
-    """Materializing a generated subgroup would exceed CLOSURE_LIMIT elements."""
 
 
 def json_int(value) -> int:
@@ -270,6 +269,13 @@ class PermGroup:
             self._index = ElementIndex(*_bfs_closure(self.degree, self.generators))
         return self._index
 
+    @functools.cached_property
+    def reduced_positions(self) -> tuple:
+        """Positions in the index of the generators that ElementIndex.reduce
+        keeps, each outside the subgroup those before it generate; kept."""
+        index = self.index()
+        return index.reduce(index.position[g] for g in self.generators)
+
     def element_set(self) -> frozenset:
         return frozenset(self.elements())
 
@@ -426,7 +432,7 @@ class GroupHom:
             given[index.position[p]] = target.position[q]
         if given.get(index.identity, target.identity) != target.identity:
             raise ValueError("the identity is not mapped to the identity")
-        gens = index.reduce(index.position[g] for g in self.source.generators)
+        gens = self.source.reduced_positions
         for g in gens:
             if g not in given:
                 raise ValueError(f"no image for generator {index.elements[g]!r}")
@@ -516,9 +522,7 @@ def isomorphic_as_groups(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
     h_orders = sorted(p.order() for p in H.elements())
     if g_orders != h_orders:
         return None
-    index = G.index()
-    gens = tuple(index.elements[k] for k in
-                 index.reduce(index.position[g] for g in G.generators))
+    gens = tuple(G.index().elements[k] for k in G.reduced_positions)
     by_order: dict[int, list] = {}
     for p in H.elements():
         by_order.setdefault(p.order(), []).append(p)

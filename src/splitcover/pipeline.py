@@ -20,6 +20,13 @@ from . import embedding as embedding_mod
 from .braid import lift_permutation, tau
 from .certify import WeierstrassCertificate, certify
 from .embedding import EmbeddingInstance
+from .errors import (
+    InputError,
+    MultipleRootError,
+    RootFindingError,
+    SynthesisUnsupported,
+    VerificationError,
+)
 from .freecover import CosetTable, cayley_table, restriction_hom, subtable
 from .monodromy import (
     MonodromyRep,
@@ -37,10 +44,8 @@ from .permgroup import (
     intertwiners,
     isomorphic_as_groups,
 )
-from .roots import MultipleRootError, RootFindingError
 from .synthesis import (
     SynthesisResult,
-    SynthesisUnsupported,
     s3_twist_schedule,
     synthesize_abelian,
     synthesize_s3,
@@ -55,18 +60,6 @@ from .wpoly import (
 
 ORDER_LIMIT = 24
 SCHEMA_VERSION = 1
-
-
-class VerificationError(RuntimeError):
-    """A pipeline finished but its verification verdicts did not all hold."""
-
-    def __init__(self, message: str, report: Optional["PipelineReport"] = None):
-        super().__init__(message)
-        self.report = report
-
-
-class IrreducibilityFailureError(RuntimeError):
-    """The input polynomial's monodromy is intransitive."""
 
 
 @dataclass(eq=False)
@@ -149,7 +142,7 @@ def _synthesize_validated(elems, gens, centers, space: BaseSpace
     for label, build in schedule:
         try:
             synth = build()
-        except (SynthesisUnsupported, ValueError) as exc:
+        except ValueError as exc:
             failures.append(f"{label}: {exc}")
             continue
         cert = certify(synth.coeffs, space)
@@ -176,10 +169,10 @@ def _monodromy(f: WeierstrassPoly, space: BaseSpace,
 
 
 def _check_order(G: PermGroup) -> int:
-    """The order of G, or ValueError when realize cannot take it."""
+    """The order of G, or InputError when realize cannot take it."""
     n = G.order()
     if n > ORDER_LIMIT:
-        raise ValueError(f"group order {n} exceeds the limit {ORDER_LIMIT}")
+        raise InputError(f"group order {n} exceeds the limit {ORDER_LIMIT}")
     return n
 
 
@@ -201,7 +194,7 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None
     if space is None:
         space = default_base_space(m)
     if len(space.holes) != m:
-        raise ValueError("one hole per generator required")
+        raise InputError("one hole per generator required")
 
     # the regular representation: right translation of G on its elements
     regular, regular_group = cayley_table(G.generators)
@@ -223,7 +216,7 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None
     report.artifacts["certificate"] = cert.to_json()
     watch.lap("synthesis")
 
-    labels = synth.root_labels_at(_basepoint_complex(space))
+    labels = synth.root_labels_at(complex(*map(float, space.basepoint)))
     rep = _monodromy(f, space, root_labels=labels)
     if synth.target_perms is None:
         pi = align_regular_labelings(rep.perms, reg)
@@ -262,10 +255,6 @@ def realize_group(G: PermGroup, space: Optional[BaseSpace] = None
     return f, report
 
 
-def _basepoint_complex(space: BaseSpace) -> complex:
-    return complex(float(space.basepoint[0]), float(space.basepoint[1]))
-
-
 def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
                             H: PermGroup, phi_images: Sequence[Permutation], *,
                             allow_rank_extension: bool = True,
@@ -279,13 +268,16 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
     _check_order(H)
     rep_g = _monodromy(g, space)
     if not irreducibility_check(rep_g):
-        raise IrreducibilityFailureError(
-            "the base polynomial's monodromy is intransitive")
+        raise InputError("the base polynomial's monodromy is intransitive")
     f_table, f_deck, _ = splitting_cover(rep_g)
     watch.lap("base_monodromy")
 
-    phi = GroupHom.from_generator_images(H, f_deck.group, tuple(phi_images))
-    instance = EmbeddingInstance(space.rank, f_table, H, phi)
+    try:
+        phi = GroupHom.from_generator_images(H, f_deck.group, tuple(phi_images))
+        instance = EmbeddingInstance(space.rank, f_table, H, phi)
+        instance.validate()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     solution = embedding_mod.solve(instance, allow_rank_extension)
     extra = solution.rank_used - space.rank
     watch.lap("embedding_solve")
@@ -325,7 +317,7 @@ def solve_semitop_embedding(g: WeierstrassPoly, space: BaseSpace,
                      "realize": realize_report.artifacts["tracking"]},
     }
     report.verdicts = {
-        # solve raises SolutionCheckError unless its solution verifies
+        # solve raises VerificationError unless its solution verifies
         "solution_verified": True,
         "realized_cover_matches_solver": matches,
         "monodromy_matches_solver_targets":
@@ -388,15 +380,14 @@ def run_verify_tower(h: WeierstrassPoly, g: WeierstrassPoly, space: BaseSpace,
         "e_h_galois": h_deck.is_galois(),
         "tower_exists": tower is not None,
     }
-    psi = phi = None
+    H.order()  # its ClosureLimitError is an input error, not false verdicts
     try:
         phi = GroupHom.from_generator_images(H, g_deck.group, tuple(phi_images))
         psi = GroupHom.from_generator_images(H, h_deck.group, tuple(psi_images))
-        verdicts["phi_surjective"] = phi.is_surjective()
-        verdicts["psi_bijective"] = psi.is_bijective()
     except ValueError:
-        verdicts["phi_surjective"] = False
-        verdicts["psi_bijective"] = False
+        phi = psi = None
+    verdicts["phi_surjective"] = phi is not None and phi.is_surjective()
+    verdicts["psi_bijective"] = psi is not None and psi.is_bijective()
     if tower is not None and psi is not None and phi is not None:
         res = restriction_hom(tower)
         verdicts["restriction_triangle"] = all(

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .errors import MultipleRootError, NumericalError, RootFindingError
+
 
 # unit roundoff of IEEE double precision
 _UNIT = 2.0 ** -53
@@ -27,25 +29,6 @@ def gamma(k: int) -> float:
     """Bound on |prod (1 + d_i) - 1| over k factors |d_i| <= u; Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1."""
     return k * _UNIT / (1 - k * _UNIT)
-
-
-class _FiberError(RuntimeError):
-    """A root solve failed; row is the first failing fiber of a stack (0 for
-    a single fiber)."""
-
-    def __init__(self, message: str, row: int = 0):
-        super().__init__(message)
-        self.row = row
-
-
-class MultipleRootError(_FiberError):
-    """The enclosures of the solved roots overlap, so they are not proved
-    distinct."""
-
-
-class RootFindingError(_FiberError):
-    """The simultaneous iteration failed to converge, or a fiber's values
-    overflow a float."""
 
 
 def min_gap(points) -> float:
@@ -193,7 +176,7 @@ def roots_at(coeffs) -> np.ndarray:
     return roots[0] if c.ndim == 1 else roots
 
 
-def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, _FiberError], int]:
+def _solve(rows: np.ndarray) -> tuple[np.ndarray, dict[int, NumericalError], int]:
     """The roots of every row of a stack of fibers of degree at least 2, the
     error of each row that failed (see roots_at), keyed by the row, and the
     Aberth steps the stack took; a failed row's roots are meaningless."""

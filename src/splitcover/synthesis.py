@@ -29,13 +29,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .errors import SynthesisUnsupported
 from .permgroup import PermGroup, Permutation, compose
 from .qipoly import QiPoly
 from .wpoly import BivariatePolyQi, GaussianRational
-
-
-class SynthesisUnsupported(RuntimeError):
-    """No exact construction is available for the requested group shape."""
 
 
 # ---------------------------------------------------------------------------

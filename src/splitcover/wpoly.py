@@ -16,13 +16,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .errors import GeometryError
 from .permgroup import json_int
 # roots_at keeps its name here too, where perfbench's tracer looks it up
 from .roots import RootFindingError, gamma, roots_at
-
-
-class GeometryError(RuntimeError):
-    """A requested geometric construction is infeasible."""
 
 
 def _frac(x) -> Fraction:
@@ -188,17 +185,17 @@ class BaseSpace:
         for h in self.holes:
             margin = self.outer.radius - h.radius
             if margin <= 0 or _dist2(h.center, self.outer.center) >= margin * margin:
-                raise ValueError(f"hole {h} is not strictly inside the outer disc")
+                raise GeometryError(f"hole {h} is not strictly inside the outer disc")
         for i, a in enumerate(self.holes):
             for b in self.holes[i + 1:]:
                 s = a.radius + b.radius
                 if _dist2(a.center, b.center) <= s * s:
-                    raise ValueError(f"holes {a} and {b} overlap or touch")
+                    raise GeometryError(f"holes {a} and {b} overlap or touch")
         if not self.contains(*self.basepoint):
-            raise ValueError("basepoint must lie in the space")
+            raise GeometryError("basepoint must lie in the space")
         for h in self.holes:
             if _dist2(self.basepoint, h.center) <= h.radius * h.radius:
-                raise ValueError("basepoint must avoid hole closures")
+                raise GeometryError("basepoint must avoid hole closures")
 
     @property
     def rank(self) -> int:

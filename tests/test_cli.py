@@ -175,6 +175,76 @@ def test_realize_unsupported_group_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+Z4 = {"degree": 4, "generators": [[2, 3, 4, 1]]}
+
+
+@pytest.mark.parametrize("command, group, extra, message", [
+    ("realize", {"degree": 5, "generators": [[2, 1, 3, 4, 5], [2, 3, 4, 5, 1]]},
+     {}, "group order 120 exceeds the limit 24"),
+    ("realize", {"degree": 2, "generators": [[2, 1]]},
+     {"--base-space": default_base_space(2).to_json()},
+     "one hole per generator required"),
+    ("embed", {"degree": 4, "generators": [[2, 3, 4, 1], [2, 3, 4, 1]]},
+     {"--phi": {"gen_images": [[2, 1], [1, 2]]}},
+     "generator Perm((1 2 3 4)) is given two images"),
+    ("embed", Z4, {"--phi": {"gen_images": [[2, 1, 3]]}},
+     "image Perm((1 2)) is not in the target group"),
+    ("embed", Z4, {"--phi": {"gen_images": [[1, 2]]}},
+     "phi must be surjective onto the deck group of F"),
+    # Z2^4 over Z2 needs three more holes, and the third leaves the outer disc
+    ("embed", {"degree": 8, "generators": [[2, 1, 3, 4, 5, 6, 7, 8],
+                                           [1, 2, 4, 3, 5, 6, 7, 8],
+                                           [1, 2, 3, 4, 6, 5, 7, 8],
+                                           [1, 2, 3, 4, 5, 6, 8, 7]]},
+     {"--phi": {"gen_images": [[2, 1]] * 4}},
+     "hole Disc(center=(Fraction(12, 1), Fraction(0, 1)), radius=Fraction(1, 1)) "
+     "is not strictly inside the outer disc"),
+], ids=["realize_order_limit", "realize_hole_count", "phi_two_images",
+        "phi_image_outside_deck_group", "phi_not_onto", "no_room_for_holes"])
+def test_pipeline_input_errors_exit_4(command, group, extra, message, z2_artifact,
+                                      tmp_path, capsys):
+    # each reaches the command line as an InputError raised by the pipeline
+    _, _, base, _ = z2_artifact
+    argv = [command] + ([str(base), "--group"] if command == "embed" else [])
+    argv.append(write_json(tmp_path / "group.json", group))
+    for flag, doc in extra.items():
+        argv += [flag, write_json(tmp_path / f"{flag[2:]}.json", doc)]
+    out = tmp_path / "out.json"
+    assert main(argv + ["-o", str(out)]) == 4
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_tower_with_a_group_too_large_to_close_exits_4(z2_artifact,
+                                                               tmp_path, capsys):
+    # S9 exceeds the closure limit while phi and psi are checked, whose
+    # ValueErrors read as false verdicts; the limit must not
+    _, _, base, _ = z2_artifact
+    s9 = write_json(tmp_path / "s9.json", {"degree": 9, "generators": [
+        [2, 1, 3, 4, 5, 6, 7, 8, 9], [2, 3, 4, 5, 6, 7, 8, 9, 1]]})
+    images = write_json(tmp_path / "images.json", {"gen_images": [[2, 1], [2, 1]]})
+    out = tmp_path / "out.json"
+    assert main(["verify-tower", str(base), str(base), "--group", s9, "--phi",
+                 images, "--psi", images, "-o", str(out)]) == 4
+    assert capsys.readouterr().err == \
+        "input error: closure exceeds limit 20160 (degree 9)\n"
+    assert not out.exists()
+
+
+def test_a_plain_value_error_is_a_bug_and_propagates(z2_artifact, monkeypatch):
+    # main maps only the typed errors; a ValueError from inside a pipeline
+    # is a fault of the program, not bad input
+    from splitcover import cli
+
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    _, _, base, _ = z2_artifact
+    monkeypatch.setattr(cli, "run_monodromy", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["monodromy", str(base)])
+
+
 @pytest.mark.parametrize("re_den, outer_r", [(0, [10, 1]), (1, [10, 0])],
                          ids=["polynomial", "base_space"])
 def test_zero_denominator_is_input_error(re_den, outer_r, tmp_path, capsys):
@@ -458,9 +528,11 @@ def _discrete_fuzz_inputs(instance):
     ("trivial_over_rank_0", {"parse"}),
 ])
 def test_discrete_fuzz_mutated_inputs_fail_cleanly(instance, expected, tmp_path):
-    # main maps ValueError to exit 4 and the solver's two errors to exit 2;
-    # a KeyError or IndexError would reach the command line as a traceback
+    # the pipeline re-raises phi's ValueError as an InputError, exit 4, and
+    # the solver's errors are VerificationErrors, exit 2; a KeyError or
+    # IndexError would reach the command line as a traceback
     from splitcover import cli, embedding
+    from splitcover.errors import VerificationError
     from splitcover.freecover import deck_group
     from splitcover.permgroup import GroupHom
 
@@ -480,8 +552,7 @@ def test_discrete_fuzz_mutated_inputs_fail_cleanly(instance, expected, tmp_path)
                 H, deck_group(f_table).group, phi_images)
             GroupHom.from_generator_images(H, e_deck, psi_images)
             embedding.solve(embedding.EmbeddingInstance(rank, f_table, H, phi))
-        except (ValueError, embedding.NoSolutionError,
-                embedding.SolutionCheckError):
+        except (ValueError, VerificationError):
             return "refused"
         return "solved"
 

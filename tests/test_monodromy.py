@@ -379,10 +379,15 @@ def test_stacked_track_raises_the_first_failing_row():
             track_loop(f, loop, fiber)
         alone[loop] = exc.value
     assert "t=0.4" in str(alone[early]) and "t=0.6" in str(alone[late])
+    # each error locates itself: its loop, 1-based, and the t in its message
+    for error in alone.values():
+        assert error.loop == 1 and f"t={error.t:.6f}" in str(error)
+    assert round(alone[early].t, 1) == 0.4 and round(alone[late].t, 1) == 0.6
     # the early loop fails nearer its start but is second in loop order
     _, results, _ = _track_loops(f, b, [late, early], fiber)
     assert [(type(r), str(r)) for r in results] == \
         [(type(alone[k]), str(alone[k])) for k in (late, early)]
+    assert [(r.loop, r.t) for r in results] == [(1, alone[late].t), (2, alone[early].t)]
     with pytest.raises(RuntimeError) as exc:
         _permutations(results)
     assert exc.value is results[0]

@@ -377,6 +377,25 @@ def test_homomorphisms_on_s4_compose_no_permutation(monkeypatch):
     assert calls == []
 
 
+def test_each_group_reduces_its_generators_once(monkeypatch):
+    # the walk of every candidate and the isomorphism search read the one
+    # reduced generating set the group keeps: S4 from (1 2) and (1 2 3 4)
+    # closes <(1 2)> and then <(1 2), (1 2 3 4)>, once
+    from splitcover.permgroup import ElementIndex
+
+    calls = []
+    real = ElementIndex.generated
+    monkeypatch.setattr(ElementIndex, "generated",
+                        lambda self, gens: calls.append(1) or real(self, gens))
+    s4 = closure((perm((1, 2), n=4), perm((1, 2, 3, 4), n=4)))
+    other = closure((perm((1, 2), n=4), perm((1, 2, 3, 4), n=4)))
+    assert isomorphic_as_groups(s4, other).is_bijective()
+    assert len(calls) <= 2
+    calls.clear()
+    assert isomorphic_as_groups(s4, other).is_bijective()
+    assert calls == []
+
+
 def test_is_abelian_matches_all_pairs():
     from catalog import CATALOG
 

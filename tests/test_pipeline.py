@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitcover.errors import InputError
 from splitcover.freecover import cayley_table
 from splitcover.permgroup import (
     Permutation,
@@ -12,7 +13,6 @@ from splitcover.permgroup import (
     inverse,
 )
 from splitcover.pipeline import (
-    IrreducibilityFailureError,
     align_regular_labelings,
     realize_group,
     run_monodromy,
@@ -232,7 +232,7 @@ def test_embed_rejects_reducible_base():
     space = default_base_space(1)
     f = WeierstrassPoly(
         2, [BivariatePolyQi({(0, 0): qi(-1)}), BivariatePolyQi.zero()])
-    with pytest.raises(IrreducibilityFailureError):
+    with pytest.raises(InputError, match="intransitive"):
         solve_semitop_embedding(f, space, Z2, (Permutation.identity(1),))
 
 
